@@ -107,6 +107,11 @@ CHECK_THRESHOLDS = {
     "trace_replay": 1.15,
 }
 
+#: Memory bound, not a speedup: after eight batch sizes of one model the
+#: shared trace arena may hold at most this multiple of the largest plan
+#: (deterministic, 1.0 today).
+MAX_ARENA_OVER_LARGEST_PLAN = 1.05
+
 
 # ----------------------------------------------------------------------
 # Legacy (pre-PR) kernel implementations, kept verbatim for fair baselines
@@ -981,6 +986,41 @@ def bench_trace_record_overhead(repeats: int) -> Dict[str, float]:
     }
 
 
+def bench_trace_plan_memory() -> Dict[str, object]:
+    """Arena bytes against the per-plan sum over eight batch sizes.
+
+    One FashionCNN records and replays eight batch sizes, as the tail
+    batches of a Dirichlet federation do.  Every plan on a thread draws
+    its buffers from one arena, so the arena holds the largest plan rather
+    than the sum.  Bytes, not time: the result is deterministic.
+    """
+    factory = ClassifierFactory(
+        architecture="fashion-cnn", in_channels=1, image_size=28,
+        num_classes=10, seed=0,
+    )
+    sizes = (32, 4, 27, 9, 18, 13, 31, 22)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((max(sizes), 1, 28, 28)).astype(np.float32)
+    y = rng.integers(0, 10, size=max(sizes)).astype(np.int64)
+    nn_trace.reset_trace_cache()
+    session = nn_trace.session_for(factory())
+    for size in sizes:
+        session.step(x[:size], y[:size])  # record
+        session.step(x[:size], y[:size])  # the first replay binds the plan
+    arena_bytes = nn_trace.trace_counters()["arena_bytes"]
+    plan_bytes = [session.plan_for(x[:size], y[:size]).nbytes for size in sizes]
+    nn_trace.reset_trace_cache()
+    largest = max(plan_bytes)
+    return {
+        "batch_sizes": list(sizes),
+        "plan_bytes": plan_bytes,
+        "plan_sum_bytes": sum(plan_bytes),
+        "largest_plan_bytes": largest,
+        "arena_bytes": arena_bytes,
+        "arena_over_largest": arena_bytes / largest,
+    }
+
+
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
@@ -1008,6 +1048,7 @@ def run_suite(repeats: int = 25, include_dispatch: bool = True, include_e2e: boo
     # trace metrics run even under --skip-e2e.
     results["trace_replay"] = bench_trace_replay(repeats)
     results["trace_record_overhead"] = bench_trace_record_overhead(repeats)
+    results["trace_plan_memory"] = bench_trace_plan_memory()
     site_records = _dispatch_site_records(results)
     if site_records:
         results["dispatch_sites"] = site_records
@@ -1171,6 +1212,14 @@ def render_table(results, headline) -> str:
     return format_table(["metric", "before (us)", "after (us)", "speedup"], rows)
 
 
+def render_plan_memory(numbers) -> str:
+    return (
+        f"trace_plan_memory: arena {numbers['arena_bytes']} bytes, largest plan "
+        f"{numbers['largest_plan_bytes']} bytes, sum over "
+        f"{len(numbers['batch_sizes'])} plans {numbers['plan_sum_bytes']} bytes"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default="BENCH_hotpath.json", help="JSON output path")
@@ -1190,6 +1239,8 @@ def main(argv=None) -> int:
     print()
     for metric, value in headline.items():
         print(f"{metric:24s} {value:5.2f}x")
+    memory = results["trace_plan_memory"]
+    print(render_plan_memory(memory))
 
     payload = {
         "meta": {
@@ -1229,7 +1280,13 @@ def main(argv=None) -> int:
         failed = {m: v for m, v in verdicts.items() if not v[2]}
         for metric, (value, minimum, ok) in verdicts.items():
             print(f"check {metric:24s} {value:5.2f}x >= {minimum:.2f}x  {'ok' if ok else 'FAIL'}")
-        if failed:
+        memory_ok = memory["arena_over_largest"] <= MAX_ARENA_OVER_LARGEST_PLAN
+        print(
+            f"check {'trace_plan_memory':24s} arena/largest "
+            f"{memory['arena_over_largest']:.2f} <= {MAX_ARENA_OVER_LARGEST_PLAN:.2f}  "
+            f"{'ok' if memory_ok else 'FAIL'}"
+        )
+        if failed or not memory_ok:
             return 1
     return 0
 
@@ -1255,6 +1312,8 @@ def test_hotpath_kernels_beat_legacy(report):
     assert headline["distance_block"] >= 0.02
     assert results["distance_block"]["legacy_max_rel_error"] > 0.5
     assert results["distance_block"]["current_max_rel_error"] < 1e-9
+    memory = results["trace_plan_memory"]
+    assert memory["arena_over_largest"] <= MAX_ARENA_OVER_LARGEST_PLAN
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ every forward/backward step.  This module records that step *once* per
 ``(model signature, input shape, dtype)`` as an op-level tape and then
 replays the tape through a :class:`CompiledPlan`: a flat list of
 pre-compiled forward and backward callables whose activation, saved and
-gradient storage is preallocated and reused across steps.
+gradient storage is laid out once and reused across steps.
 
 Lifecycle
 ---------
@@ -19,10 +19,20 @@ Lifecycle
    eager closures perform, in the same order, through the
    :class:`~repro.nn.backend.ArrayBackend` shim — replay is bit-identical
    to eager under a fixed seed (covered by the trace test suite).
-3. **Fallback** — any shape/dtype change keys a fresh tape (up to a small
-   cap); untraceable ops (Dropout in train mode, BatchNorm, integer
-   embedding lookups, any op without a descriptor) poison the recording
-   and pin that signature to eager execution permanently.
+3. **Fallback** — untraceable ops (Dropout in train mode, BatchNorm,
+   integer embedding lookups, any op without a descriptor) poison the
+   recording and pin that signature to eager execution permanently.
+
+Memory
+------
+Plans run one at a time per thread and no plan reads a buffer across
+steps, so every plan on a thread draws its buffers from one
+:class:`BufferArena`, each plan laying its buffers out from offset 0.
+Trace memory is therefore the largest plan, not the sum over every batch
+shape a federation produces.  Buffers whose contents must survive from
+one step to the next are the exception: the root-gradient seed is
+plan-owned memory, and a kernel re-establishes any other such contents
+on every step.
 
 The backward schedule replicates ``Tensor.backward``'s DFS topological
 order and gradient-accumulation order exactly: "store" vs "add" per edge
@@ -34,6 +44,7 @@ same float order as eager.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -48,13 +59,14 @@ __all__ = [
     "TraceRecorder",
     "Trace",
     "CompiledPlan",
+    "BufferArena",
+    "plan_bytes",
     "TraceSession",
     "register_trace_op",
     "registered_trace_ops",
     "session_for",
     "reset_trace_cache",
     "trace_counters",
-    "MAX_SIGNATURES_PER_MODEL",
 ]
 
 
@@ -169,6 +181,9 @@ class Trace:
         self.param_slots = param_slots  # (slot, parameter index) pairs
         self.forward_indices = self._needed_forward()
         self.backward_steps, self.grad_param_slots = self._build_schedule()
+        # Arena bytes a plan of this tape lays out; set by the first
+        # compile's sizing pass (deterministic, so shared across threads).
+        self.plan_bytes: Optional[int] = None
 
     # -- schedule ------------------------------------------------------
     def _needed_forward(self) -> List[int]:
@@ -393,6 +408,71 @@ class _FreezeError(ValueError):
 
 
 # ----------------------------------------------------------------------
+# Buffer arena
+# ----------------------------------------------------------------------
+#: Byte alignment of every arena view (one cache line).
+ARENA_ALIGNMENT = 64
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // ARENA_ALIGNMENT) * ARENA_ALIGNMENT
+
+
+class BufferArena:
+    """One thread's backing store for the buffers of every plan.
+
+    Each plan lays its buffers out from offset 0, so plans overlap one
+    another and the arena holds as many bytes as the largest plan.  Views
+    are exact-shape, C-contiguous and 64-byte aligned.
+    """
+
+    def __init__(self) -> None:
+        self.nbytes = 0
+        self._store: Optional[np.ndarray] = None
+        with _CACHE_LOCK:
+            _ARENAS.add(self)
+
+    def grow(self, nbytes: int) -> None:
+        """Replace the store with one of ``nbytes``; old views go stale.
+
+        The old store is dropped before the new one is allocated, so the
+        arena never holds both.
+        """
+        self.release()
+        raw = np.empty(nbytes + ARENA_ALIGNMENT, dtype=np.uint8)
+        start = -raw.ctypes.data % ARENA_ALIGNMENT
+        self._store = raw[start : start + nbytes]
+        self.nbytes = nbytes
+
+    def release(self) -> None:
+        self._store = None
+        self.nbytes = 0
+
+    def view(self, offset: int, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        end = offset + int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        if self._store is None or end > self.nbytes:
+            raise RuntimeError("plan outgrew its arena; reserve plan_bytes() first")
+        return self._store[offset:end].view(dtype).reshape(shape)
+
+
+class _SizingArena:
+    """Stands in for an arena while a plan is compiled only to be sized.
+
+    It hands out zero-stride probes of the requested shape, so no buffer
+    is allocated.  Kernel builders only take views of their buffers at
+    compile time, and a probe supports every view they take.
+    """
+
+    def view(self, offset: int, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        return np.lib.stride_tricks.as_strided(
+            np.zeros(1, dtype), shape=shape, strides=(0,) * len(shape), writeable=True
+        )
+
+
+_SIZING = _SizingArena()
+
+
+# ----------------------------------------------------------------------
 # Compilation: contexts, sinks, plans
 # ----------------------------------------------------------------------
 class Sink:
@@ -458,11 +538,15 @@ class OpContext:
 
     # -- storage -------------------------------------------------------
     def alloc_out(self) -> np.ndarray:
-        """Stable plan-owned output buffer for this node's value."""
+        """Stable output buffer for this node's value."""
         return self._plan._buffer(self.out)
 
     def scratch(self, name: str, shape, dtype) -> np.ndarray:
-        """Per-node saved/scratch buffer (shared between forward and VJP)."""
+        """Per-node saved/scratch buffer (shared between forward and VJP).
+
+        It lives in the thread's arena and holds nothing from one step to
+        the next.
+        """
         return self._plan._scratch(self.node_index, name, shape, dtype)
 
     def saved(self, name: str) -> np.ndarray:
@@ -508,11 +592,24 @@ class OpContext:
 
 
 class CompiledPlan:
-    """A trace bound to preallocated buffers and compiled step programs."""
+    """A trace bound to arena buffers and compiled step programs.
 
-    def __init__(self, trace: Trace, xp: Optional[ArrayBackend] = None) -> None:
+    Buffers are views of ``arena`` laid out from offset 0, and
+    ``nbytes`` is how far they reach; the arena must already hold
+    :func:`plan_bytes` bytes.  Compiling against the sizing arena only
+    counts them.
+    """
+
+    def __init__(
+        self,
+        trace: Trace,
+        arena: Union[BufferArena, _SizingArena],
+        xp: Optional[ArrayBackend] = None,
+    ) -> None:
         self.trace = trace
         self.xp = xp or default_backend()
+        self.arena = arena
+        self.nbytes = 0
         self.buffers: Dict[int, np.ndarray] = {}
         self.saved: Dict[Tuple[int, str], np.ndarray] = {}
         self.grads: Dict[int, np.ndarray] = {}
@@ -520,7 +617,8 @@ class CompiledPlan:
         for slot, info in enumerate(trace.slots):
             if info.kind == KIND_CONST:
                 self._vals[slot] = info.const
-        # The root gradient: eager seeds backward() with ones.
+        # The root gradient: eager seeds backward() with ones.  Written
+        # once, so it must not share the arena with other plans.
         loss_info = trace.slots[trace.loss_slot]
         root = self.xp.empty(loss_info.shape, loss_info.dtype)
         self.xp.copyto(root, 1.0)
@@ -532,11 +630,18 @@ class CompiledPlan:
         self._loss_buf = self._vals_buffer_for_loss()
 
     # -- storage helpers ----------------------------------------------
+    def _alloc(self, shape, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        shape = tuple(shape)
+        offset = self.nbytes
+        self.nbytes += _aligned(int(np.prod(shape, dtype=np.int64)) * dtype.itemsize)
+        return self.arena.view(offset, shape, dtype)
+
     def _buffer(self, slot: int) -> np.ndarray:
         buf = self.buffers.get(slot)
         if buf is None:
             info = self.trace.slots[slot]
-            buf = self.xp.empty(info.shape, info.dtype)
+            buf = self._alloc(info.shape, info.dtype)
             self.buffers[slot] = buf
         return buf
 
@@ -544,7 +649,7 @@ class CompiledPlan:
         key = (node_index, name)
         buf = self.saved.get(key)
         if buf is None:
-            buf = self.xp.empty(shape, dtype)
+            buf = self._alloc(shape, dtype)
             self.saved[key] = buf
         return buf
 
@@ -552,7 +657,7 @@ class CompiledPlan:
         buf = self.grads.get(slot)
         if buf is None:
             info = self.trace.slots[slot]
-            buf = self.xp.empty(info.shape, info.dtype)
+            buf = self._alloc(info.shape, info.dtype)
             self.grads[slot] = buf
         return buf
 
@@ -580,7 +685,11 @@ class CompiledPlan:
 
     # -- execution -----------------------------------------------------
     def run(self, arrays: Dict[str, np.ndarray], params: Sequence) -> float:
-        """Replay one training step; leaves gradients on ``params``."""
+        """Replay one training step; leaves gradients on ``params``.
+
+        The gradients are arena views: they stay valid until the next
+        traced step on this thread.
+        """
         vals = self._vals
         trace = self.trace
         for name, slot in trace.input_slots.items():
@@ -599,38 +708,73 @@ class CompiledPlan:
         return float(self._loss_buf)
 
 
+def plan_bytes(trace: Trace) -> int:
+    """Arena bytes a plan of ``trace`` spans, sized without allocating.
+
+    Raises :class:`TraceUnsupported` for tapes that cannot be compiled.
+    """
+    if trace.plan_bytes is None:
+        trace.plan_bytes = CompiledPlan(trace, _SIZING).nbytes
+    return trace.plan_bytes
+
+
 # ----------------------------------------------------------------------
 # Session + process-wide cache
 # ----------------------------------------------------------------------
-#: Shape/dtype signatures cached per model signature before new shapes
-#: stop recording and run eagerly (bounds tape memory for pathological
-#: loaders).  Normal training needs two — the full batch and the tail
-#: batch — but a Dirichlet-partitioned federation sees one tail shape per
-#: distinct shard size, so the cap leaves room for a realistic client
-#: population before new shapes stop being recorded.
-MAX_SIGNATURES_PER_MODEL = 24
-
 _CACHE_LOCK = threading.Lock()
 _TRACES: Dict[tuple, Union[Trace, str]] = {}
-_SIGNATURE_COUNTS: Dict[object, int] = {}
 _COUNTERS = {"records": 0, "replays": 0, "fallbacks": 0}
-_THREAD_PLANS = threading.local()
+_ARENAS: "weakref.WeakSet[BufferArena]" = weakref.WeakSet()
+_THREAD = threading.local()
+
+
+class _ThreadPlans:
+    """One thread's arena and the compiled plans bound to it."""
+
+    def __init__(self) -> None:
+        self.arena = BufferArena()
+        self.plans: Dict[tuple, CompiledPlan] = {}
+
+    def bind(self, key: tuple, trace: Trace) -> CompiledPlan:
+        """Compile ``trace`` into the arena, growing the arena first if needed."""
+        needed = plan_bytes(trace)
+        if needed > self.arena.nbytes:
+            # Growth stales every bound plan.  Dropping them first frees the
+            # old store before the new one is allocated; they rebind lazily
+            # from their cached tapes.
+            self.plans.clear()
+            self.arena.grow(needed)
+        plan = CompiledPlan(trace, self.arena)
+        self.plans[key] = plan
+        return plan
+
+
+def _thread_plans() -> _ThreadPlans:
+    state = getattr(_THREAD, "plans", None)
+    if state is None:
+        state = _THREAD.plans = _ThreadPlans()
+    return state
 
 
 def trace_counters() -> Dict[str, int]:
-    """Snapshot of record/replay/fallback counts (tests and benchmarks)."""
+    """Record/replay/fallback counts plus the bytes held by live arenas."""
     with _CACHE_LOCK:
-        return dict(_COUNTERS)
+        counters = dict(_COUNTERS)
+        counters["arena_bytes"] = sum(arena.nbytes for arena in _ARENAS)
+    return counters
 
 
 def reset_trace_cache() -> None:
-    """Drop every cached tape, plan and counter (test isolation hook)."""
+    """Drop every cached tape and counter, and this thread's plans and arena."""
     with _CACHE_LOCK:
         _TRACES.clear()
-        _SIGNATURE_COUNTS.clear()
         for key in _COUNTERS:
             _COUNTERS[key] = 0
-    _THREAD_PLANS.__dict__.clear()
+    state = getattr(_THREAD, "plans", None)
+    if state is not None:
+        state.plans.clear()
+        state.arena.release()
+        del _THREAD.plans
 
 
 def _bump(counter: str) -> None:
@@ -655,8 +799,8 @@ class TraceSession:
     """Per-model-instance handle onto the process-wide trace cache.
 
     Tapes are cached by ``(model signature, input/target shape+dtype)``
-    and shared across model instances and threads; compiled plans (which
-    own mutable buffers) are per-thread.  Binding a cached tape to this
+    and shared across model instances and threads; compiled plans (bound
+    to the thread's arena) are per-thread.  Binding a cached tape to this
     session's model only requires the parameter list to match in shape
     and dtype — parameter *values* are read live from ``param.data`` on
     every step, so ``set_flat_params`` swaps between rounds just work.
@@ -696,12 +840,6 @@ class TraceSession:
 
     # -- record --------------------------------------------------------
     def _record(self, key: tuple, x: np.ndarray, y: np.ndarray) -> Optional[float]:
-        with _CACHE_LOCK:
-            count = _SIGNATURE_COUNTS.get(self.signature, 0)
-            if count >= MAX_SIGNATURES_PER_MODEL:
-                _TRACES[key] = "signature cap reached"
-                _COUNTERS["fallbacks"] += 1
-                return None
         from . import functional as F
 
         recorder = TraceRecorder({"x": x, "y": y})
@@ -715,9 +853,10 @@ class TraceSession:
         loss_value = float(loss.item())
         try:
             trace = recorder.finalize(loss, self.model)
-            # Compile once eagerly so unsupported compile-time cases
-            # (batched matmul broadcasts, odd dtypes) also fall back.
-            plan = CompiledPlan(trace)
+            # Size the plan now so unsupported compile-time cases (batched
+            # matmul broadcasts, odd dtypes) also fall back.  Binding waits
+            # for the first replay.
+            plan_bytes(trace)
         except TraceUnsupported as exc:
             with _CACHE_LOCK:
                 _TRACES[key] = str(exc)
@@ -725,33 +864,20 @@ class TraceSession:
             return loss_value
         with _CACHE_LOCK:
             _TRACES[key] = trace
-            _SIGNATURE_COUNTS[self.signature] = count + 1
             _COUNTERS["records"] += 1
-        self._thread_plans()[key] = plan
         self._validated.add(key)
         return loss_value
 
     # -- plans ---------------------------------------------------------
-    def _thread_plans(self) -> Dict[tuple, CompiledPlan]:
-        plans = getattr(_THREAD_PLANS, "plans", None)
-        if plans is None:
-            plans = {}
-            _THREAD_PLANS.plans = plans
-        return plans
-
     def _plan(self, key: tuple, trace: Trace) -> Optional[CompiledPlan]:
         if key not in self._validated:
             if not self._binds(trace):
                 return None
             self._validated.add(key)
-        plans = self._thread_plans()
-        plan = plans.get(key)
+        state = _thread_plans()
+        plan = state.plans.get(key)
         if plan is None:
-            try:
-                plan = CompiledPlan(trace)
-            except TraceUnsupported:
-                return None
-            plans[key] = plan
+            plan = state.bind(key, trace)
         return plan
 
     def _binds(self, trace: Trace) -> bool:

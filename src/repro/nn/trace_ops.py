@@ -5,8 +5,11 @@ closures in :mod:`repro.nn.tensor` / :mod:`repro.nn.functional` — same
 ufuncs, same operand order, same accumulation order — so replaying a
 tape is bit-identical to the eager step it recorded.  The only
 difference is storage: outputs, saved activations and gradients live in
-plan-owned buffers that persist across steps instead of per-step
-allocations.
+buffers laid out once per plan instead of per-step allocations.  Those
+buffers share the thread's arena with every other plan, so their
+contents last one step: a kernel writes every buffer it reads within the
+same step.  Builders only take views of their buffers at
+compile time; they never read or write them there.
 
 Contract (enforced by the ``TR001``/``TR002`` lint rules):
 
@@ -546,9 +549,15 @@ def _forward_conv2d(xp, ctx):
         padded = ctx.scratch(
             "padded", (n, c, h + 2 * padding, w + 2 * padding), ctx.dtype(x_slot)
         )
-        # Borders are written once here and never touched again; only the
-        # interior is refreshed per step, matching np.pad's zero borders.
-        xp.copyto(padded, 0.0)
+        # np.pad's zero borders.  Another plan may have used this arena
+        # storage since the last step, so they are re-zeroed every step;
+        # the interior needs no zeroing because every step overwrites it.
+        borders = (
+            padded[:, :, :padding, :],
+            padded[:, :, -padding:, :],
+            padded[:, :, padding:-padding, :padding],
+            padded[:, :, padding:-padding, -padding:],
+        )
         interior = padded[:, :, padding:-padding, padding:-padding]
         windows = xp.sliding_window_view(padded, (kh, kw), axis=(2, 3))
         if stride > 1:
@@ -556,6 +565,8 @@ def _forward_conv2d(xp, ctx):
         windows_t = windows.transpose(0, 1, 4, 5, 2, 3)
 
         def run(vals):
+            for border in borders:
+                xp.copyto(border, 0.0)
             xp.copyto(interior, vals[x_slot])
             xp.copyto(cols6, windows_t)
             w_mat = vals[w_slot].reshape(out_channels, features)

@@ -362,9 +362,14 @@ print(json.dumps({"stats": dataclasses.asdict(runner.last_stats),
         assert stats_a["executed"] + stats_a["cache_hits"] == cells
         assert stats_b["executed"] + stats_b["cache_hits"] == cells
         assert stats_a["baselines_executed"] + stats_b["baselines_executed"] == 2
-        # per-host dataset publication count: one per host for the one dataset
-        assert stats_a["dataset_publications"] == 1
-        assert stats_b["dataset_publications"] == 1
+        # per-host dataset publication count: at most one per runner for the
+        # one dataset, and exactly one for a runner that executed anything.
+        # A runner that finds every cell already claimed or cached before it
+        # starts publishes nothing.
+        for stats in (stats_a, stats_b):
+            assert stats["dataset_publications"] <= 1
+            if stats["executed"] + stats["baselines_executed"] > 0:
+                assert stats["dataset_publications"] == 1
         # both runners return the complete grid
         assert outs[0]["labels"] == outs[1]["labels"]
         assert len(outs[0]["labels"]) == cells

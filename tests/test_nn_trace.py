@@ -4,11 +4,15 @@ The engine's contract is *bit-identity*: replaying a recorded tape must
 produce exactly the floats the eager per-op closure engine produces, for
 every model architecture, across seeds, and under every dispatch backend.
 These tests pin that contract, the fallback semantics (shape changes,
-untraceable ops, the signature cap), the buffer-plan aliasing rules, and
-the numerical correctness of the traced VJP kernels.
+untraceable ops), the buffer-plan aliasing rules, the per-thread buffer
+arena every plan draws from, and the numerical correctness of the traced
+VJP kernels.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -42,6 +46,12 @@ def _fresh_trace_cache():
 
 
 ARCHITECTURES = ("mlp", "small-cnn", "fashion-cnn", "cifar-cnn", "gru")
+
+
+def _counts():
+    """The record/replay/fallback counters, without the arena size."""
+    counters = trace.trace_counters()
+    return {key: counters[key] for key in ("records", "replays", "fallbacks")}
 
 
 def _build_model(name: str, seed: int) -> nn.Module:
@@ -230,22 +240,24 @@ class TestFallbacks:
         y_tail = y_full[:5]
         assert session.step(x_full, y_full) is not None
         assert session.step(x_tail, y_tail) is not None
-        assert trace.trace_counters() == {"records": 2, "replays": 0, "fallbacks": 0}
+        assert _counts() == {"records": 2, "replays": 0, "fallbacks": 0}
         assert session.step(x_full, y_full) is not None
         assert session.step(x_tail, y_tail) is not None
         assert trace.trace_counters()["replays"] == 2
 
-    def test_signature_cap_pins_new_shapes_to_eager(self, monkeypatch):
-        monkeypatch.setattr(trace, "MAX_SIGNATURES_PER_MODEL", 1)
+    def test_every_batch_shape_records_once_and_replays(self):
+        """A federation's many tail-batch sizes each record once and then
+        replay; none falls back to eager."""
         model = _build_model("mlp", 0)
         session = trace.session_for(model)
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(16, 1, 12, 12)).astype(np.float32)
-        y = rng.integers(0, 10, size=16)
-        assert session.step(x, y) is not None
-        assert session.step(x[:7], y[:7]) is None  # cap hit: go eager
-        assert session.fallback_reason(x[:7], y[:7]) == "signature cap reached"
-        assert trace.trace_counters()["fallbacks"] == 1
+        x = rng.normal(size=(40, 1, 12, 12)).astype(np.float32)
+        y = rng.integers(0, 10, size=40)
+        for batch in range(1, 41):
+            assert session.step(x[:batch], y[:batch]) is not None  # record
+            assert session.step(x[:batch], y[:batch]) is not None  # replay
+            assert session.fallback_reason(x[:batch], y[:batch]) is None
+        assert _counts() == {"records": 40, "replays": 40, "fallbacks": 0}
 
     def test_untraced_op_poisons_the_signature(self):
         class Divides(nn.Module):
@@ -307,7 +319,9 @@ class TestFallbacks:
             np.random.default_rng(1),
             extra_loss=lambda m: (m.fc1.weight * m.fc1.weight).sum() * 1e-4,
         )
-        assert trace.trace_counters() == {"records": 0, "replays": 0, "fallbacks": 0}
+        assert trace.trace_counters() == {
+            "records": 0, "replays": 0, "fallbacks": 0, "arena_bytes": 0
+        }
 
 
 class _TwoConv(nn.Module):
@@ -353,7 +367,7 @@ class TestBufferPlanAliasing:
         plan, conv_nodes = _conv_plan(_TwoConv())
         cols = [plan.saved[(i, "cols")] for i in conv_nodes]
         assert cols[0].shape == cols[1].shape
-        assert cols[0] is not cols[1]
+        assert not np.shares_memory(cols[0], cols[1])
 
     def test_grad_cols_is_separate_when_weight_needs_grad(self):
         plan, conv_nodes = _conv_plan(_TwoConv())
@@ -363,7 +377,9 @@ class TestBufferPlanAliasing:
         assert (first, "grad_cols") not in plan.saved
         # The second conv needs both gradients: grad_w reads cols after
         # grad_cols is written, so the two must not share storage.
-        assert plan.saved[(second, "grad_cols")] is not plan.saved[(second, "cols")]
+        assert not np.shares_memory(
+            plan.saved[(second, "grad_cols")], plan.saved[(second, "cols")]
+        )
 
     def test_grad_cols_aliases_cols_when_weight_grad_unneeded(self):
         """With no weight gradient the saved activations are dead by the
@@ -391,6 +407,140 @@ class TestBufferPlanAliasing:
         assert plan.steps_replayed == 2
         assert {key: id(buf) for key, buf in plan.saved.items()} == before
         assert {slot: id(buf) for slot, buf in plan.grads.items()} == grads_before
+
+
+def _eager_twin_step(twin, x, y):
+    """Loss and parameter gradients of one eager step on ``twin``."""
+    for param in twin.parameters():
+        param.zero_grad()
+    loss = F.cross_entropy(twin(Tensor(x)), y)
+    loss.backward()
+    return float(loss.item()), [param.grad for param in twin.parameters()]
+
+
+def _assert_replay_matches_eager(model, twin, session, x, y):
+    for param in model.parameters():
+        param.zero_grad()
+    replayed = session.step(x, y)
+    want_loss, want_grads = _eager_twin_step(twin, x, y)
+    assert replayed == want_loss
+    for param, want in zip(model.parameters(), want_grads):
+        assert np.array_equal(param.grad, want)
+
+
+def _batches(channels: int, size: int, seed: int):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(size, channels, 12, 12)).astype(np.float32)
+    return x, rng.integers(0, 10, size=size)
+
+
+class TestBufferArena:
+    def test_interleaved_signatures_match_eager_across_growth(self):
+        """Plans of two signatures share one arena in a mixed order; a
+        third, larger plan grows it, and the stale plans rebind."""
+        models = {
+            name: (_build_model(name, 7), _build_model(name, 7))
+            for name in ("small-cnn", "mlp", "cifar-cnn")
+        }
+        sessions = {name: trace.session_for(pair[0]) for name, pair in models.items()}
+        data = {
+            ("small-cnn", 32): _batches(1, 32, 1),
+            ("mlp", 7): _batches(1, 7, 2),
+            ("small-cnn", 18): _batches(1, 18, 3),
+            ("cifar-cnn", 40): _batches(3, 40, 4),
+        }
+        order = [("small-cnn", 32), ("mlp", 7), ("small-cnn", 18), ("cifar-cnn", 40)]
+        first_plan = None
+        for name, batch in order:
+            model, twin = models[name]
+            x, y = data[(name, batch)]
+            assert sessions[name].step(x, y) is not None  # record
+            _assert_replay_matches_eager(model, twin, sessions[name], x, y)
+            _assert_replay_matches_eager(model, twin, sessions[name], x, y)
+            if first_plan is None:
+                first_plan = sessions[name].plan_for(x, y)
+                first_bytes = trace.trace_counters()["arena_bytes"]
+                assert first_bytes == first_plan.nbytes
+        grown = sessions["cifar-cnn"].plan_for(*data[("cifar-cnn", 40)])
+        assert grown.nbytes > first_bytes
+        assert trace.trace_counters()["arena_bytes"] == grown.nbytes
+        # A32 again: its plan went stale with the growth and rebinds.
+        model, twin = models["small-cnn"]
+        x, y = data[("small-cnn", 32)]
+        _assert_replay_matches_eager(model, twin, sessions["small-cnn"], x, y)
+        rebound = sessions["small-cnn"].plan_for(x, y)
+        assert rebound is not first_plan
+        assert rebound.arena is grown.arena
+        assert _counts() == {"records": 4, "replays": 9, "fallbacks": 0}
+
+    def test_arena_holds_the_largest_plan_not_the_sum(self):
+        model = _build_model("small-cnn", 0)
+        session = trace.session_for(model)
+        x, y = _batches(1, 48, 5)
+        sizes = (3, 8, 13, 21, 34, 48)  # growing: every new plan grows the arena
+        for size in sizes:
+            session.step(x[:size], y[:size])  # record
+            session.step(x[:size], y[:size])  # replay binds the plan
+        plan_bytes = [session.plan_for(x[:size], y[:size]).nbytes for size in sizes]
+        arena_bytes = trace.trace_counters()["arena_bytes"]
+        assert arena_bytes == max(plan_bytes)
+        assert arena_bytes < sum(plan_bytes)
+        trace.reset_trace_cache()
+        assert trace.trace_counters()["arena_bytes"] == 0
+
+    @pytest.mark.parametrize("name", ARCHITECTURES)
+    def test_replay_reads_nothing_left_in_the_arena(self, name):
+        """Arena contents do not survive a step: overwriting the whole
+        arena with NaN between steps must not change a replayed step."""
+        model, twin = _build_model(name, 3), _build_model(name, 3)
+        session = trace.session_for(model)
+        x, y = _batches(3 if name == "cifar-cnn" else 1, 10, 6)
+        session.step(x, y)  # record
+        _assert_replay_matches_eager(model, twin, session, x, y)
+        arena = session.plan_for(x, y).arena
+        arena.view(0, (arena.nbytes,), np.dtype(np.uint8)).fill(0xFF)
+        _assert_replay_matches_eager(model, twin, session, x, y)
+
+    def test_buffers_within_a_plan_never_overlap(self):
+        plan, _ = _conv_plan(_TwoConv())
+        root = plan.grads[plan.trace.loss_slot]  # private, not in the arena
+        buffers = list(plan.buffers.values()) + list(plan.saved.values())
+        buffers += [grad for grad in plan.grads.values() if grad is not root]
+        for i, first in enumerate(buffers):
+            assert first.flags.c_contiguous
+            assert first.ctypes.data % trace.ARENA_ALIGNMENT == 0
+            for second in buffers[i + 1 :] + [root]:
+                assert not np.shares_memory(first, second)
+
+    def test_threads_each_replay_in_their_own_arena(self):
+        """Arenas are per-thread: concurrent threads replaying interleaved
+        batch shapes of one signature still match eager bit for bit."""
+        failures = []
+        previous = sys.getswitchinterval()
+
+        def worker(seed):
+            try:
+                model, twin = _build_model("small-cnn", seed), _build_model("small-cnn", seed)
+                session = trace.session_for(model)
+                x, y = _batches(1, 24, seed)
+                for size in (24, 5, 24, 11, 5):
+                    if session.plan_for(x[:size], y[:size]) is None:
+                        session.step(x[:size], y[:size])  # record
+                    _assert_replay_matches_eager(model, twin, session, x[:size], y[:size])
+            except Exception as exc:  # reported by the main thread
+                failures.append((seed, exc))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 class _OpsSoup(nn.Module):
