@@ -45,7 +45,6 @@ from repro.experiments import benchmark_scale, build_simulation
 from repro.fl.dispatch_policy import CostModel, DispatchPolicy
 from repro.fl.faults import ResilienceConfig
 from repro.fl.executor import (
-    ParallelExecutor,
     ShardRef,
     SharedArrayStore,
     SharedParamsLease,
@@ -450,13 +449,13 @@ def bench_round_dispatch(repeats: int) -> Dict[str, float]:
     config = _e2e_config()
     results: Dict[str, float] = {}
     for label, use_shm in (("inline", False), ("shm", True)):
-        executor = ParallelExecutor(workers=2, use_shared_memory=use_shm)
-        with build_simulation(config, policy=executor) as simulation:
+        policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=use_shm)
+        with build_simulation(config, policy=policy) as simulation:
             simulation.run_round()  # warm the pool
             results[f"{label}_s"] = _best_of(simulation.run_round, max(2, repeats // 8))
             if use_shm:
-                results["shm_rounds"] = executor.shm_rounds
-                results["shard_rounds"] = executor.shard_rounds
+                results["shm_rounds"] = simulation.executor.shm_rounds
+                results["shard_rounds"] = simulation.executor.shard_rounds
     results["speedup"] = results["inline_s"] / results["shm_s"]
     return results
 
@@ -475,8 +474,8 @@ def bench_shard_broadcast() -> Dict[str, float]:
     config = _e2e_config()
     results: Dict[str, float] = {}
     for label, use_shm in (("inline", False), ("shm", True)):
-        executor = ParallelExecutor(workers=2, use_shared_memory=use_shm)
-        with build_simulation(config, policy=executor) as simulation:
+        policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=use_shm)
+        with build_simulation(config, policy=policy) as simulation:
             client = next(iter(simulation.benign_clients.values()))
             params = simulation.server.distribute()
             task = client.make_task(params, 0)
@@ -491,7 +490,6 @@ def bench_shard_broadcast() -> Dict[str, float]:
             results[f"shard_nbytes_{label}"] = sum(
                 array.nbytes for array in client.dataset.arrays()
             )
-        executor.close()
     results["speedup"] = results["task_nbytes_inline"] / results["task_nbytes_shm"]
     return results
 
@@ -524,15 +522,15 @@ def bench_refd_fanout(repeats: int) -> Dict[str, float]:
     labels = rng.integers(0, 10, size=160).astype(np.int64)
     defense = Refd(num_rejected=2)
 
-    def context(executor=None, reference_ref=None):
+    def context(dispatch=None, reference_ref=None):
         return DefenseContext(
             round_number=0,
             global_params=base,
             expected_num_malicious=2,
             rng=np.random.default_rng(0),
             model_factory=factory,
-            executor=executor,
             reference_ref=reference_ref,
+            dispatch=dispatch,
         )
 
     serial_context = context()
@@ -540,8 +538,8 @@ def bench_refd_fanout(repeats: int) -> Dict[str, float]:
         reference_ref = ShardRef(
             images=store.refs["reference/images"], labels=store.refs["reference/labels"]
         )
-        with ParallelExecutor(workers=2) as executor:
-            process_context = context(executor=executor, reference_ref=reference_ref)
+        with DispatchPolicy.fixed("process", workers=2) as policy:
+            process_context = context(dispatch=policy, reference_ref=reference_ref)
             serial_scores = [
                 r.score for r in defense.score_updates(updates, images, serial_context)
             ]
@@ -556,7 +554,7 @@ def bench_refd_fanout(repeats: int) -> Dict[str, float]:
             process = _best_of(
                 lambda: defense.score_updates(updates, images, process_context), repeats
             )
-            fanout_calls = executor.fanout_calls
+            fanout_calls = policy.counter_snapshot()["process_fanout_calls"]
     return {
         "serial_s": serial,
         "process_s": process,
@@ -569,11 +567,9 @@ def bench_refd_fanout(repeats: int) -> Dict[str, float]:
 def bench_distance_fanout(repeats: int) -> Dict[str, float]:
     """Distance-plane row-block fan-out: serial kernels vs a 2-worker pool.
 
-    Times the full production path (content digests, cache probe, block
-    fan-out) on the ledger's reference geometry — a 10x100k float32 matrix
-    split into 4 row blocks — with the policy's distance cache cleared
-    before every run so the kernels are actually recomputed.  The measured
-    pair is what calibrates the ``"distance"`` site of the adaptive cost
+    Times the full production path (policy decision, matrix publication,
+    block fan-out) on the ledger's reference geometry — a 10x100k float32
+    matrix split into 4 row blocks.  The measured pair is what calibrates the ``"distance"`` site of the adaptive cost
     model, documenting the regression the adaptive policy exists to avoid:
     at this scale the process fan-out *loses* on 1-2 core machines.
     """
@@ -584,12 +580,10 @@ def bench_distance_fanout(repeats: int) -> Dict[str, float]:
     baseline = pairwise_sq_distances(matrix, dispatch=serial_policy)
 
     def run(policy):
-        policy.distance_cache.clear()
         return pairwise_sq_distances(matrix, dispatch=policy)
 
     serial = _best_of(lambda: run(serial_policy), repeats)
-    with ParallelExecutor(workers=2) as executor:
-        process_policy = DispatchPolicy.for_executor(executor)
+    with DispatchPolicy.fixed("process", workers=2) as process_policy:
         np.testing.assert_array_equal(baseline, run(process_policy))
         process = _best_of(lambda: run(process_policy), repeats)
     return {

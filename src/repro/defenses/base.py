@@ -23,11 +23,11 @@ class Defense(ABC):
         the defense pass rate (DPR, Eq. 5) is well defined.  Statistical
         rules such as Median and Trimmed mean set this to ``False``.
 
-    Defenses with per-update or per-row-block hot paths should not probe
-    ``context.executor`` capabilities themselves: they hand the work to
-    :meth:`repro.fl.dispatch_policy.DispatchPolicy.fanout` (via
-    :func:`repro.fl.dispatch_policy.dispatch_for`), which owns backend
-    selection, shared-memory publication and the serial fallback.
+    Defenses with per-update or per-row-block hot paths never pick an
+    executor themselves: they hand the work to
+    :meth:`repro.fl.dispatch_policy.DispatchPolicy.fanout` on
+    ``context.dispatch``, which owns backend selection, shared-memory
+    publication and the serial fallback.
     """
 
     name: str = "defense"

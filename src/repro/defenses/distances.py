@@ -30,29 +30,20 @@ compute plane:
   kernel, so the policy keeps row blocks inline there.  Pooled backends
   whose fan-out pickles its work items receive the stacked matrix **once**
   (``publish``) and each envelope carries only a
-  :class:`~repro.fl.executor.SharedArrayRef` plus row indices.  The legacy
-  ``executor=`` argument still works and maps onto a policy pinned to that
-  executor.
-* When a dispatch policy is in play, its
-  :class:`~repro.fl.dispatch_policy.DistanceCache` amortises the plane
-  across rounds: every pair value is cached under a content hash of the
-  exact row bytes, so unchanged benign-benign sub-blocks are reused
-  bitwise and only rows whose bytes changed are recomputed (the fan-out
-  then ships 4-tuple payloads naming the stale row subset).  Bare calls —
-  no executor, no policy — stay pure serial compute with no cache.
+  :class:`~repro.fl.executor.SharedArrayRef` plus row indices.  Bare calls
+  (``dispatch=None``) run the serial kernels directly.
 
 Determinism contract
 --------------------
 The per-pair reduction runs over fixed ``_DIM_CHUNK`` column chunks in a
 fixed order, independent of the row-block partition, so serial, thread and
-process backends — and any ``block_rows`` override or cached row subset —
-produce bitwise identical matrices for the same input.
+process backends — and any ``block_rows`` override — produce bitwise
+identical matrices for the same input.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -142,21 +133,13 @@ def _resolve_matrix(matrix) -> np.ndarray:
 
 
 def _payload_block(payload) -> Tuple[np.ndarray, np.ndarray]:
-    """Resolve a fan-out payload to ``(left_block, matrix)``.
+    """Resolve a ``(matrix, start, stop)`` fan-out payload to
+    ``(left_block, matrix)``.
 
-    Payloads are ``(matrix, start, stop)`` for a contiguous row block of the
-    full matrix, or ``(matrix, start, stop, rows)`` where ``rows`` is a
-    tuple of row indices and ``start:stop`` slices *that tuple* — the form
-    the distance cache uses to recompute only stale rows.  ``matrix`` is
-    either the in-process array or a
+    ``matrix`` is either the in-process array or a
     :class:`~repro.fl.executor.SharedArrayRef` into the executor's
     published store.
     """
-    if len(payload) == 4:
-        matrix, start, stop, rows = payload
-        matrix = _resolve_matrix(matrix)
-        index = np.asarray(rows[start:stop], dtype=np.intp)
-        return matrix[index], matrix
     matrix, start, stop = payload
     matrix = _resolve_matrix(matrix)
     return matrix[start:stop], matrix
@@ -165,7 +148,7 @@ def _payload_block(payload) -> Tuple[np.ndarray, np.ndarray]:
 def distance_block(payload) -> np.ndarray:
     """One ``(rows, n)`` tile of the squared-distance matrix (fan-out unit).
 
-    See :func:`_payload_block` for the payload forms; pure function of the
+    See :func:`_payload_block` for the payload form; pure function of the
     payload, bit-identical to the serial path.
     """
     block, matrix = _payload_block(payload)
@@ -192,90 +175,8 @@ register_fanout_fn(DISTANCE_BLOCK_FANOUT, distance_block)
 register_fanout_fn(COSINE_BLOCK_FANOUT, cosine_block)
 
 
-def _resolve_dispatch(dispatch, executor) -> Optional[DispatchPolicy]:
-    """Coerce the ``dispatch=``/legacy ``executor=`` arguments to a policy.
-
-    ``None``/``None`` stays ``None``: bare calls run pure serial compute
-    with no cache, so e.g. benchmark probes measure the raw kernels.
-    """
-    if dispatch is not None:
-        return DispatchPolicy.coerce(dispatch)
-    if executor is not None:
-        return DispatchPolicy.for_executor(executor)
-    return None
-
-
-def _greedy_row_cover(pairs: Sequence[Tuple[int, int]]) -> List[int]:
-    """Smallest practical row set covering every ``(i, j)`` pair.
-
-    Greedy max-cover: repeatedly take the row participating in the most
-    uncovered pairs (lowest index on ties).  When one row mutates, it alone
-    covers all its pairs and is picked exactly; on a cold matrix every row
-    is picked, in order.  Recomputing a covering row refreshes whole
-    ``(row, ·)`` stripes, which is exactly the granularity the block
-    kernels produce anyway.
-    """
-    uncovered = set(pairs)
-    need: List[int] = []
-    while uncovered:
-        counts: Counter = Counter()
-        # repro: allow[ORD002] Counter increments commute; the min() below
-        # tie-breaks on row index, so the pick is order-independent
-        for i, j in uncovered:
-            counts[i] += 1
-            if j != i:
-                counts[j] += 1
-        row = min(counts, key=lambda r: (-counts[r], r))
-        need.append(row)
-        # repro: allow[ORD002] set-to-set filter: membership only, no
-        # iteration order reaches the (sorted) result
-        uncovered = {pair for pair in uncovered if row not in pair}
-    return sorted(need)
-
-
-def _fanout_tiles(
-    dispatch: DispatchPolicy,
-    name: str,
-    kernel: Callable,
-    matrix: np.ndarray,
-    n: int,
-    dim: int,
-    rows_per_block: int,
-    subset: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """Row-block tiles via ``dispatch.fanout`` (site ``"distance"``).
-
-    The policy handles all backend gating: serial decisions (and capability
-    fallbacks) run ``kernel`` in-process; pickling backends get the matrix
-    published once and payloads rebuilt over the shared ref.
-    """
-    row_count = n if subset is None else len(subset)
-    blocks = _row_blocks(row_count, rows_per_block)
-    if subset is None:
-        def build(payload_matrix):
-            return [(payload_matrix, start, stop) for start, stop in blocks]
-    else:
-        rows = tuple(int(row) for row in subset)
-
-        def build(payload_matrix):
-            return [(payload_matrix, start, stop, rows) for start, stop in blocks]
-
-    tiles = dispatch.fanout(
-        "distance",
-        name,
-        build(matrix),
-        work=float(row_count) * float(n) * float(max(1, dim)),
-        kernel=kernel,
-        payload_by_ref=False,
-        publish={"matrix": matrix},
-        payloads_from_refs=lambda refs: build(refs["matrix"]),
-    )
-    return np.concatenate(tiles, axis=0)
-
-
 def _pairwise_matrix(
-    dispatch: Optional[DispatchPolicy],
-    namespace: tuple,
+    dispatch,
     name: str,
     kernel: Callable,
     source: np.ndarray,
@@ -283,54 +184,37 @@ def _pairwise_matrix(
     dim: int,
     rows_per_block: int,
 ) -> np.ndarray:
-    """Assemble the full ``(n, n)`` matrix, through the cache when one exists.
+    """Assemble the full ``(n, n)`` matrix from row-block tiles.
 
-    Cached assembly is bitwise-exact: values are keyed by row content
-    digests, computed values come from the same blocking-invariant kernels,
-    and the symmetric fill relies on the kernels' exact symmetry
-    (``(a−b)²`` and ``a·b`` are IEEE-symmetric, and the accumulation order
-    per pair is fixed by ``_DIM_CHUNK``).
+    With no policy the tiles run inline; otherwise they go through
+    ``dispatch.fanout`` (site ``"distance"``), which handles all backend
+    gating: serial decisions (and capability fallbacks) run ``kernel``
+    in-process, pickling backends get the matrix published once and the
+    payloads rebuilt over the shared ref.
     """
+    blocks = _row_blocks(n, rows_per_block)
+
+    def build(payload_matrix):
+        return [(payload_matrix, start, stop) for start, stop in blocks]
+
     if dispatch is None:
-        blocks = _row_blocks(n, rows_per_block)
-        tiles = [kernel((source, start, stop)) for start, stop in blocks]
-        return np.concatenate(tiles, axis=0)
-    cache = getattr(dispatch, "distance_cache", None)
-    if cache is None:
-        return _fanout_tiles(dispatch, name, kernel, source, n, dim, rows_per_block)
-    digests = cache.row_digests(source)
-    out = np.empty((n, n), dtype=np.float64)
-    unknown: List[Tuple[int, int]] = []
-    for i in range(n):
-        for j in range(i, n):
-            value = cache.get(namespace, digests[i], digests[j])
-            if value is None:
-                unknown.append((i, j))
-            else:
-                out[i, j] = value
-                out[j, i] = value
-    if unknown:
-        need = _greedy_row_cover(unknown)
-        if len(need) == n:
-            out = _fanout_tiles(dispatch, name, kernel, source, n, dim, rows_per_block)
-        else:
-            sub = _fanout_tiles(
-                dispatch, name, kernel, source, n, dim, rows_per_block, subset=need
-            )
-            for local, row in enumerate(need):
-                out[row, :] = sub[local]
-                out[:, row] = sub[local]
-        need_set = set(need)
-        for i in range(n):
-            for j in range(i, n):
-                if i in need_set or j in need_set:
-                    cache.put(namespace, digests[i], digests[j], out[i, j])
-    return out
+        tiles = [kernel(payload) for payload in build(source)]
+    else:
+        tiles = DispatchPolicy.coerce(dispatch).fanout(
+            "distance",
+            name,
+            build(source),
+            work=float(n) * float(n) * float(max(1, dim)),
+            kernel=kernel,
+            payload_by_ref=False,
+            publish={"matrix": source},
+            payloads_from_refs=lambda refs: build(refs["matrix"]),
+        )
+    return np.concatenate(tiles, axis=0)
 
 
 def pairwise_sq_distances(
     matrix: np.ndarray,
-    executor=None,
     block_rows: Optional[int] = None,
     dispatch=None,
 ) -> np.ndarray:
@@ -340,20 +224,15 @@ def pairwise_sq_distances(
     ----------
     matrix:
         ``(n, dim)`` stacked update matrix, any floating dtype.
-    executor:
-        Legacy round executor; equivalent to
-        ``dispatch=DispatchPolicy.for_executor(executor)``.
     block_rows:
         Rows per block (default: derived from the shape).  The result is
         bitwise independent of this value; it only exists for tests and
         tuning.
     dispatch:
         A :class:`~repro.fl.dispatch_policy.DispatchPolicy` (or spec string)
-        deciding serial vs pooled per call and carrying the cross-round
-        :class:`~repro.fl.dispatch_policy.DistanceCache`.  ``None`` with no
-        ``executor`` runs pure serial compute, uncached.
+        deciding serial vs pooled per call.  ``None`` runs the serial
+        kernels directly.
     """
-    dispatch = _resolve_dispatch(dispatch, executor)
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-D (num_updates, dim)")
@@ -361,10 +240,8 @@ def pairwise_sq_distances(
     if n == 0:
         return np.zeros((0, 0), dtype=np.float64)
     rows = block_rows if block_rows is not None else _default_block_rows(n, dim)
-    namespace = ("sq", dim, matrix.dtype.str)
     return _pairwise_matrix(
         dispatch,
-        namespace,
         DISTANCE_BLOCK_FANOUT,
         distance_block,
         matrix,
@@ -377,7 +254,6 @@ def pairwise_sq_distances(
 def pairwise_cosine_similarities(
     matrix: np.ndarray,
     epsilon: float = 0.0,
-    executor=None,
     block_rows: Optional[int] = None,
     dispatch=None,
 ) -> np.ndarray:
@@ -386,10 +262,8 @@ def pairwise_cosine_similarities(
     Rows are normalized once in float64 (``‖x‖ + epsilon`` in the
     denominator, matching FoolsGold's guard against zero histories); the
     Gram product then runs per row block on the same dispatch plane as
-    :func:`pairwise_sq_distances`.  Cache keys include ``epsilon``, so
-    different guards never share values.
+    :func:`pairwise_sq_distances`.
     """
-    dispatch = _resolve_dispatch(dispatch, executor)
     matrix64 = np.asarray(matrix, dtype=np.float64)
     if matrix64.ndim != 2:
         raise ValueError("matrix must be 2-D (num_updates, dim)")
@@ -399,10 +273,8 @@ def pairwise_cosine_similarities(
     norms = np.sqrt(np.einsum("nd,nd->n", matrix64, matrix64)) + epsilon
     normalized = matrix64 / norms[:, None]
     rows = block_rows if block_rows is not None else _default_block_rows(n, dim)
-    namespace = ("cos", dim, matrix64.dtype.str, float(epsilon))
     return _pairwise_matrix(
         dispatch,
-        namespace,
         COSINE_BLOCK_FANOUT,
         cosine_block,
         normalized,

@@ -20,7 +20,6 @@ from typing import Dict, Sequence
 import numpy as np
 
 from ..fl.aggregation import stack_updates
-from ..fl.dispatch_policy import dispatch_for
 from ..fl.types import AggregationResult, DefenseContext, ModelUpdate
 from .base import Defense
 from .distances import pairwise_cosine_similarities
@@ -89,7 +88,7 @@ class FoolsGold(Defense):
 
         histories = np.stack([self._history[update.client_id] for update in updates], axis=0)
         similarity = pairwise_cosine_similarities(
-            histories, epsilon=self.epsilon, dispatch=dispatch_for(context)
+            histories, epsilon=self.epsilon, dispatch=context.dispatch
         )
         # Pardoning rescale (cs_ij *= maxcs_i / maxcs_j when maxcs_j is the
         # larger), then the per-client maximum drives the re-weighting.

@@ -12,9 +12,7 @@ catastrophically cancelled for near-duplicate float32 updates
 (eps32 · ‖x‖² ≫ the true inter-update distance once training converges) and
 scrambled which client Krum accepts.  The context's
 :class:`~repro.fl.dispatch_policy.DispatchPolicy` decides whether the
-distance row blocks run inline or fan out across a pooled backend, and its
-cross-round :class:`~repro.fl.dispatch_policy.DistanceCache` skips
-recomputation for rows whose exact bytes were already seen.
+distance row blocks run inline or fan out across a pooled backend.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..fl.aggregation import stack_updates, unweighted_average
-from ..fl.dispatch_policy import dispatch_for
 from ..fl.types import AggregationResult, DefenseContext, ModelUpdate
 from .base import Defense
 from .distances import pairwise_sq_distances
@@ -74,7 +71,6 @@ def krum_scores(
     matrix: np.ndarray,
     num_malicious: int,
     distances: Optional[np.ndarray] = None,
-    executor=None,
     dispatch=None,
 ) -> np.ndarray:
     """Krum score of each row of ``matrix`` (lower is more trustworthy).
@@ -90,18 +86,12 @@ def krum_scores(
         Optional precomputed squared-distance matrix (skips the pairwise
         computation — Bulyan's iterative selection reuses one matrix for
         every pick).
-    executor:
-        Optional round executor; pinned into a
-        :class:`~repro.fl.dispatch_policy.DispatchPolicy` so pooled
-        backends fan the distance row blocks out through the named
-        registry.
     dispatch:
-        Optional :class:`~repro.fl.dispatch_policy.DispatchPolicy`
-        governing the distance-plane fan-out (takes precedence over
-        ``executor``).
+        Optional :class:`~repro.fl.dispatch_policy.DispatchPolicy` (or spec
+        string) governing the distance-plane fan-out.
     """
     if distances is None:
-        distances = pairwise_sq_distances(matrix, executor=executor, dispatch=dispatch)
+        distances = pairwise_sq_distances(matrix, dispatch=dispatch)
     return krum_scores_from_distances(distances, num_malicious)
 
 
@@ -138,7 +128,7 @@ class Krum(Defense):
     ) -> AggregationResult:
         self._validate(updates)
         matrix = stack_updates(updates)
-        distances = pairwise_sq_distances(matrix, dispatch=dispatch_for(context))
+        distances = pairwise_sq_distances(matrix, dispatch=context.dispatch)
         scores = krum_scores_from_distances(distances, context.expected_num_malicious)
         best = int(np.argmin(scores))
         accepted = [updates[best].client_id]
@@ -170,7 +160,7 @@ class MultiKrum(Defense):
         n = matrix.shape[0]
         m = self.num_selected if self.num_selected is not None else n - context.expected_num_malicious
         m = int(np.clip(m, 1, n))
-        distances = pairwise_sq_distances(matrix, dispatch=dispatch_for(context))
+        distances = pairwise_sq_distances(matrix, dispatch=context.dispatch)
         scores = krum_scores_from_distances(distances, context.expected_num_malicious)
         chosen = np.argsort(scores)[:m]
         accepted_updates = [updates[i] for i in chosen]

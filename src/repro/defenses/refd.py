@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..fl.aggregation import fedavg
-from ..fl.dispatch_policy import dispatch_for
 from ..fl.executor import (
     SharedArrayRef,
     register_fanout_fn,
@@ -250,7 +249,7 @@ class Refd(Defense):
         """
         from ..fl.training import predict_proba  # local import to avoid cycles
 
-        dispatch = dispatch_for(context)
+        dispatch = context.dispatch
         if dispatch is not None and len(updates) > 1:
             images_payload: object = images
             reference_ref = getattr(context, "reference_ref", None)

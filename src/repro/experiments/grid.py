@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -308,10 +307,6 @@ class GridRunner:
         with how many workers; a serial decision runs everything in the
         calling process (no pool, no pickling requirements beyond the cache
         files).
-    workers:
-        Deprecated alias: process count for scenario-level parallelism;
-        ``workers > 1`` maps to a fixed ``"process"`` policy and ``1`` to
-        the serial policy.
     cache_dir:
         Directory of per-scenario JSON artifacts; ``None`` disables caching.
         Artifacts are keyed by :func:`config_hash`, so re-running a grid after
@@ -386,7 +381,6 @@ class GridRunner:
 
     def __init__(
         self,
-        workers: Optional[int] = None,
         cache_dir: Optional[PathLike] = None,
         progress: Optional[ProgressFn] = None,
         runner_id: Optional[str] = None,
@@ -398,24 +392,6 @@ class GridRunner:
         resilience: Optional[ResilienceConfig] = None,
         resume: bool = False,
     ) -> None:
-        if workers is not None:
-            if workers < 1:
-                raise ValueError("workers must be at least 1")
-            if policy is not None:
-                raise ValueError(
-                    "GridRunner: pass either policy= or the deprecated workers=, not both"
-                )
-            warnings.warn(
-                "GridRunner: workers= is deprecated; pass policy= instead "
-                "(e.g. policy='process:4' or DispatchPolicy.adaptive())",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            policy = (
-                DispatchPolicy.fixed("process", workers=workers)
-                if workers > 1
-                else DispatchPolicy.serial()
-            )
         if claim_ttl is not None and cache_dir is None:
             raise ValueError("claim leases need a cache_dir to live in")
         self.dispatch = DispatchPolicy.coerce(policy)
@@ -993,7 +969,6 @@ class GridRunner:
 
 def run_grid(
     scenario_list: Sequence[Scenario],
-    workers: Optional[int] = None,
     cache_dir: Optional[PathLike] = None,
     progress: Optional[ProgressFn] = None,
     policy=None,
@@ -1001,7 +976,6 @@ def run_grid(
 ) -> List[Tuple[str, ExperimentResult]]:
     """One-shot convenience wrapper around :class:`GridRunner`."""
     return GridRunner(
-        workers=workers,
         cache_dir=cache_dir,
         progress=progress,
         policy=policy,

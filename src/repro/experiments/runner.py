@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -20,26 +19,6 @@ from .config import ExperimentConfig
 __all__ = ["ExperimentResult", "ExperimentRunner", "build_simulation", "run_experiment"]
 
 _DFA_ATTACKS = {"dfa-r", "dfa-g", "dfa-hybrid", "real-data"}
-
-
-def _policy_from_legacy(policy, executor, workers, caller: str):
-    """Resolve the deprecated ``executor=``/``workers=`` kwargs to a policy.
-
-    Returns ``policy`` untouched when neither legacy kwarg is set; otherwise
-    warns once and converts them via
-    :meth:`~repro.fl.dispatch_policy.DispatchPolicy.from_legacy`.
-    """
-    if executor is None and workers is None:
-        return policy
-    if policy is not None:
-        raise ValueError(f"{caller}: pass either policy= or the deprecated executor=/workers=, not both")
-    warnings.warn(
-        f"{caller}: executor=/workers= are deprecated; pass policy= instead "
-        "(e.g. policy='process:2' or DispatchPolicy.adaptive())",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return DispatchPolicy.from_legacy(executor, workers)
 
 
 @dataclass
@@ -81,8 +60,6 @@ def _attack_kwargs_for(config: ExperimentConfig) -> Dict:
 
 def build_simulation(
     config: ExperimentConfig,
-    executor=None,
-    workers: Optional[int] = None,
     task=None,
     policy=None,
     resilience=None,
@@ -91,12 +68,10 @@ def build_simulation(
 
     ``policy`` selects the dispatch backend for the simulation's hot paths
     (see :class:`~repro.fl.dispatch_policy.DispatchPolicy`); it accepts a
-    policy object, a spec string (``"adaptive"``, ``"process:2"``) or a
-    :class:`~repro.fl.executor.ClientExecutor` instance to pin.  When
+    policy object or a spec string (``"adaptive"``, ``"process:2"``).  When
     omitted, ``config.dispatch`` (a spec string) is used if set.  The model
     factory is a picklable :class:`~repro.models.ClassifierFactory`, so the
-    ``"process"`` backend works out of the box.  ``executor``/``workers``
-    are deprecated aliases for ``policy``.  ``task`` injects a pre-built
+    ``"process"`` backend works out of the box.  ``task`` injects a pre-built
     dataset task for the config — the grid dispatch layer passes the
     grid-level shared publication (read-only views into one per-dataset shm
     segment) so a sweep's cells skip both regeneration and re-publication;
@@ -106,7 +81,6 @@ def build_simulation(
     round loop (retries, round deadline, optional fault injection); like
     ``dispatch``, it never enters the config's cache identity.
     """
-    policy = _policy_from_legacy(policy, executor, workers, "build_simulation")
     if policy is None and config.dispatch:
         policy = DispatchPolicy.parse(config.dispatch)
     if task is None:
@@ -145,8 +119,6 @@ def build_simulation(
 def run_experiment(
     config: ExperimentConfig,
     baseline_accuracy: Optional[float] = None,
-    executor=None,
-    workers: Optional[int] = None,
     task=None,
     policy=None,
     resilience=None,
@@ -158,13 +130,11 @@ def run_experiment(
     ``baseline_accuracy`` is the clean accuracy ``acc`` used by Eq. 4; when
     omitted, ASR is left as ``None`` (use :class:`ExperimentRunner` to manage
     baselines automatically).  ``policy`` selects the dispatch backend of
-    the underlying simulation (``executor``/``workers`` are deprecated
-    aliases); ``task`` injects a pre-built dataset (see
+    the underlying simulation; ``task`` injects a pre-built dataset (see
     :func:`build_simulation`).  ``resilience`` enables the fault-tolerant
     round loop; ``checkpoint_path`` makes the run checkpoint after every
     round and ``resume`` restores a compatible checkpoint before running.
     """
-    policy = _policy_from_legacy(policy, executor, workers, "run_experiment")
     with build_simulation(
         config, task=task, policy=policy, resilience=resilience
     ) as simulation:
@@ -202,8 +172,6 @@ class ExperimentRunner:
 
     def __init__(
         self,
-        executor=None,
-        workers: Optional[int] = None,
         policy=None,
         resilience=None,
         checkpoint_dir=None,
@@ -211,7 +179,7 @@ class ExperimentRunner:
     ) -> None:
         self._baseline_cache: Dict[Tuple, float] = {}
         self._result_cache: Dict[str, ExperimentResult] = {}
-        self._policy = _policy_from_legacy(policy, executor, workers, "ExperimentRunner")
+        self._policy = policy
         self._resilience = resilience
         self._checkpoint_dir = checkpoint_dir
         self._resume = resume
@@ -271,7 +239,6 @@ class ExperimentRunner:
     def run_many(
         self,
         configs: List[ExperimentConfig],
-        workers: Optional[int] = None,
         policy=None,
     ) -> List[ExperimentResult]:
         """Run a list of experiments, optionally across worker processes.
@@ -281,24 +248,9 @@ class ExperimentRunner:
         picks ``"process"`` for the batch routes it through
         :class:`~repro.experiments.grid.GridRunner` (scenario-level
         parallelism); anything else runs the batch serially through
-        :meth:`run`.  ``workers`` is the deprecated spelling (``workers > 1``
-        maps to a fixed process policy).  Results come back in input order
+        :meth:`run`.  Results come back in input order
         and are merged into this runner's in-memory cache afterwards.
         """
-        if workers is not None:
-            if policy is not None:
-                raise ValueError("run_many: pass either policy= or the deprecated workers=, not both")
-            warnings.warn(
-                "run_many: workers= is deprecated; pass policy= instead "
-                "(e.g. policy='process:2')",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            policy = (
-                DispatchPolicy.fixed("process", workers=workers)
-                if workers > 1
-                else DispatchPolicy.serial()
-            )
         policy = DispatchPolicy.coerce(policy)
         decision = policy.decide("grid", items=len(configs), work=float(len(configs)))
         if decision.backend != "process" or (decision.workers or 1) <= 1:

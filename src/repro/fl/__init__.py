@@ -7,8 +7,6 @@ from .dispatch_policy import (
     CostModel,
     DispatchDecision,
     DispatchPolicy,
-    DistanceCache,
-    dispatch_for,
 )
 from .executor import (
     ClientExecutor,
@@ -17,7 +15,6 @@ from .executor import (
     ParallelExecutor,
     SerialExecutor,
     ThreadedExecutor,
-    build_executor,
     run_client_task,
 )
 from .faults import (
@@ -50,15 +47,12 @@ __all__ = [
     "CostModel",
     "DispatchDecision",
     "DispatchPolicy",
-    "DistanceCache",
-    "dispatch_for",
     "ClientExecutor",
     "ClientTask",
     "ClientTaskResult",
     "SerialExecutor",
     "ThreadedExecutor",
     "ParallelExecutor",
-    "build_executor",
     "run_client_task",
     "FaultEvent",
     "FaultInjector",

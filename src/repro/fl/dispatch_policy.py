@@ -12,7 +12,7 @@ reference machine) while on large multi-core problems they win.  The
 :class:`CostModel` turns the ledger's measurements into per-site crossover
 estimates; :class:`DispatchPolicy` applies them per call, records every
 decision in a trace (surfaced through ``GridStats``/``--stats-json``), and
-supports static pinning for when measurements are beside the point.
+supports static per-site overrides for when measurements are beside the point.
 
 Call sites
 ----------
@@ -34,20 +34,15 @@ Call sites
     overhead against the per-step replay saving measured by the
     ``trace_record_overhead`` ledger metric.
 
-On top of the per-call decisions the policy owns a :class:`DistanceCache`
-that amortises the float64 distance plane across rounds: pairwise values
-are keyed by a content hash of the exact row bytes, so unchanged
-benign-benign sub-blocks are reused bitwise and any mutated update
-invalidates exactly the pairs it participates in — content-hash exact,
-never approximate.
+A policy is built only from a spec — ``None`` (serial), a string such as
+``"process:4"`` or a :class:`DispatchPolicy` — and holds nothing but its
+decisions and the executors it built for them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -70,8 +65,6 @@ __all__ = [
     "CostModel",
     "DispatchDecision",
     "DispatchPolicy",
-    "DistanceCache",
-    "dispatch_for",
 ]
 
 #: The call sites a policy decides for (see module docstring).
@@ -422,91 +415,17 @@ class DispatchDecision:
         }
 
 
-class DistanceCache:
-    """Cross-round cache of exact pairwise kernel values.
-
-    Keys are ``(namespace, digest_a, digest_b)`` where the digests are
-    blake2b hashes of the exact row bytes and the namespace pins the kernel
-    kind, dimension, dtype and (for cosine) epsilon.  Content addressing
-    makes invalidation exact by construction: a mutated row changes its
-    digest, so every pair it participates in misses, while pairs of
-    untouched rows keep hitting — bitwise-identical values, never stale.
-    Bounded FIFO; duplicate rows (e.g. identical LIE updates) share keys
-    harmlessly because equal content always maps to the equal value.
-    """
-
-    def __init__(self, max_pairs: int = 1 << 17) -> None:
-        self.max_pairs = int(max_pairs)
-        self._values: Dict[tuple, float] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @staticmethod
-    def row_digests(matrix: np.ndarray) -> List[bytes]:
-        """Content digest per row of the exact bytes the kernels consume."""
-        matrix = np.ascontiguousarray(matrix)
-        return [
-            hashlib.blake2b(row.tobytes(), digest_size=16).digest() for row in matrix
-        ]
-
-    @staticmethod
-    def _key(namespace: tuple, digest_a: bytes, digest_b: bytes) -> tuple:
-        if digest_b < digest_a:
-            digest_a, digest_b = digest_b, digest_a
-        return (namespace, digest_a, digest_b)
-
-    def get(self, namespace: tuple, digest_a: bytes, digest_b: bytes) -> Optional[float]:
-        value = self._values.get(self._key(namespace, digest_a, digest_b))
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def put(self, namespace: tuple, digest_a: bytes, digest_b: bytes, value: float) -> None:
-        key = self._key(namespace, digest_a, digest_b)
-        if key not in self._values and len(self._values) >= self.max_pairs:
-            self._values.pop(next(iter(self._values)))
-            self.evictions += 1
-        self._values[key] = float(value)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def clear(self) -> None:
-        self._values.clear()
-
-    def counter_snapshot(self) -> Dict[str, int]:
-        return {
-            "entries": len(self._values),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-#: Policies pinned to caller-owned executors, one per executor instance, so
-#: repeated ``dispatch_for(context)`` calls reuse the same trace, counters
-#: and distance cache for the executor's whole lifetime.
-_EXECUTOR_POLICIES: "weakref.WeakKeyDictionary[ClientExecutor, DispatchPolicy]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 class DispatchPolicy:
     """The single public entry point for execution-backend selection.
 
     Construct one of:
 
     * ``DispatchPolicy.fixed("process", workers=4)`` — every site runs on
-      the named backend (the old ``executor="process", workers=4`` kwargs);
-    * ``DispatchPolicy.serial()`` — everything inline (the old default);
+      the named backend;
+    * ``DispatchPolicy.serial()`` — everything inline (the default);
     * ``DispatchPolicy.adaptive()`` — per-call cost-model decisions
       calibrated from the benchmark ledger (``cost_model=`` accepts
-      :meth:`CostModel.from_ledger`);
-    * ``DispatchPolicy.for_executor(executor)`` — pin to a caller-owned
-      executor instance (how deprecated ``executor=`` kwargs are mapped).
+      :meth:`CostModel.from_ledger`).
 
     ``overrides`` statically pins individual sites regardless of mode, e.g.
     ``{"distance": "serial"}``; mutating :attr:`overrides` between rounds
@@ -527,8 +446,6 @@ class DispatchPolicy:
         use_shared_memory: bool = True,
         cost_model: Optional[CostModel] = None,
         overrides: Optional[Mapping[str, str]] = None,
-        distance_cache: Optional[DistanceCache] = None,
-        _pinned: Optional[ClientExecutor] = None,
     ) -> None:
         if mode not in ("fixed", "adaptive"):
             raise ValueError(f"unknown dispatch mode {mode!r}")
@@ -551,8 +468,6 @@ class DispatchPolicy:
                     f"unknown {site} choice {name!r}; expected one of {valid}"
                 )
             self.overrides[site] = name
-        self.distance_cache = distance_cache if distance_cache is not None else DistanceCache()
-        self._pinned = _pinned
         self._executors: Dict[Tuple[str, bool], ClientExecutor] = {}
         self._trace: Dict[tuple, DispatchDecision] = {}
         self.counters: Dict[str, int] = {
@@ -575,7 +490,7 @@ class DispatchPolicy:
         use_shared_memory: bool = True,
         overrides: Optional[Mapping[str, str]] = None,
     ) -> "DispatchPolicy":
-        """Pin every site to one backend (the old scattered kwargs)."""
+        """Pin every site to one backend."""
         return cls(
             mode="fixed",
             backend=backend,
@@ -586,7 +501,7 @@ class DispatchPolicy:
 
     @classmethod
     def serial(cls) -> "DispatchPolicy":
-        """Everything inline — the old default behaviour."""
+        """Everything inline — the default."""
         return cls.fixed("serial")
 
     @classmethod
@@ -605,29 +520,6 @@ class DispatchPolicy:
             overrides=overrides,
             use_shared_memory=use_shared_memory,
         )
-
-    @classmethod
-    def for_executor(cls, executor: ClientExecutor) -> "DispatchPolicy":
-        """Policy pinned to a caller-owned executor instance.
-
-        One policy per executor (weakly cached), so counters, the decision
-        trace and the distance cache persist across calls for as long as the
-        executor lives.  This is how the deprecated ``executor=`` kwargs and
-        ``DefenseContext.executor`` map onto the policy API.
-        """
-        if executor is None:
-            raise TypeError("for_executor() needs an executor instance")
-        policy = _EXECUTOR_POLICIES.get(executor)
-        if policy is None:
-            policy = cls(
-                mode="fixed",
-                backend=getattr(executor, "name", "serial"),
-                workers=getattr(executor, "workers", None),
-                use_shared_memory=bool(getattr(executor, "use_shared_memory", True)),
-                _pinned=executor,
-            )
-            _EXECUTOR_POLICIES[executor] = policy
-        return policy
 
     @classmethod
     def parse(cls, spec: Any) -> "DispatchPolicy":
@@ -666,30 +558,17 @@ class DispatchPolicy:
 
     @classmethod
     def coerce(cls, value: Any) -> "DispatchPolicy":
-        """``None`` -> serial, str -> :meth:`parse`, executor -> pinned."""
+        """``None`` -> serial, a policy as-is, a string -> :meth:`parse`."""
         if value is None:
             return cls.serial()
         if isinstance(value, DispatchPolicy):
             return value
-        if isinstance(value, ClientExecutor):
-            return cls.for_executor(value)
-        return cls.parse(value)
-
-    @classmethod
-    def from_legacy(
-        cls, executor: Any = None, workers: Optional[int] = None
-    ) -> "DispatchPolicy":
-        """Map the deprecated ``executor=``/``workers=`` kwargs onto a policy.
-
-        Semantics match ``build_executor``: ``None`` runs serially (workers
-        ignored), an executor instance is used as-is, a backend name builds
-        a fixed policy.
-        """
-        if isinstance(executor, ClientExecutor):
-            return cls.for_executor(executor)
-        if executor is None:
-            return cls.serial()
-        return cls.fixed(str(executor), workers=workers)
+        if isinstance(value, str):
+            return cls.parse(value)
+        raise TypeError(
+            "a dispatch policy must be None, a DispatchPolicy or a str spec, "
+            f"not {type(value).__name__}"
+        )
 
     # ------------------------------------------------------------------
     # Decisions
@@ -721,11 +600,6 @@ class DispatchPolicy:
             backend = requested
             workers = self._resolve_workers(backend)
             reason = f"pinned by override[{site}]"
-        elif self._pinned is not None:
-            backend = self.backend
-            workers = getattr(self._pinned, "workers", None) or 1
-            use_shm = bool(getattr(self._pinned, "use_shared_memory", True))
-            reason = f"pinned to caller executor {backend!r}"
         elif self.mode == "fixed":
             backend = self.backend
             workers = self._resolve_workers(backend)
@@ -838,10 +712,6 @@ class DispatchPolicy:
     # ------------------------------------------------------------------
     def executor_for(self, decision: DispatchDecision) -> ClientExecutor:
         """The (lazily built, cached) executor implementing a decision."""
-        if self._pinned is not None and decision.backend == getattr(
-            self._pinned, "name", None
-        ):
-            return self._pinned
         key = (decision.backend, decision.use_shared_memory)
         executor = self._executors.get(key)
         if executor is None:
@@ -952,30 +822,17 @@ class DispatchPolicy:
     # ------------------------------------------------------------------
     # Lifecycle / introspection
     # ------------------------------------------------------------------
-    def _iter_executors(self) -> Iterable[ClientExecutor]:
-        seen = set()
-        if self._pinned is not None:
-            seen.add(id(self._pinned))
-            yield self._pinned
-        for executor in self._executors.values():
-            if id(executor) not in seen:
-                seen.add(id(executor))
-                yield executor
-
     def counter_snapshot(self) -> Dict[str, int]:
-        """Decision counters, distance-cache counters and executor counters."""
+        """Decision counters and the counters of every executor built."""
         snapshot: Dict[str, int] = dict(self.counters)
-        for key, value in self.distance_cache.counter_snapshot().items():
-            snapshot[f"distance_cache_{key}"] = value
-        for executor in self._iter_executors():
-            name = getattr(executor, "name", "executor")
+        for executor in self._executors.values():
             for key, value in executor.counter_snapshot().items():
-                snapshot[f"{name}_{key}"] = value
+                snapshot[f"{executor.name}_{key}"] = value
         return snapshot
 
     def close(self) -> None:
-        """Release every executor the policy built (and any pinned one)."""
-        for executor in self._iter_executors():
+        """Release every executor the policy built."""
+        for executor in self._executors.values():
             executor.close()
         self._executors.clear()
 
@@ -985,18 +842,3 @@ class DispatchPolicy:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-
-def dispatch_for(context: Any) -> Optional[DispatchPolicy]:
-    """The policy a defense should dispatch through for this context.
-
-    Prefers ``context.dispatch`` (set by the simulation's policy); falls
-    back to a policy pinned to the legacy ``context.executor``; returns
-    ``None`` for bare contexts, which callers treat as plain serial.
-    """
-    dispatch = getattr(context, "dispatch", None)
-    if dispatch is not None:
-        return dispatch
-    executor = getattr(context, "executor", None)
-    if executor is None:
-        return None
-    return DispatchPolicy.for_executor(executor)

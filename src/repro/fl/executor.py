@@ -122,7 +122,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadedExecutor",
     "ParallelExecutor",
-    "build_executor",
     "default_worker_count",
 ]
 
@@ -1007,34 +1006,3 @@ class ParallelExecutor(ClientExecutor):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-_EXECUTOR_KINDS = {
-    "serial": SerialExecutor,
-    "thread": ThreadedExecutor,
-    "process": ParallelExecutor,
-}
-
-
-def build_executor(
-    spec: Union[None, str, ClientExecutor], workers: Optional[int] = None
-) -> ClientExecutor:
-    """Resolve an executor from a name (``serial``/``thread``/``process``),
-    an existing instance (returned as-is), or ``None`` (serial).
-
-    Low-level mechanism used by the dispatch layer; user-facing entry points
-    take a :class:`~repro.fl.dispatch_policy.DispatchPolicy` instead, which
-    decides *when* each backend is worth using.
-    """
-    if spec is None:
-        return SerialExecutor()
-    if isinstance(spec, ClientExecutor):
-        return spec
-    key = str(spec).lower()
-    if key not in _EXECUTOR_KINDS:
-        raise KeyError(
-            f"unknown executor '{spec}'; choose from {sorted(_EXECUTOR_KINDS)}"
-        )
-    if key == "serial":
-        return SerialExecutor()
-    return _EXECUTOR_KINDS[key](workers=workers)

@@ -36,7 +36,6 @@ class Server:
         expected_num_malicious: int = 2,
         reference_dataset=None,
         seed: int = 0,
-        executor=None,
         reference_ref=None,
         dispatch=None,
     ) -> None:
@@ -44,7 +43,6 @@ class Server:
         self.defense = defense or NoDefense()
         self.expected_num_malicious = expected_num_malicious
         self.reference_dataset = reference_dataset
-        self.executor = executor
         self.reference_ref = reference_ref
         self.dispatch = dispatch
         self._rng = np.random.default_rng(seed)
@@ -75,7 +73,6 @@ class Server:
             rng=self._rng,
             model_factory=self.model_factory,
             reference_dataset=self.reference_dataset,
-            executor=self.executor,
             reference_ref=self.reference_ref,
             dispatch=self.dispatch,
         )

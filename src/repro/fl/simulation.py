@@ -9,7 +9,6 @@ defense, and produces the per-round records from which the paper's metrics
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -114,11 +113,6 @@ class FederatedSimulation:
         payloads, broken-pool rebuilds — and, when the config carries a
         :class:`~repro.fl.faults.FaultPlan`, deterministic fault injection.
         ``None`` (the default) keeps the zero-overhead hot path.
-    executor, workers:
-        Deprecated — pass ``policy`` instead.  ``executor=`` accepts what
-        it always did (an executor instance or a backend name) and, with
-        ``workers=``, maps onto the equivalent policy with a
-        ``DeprecationWarning``.
     """
 
     def __init__(
@@ -139,8 +133,6 @@ class FederatedSimulation:
         seed: int = 0,
         policy=None,
         resilience: Optional[ResilienceConfig] = None,
-        executor=None,
-        workers: Optional[int] = None,
     ) -> None:
         if num_clients < 2:
             raise ValueError("need at least two clients")
@@ -148,20 +140,6 @@ class FederatedSimulation:
             raise ValueError("clients_per_round must be in [1, num_clients]")
         if not 0.0 <= malicious_fraction < 1.0:
             raise ValueError("malicious_fraction must be in [0, 1)")
-        if executor is not None or workers is not None:
-            warnings.warn(
-                "FederatedSimulation(executor=..., workers=...) is deprecated; "
-                "pass policy=DispatchPolicy.fixed(...) / DispatchPolicy.for_executor(...) "
-                "instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if policy is not None:
-                raise ValueError(
-                    "pass either policy= or the deprecated executor=/workers= "
-                    "arguments, not both"
-                )
-            policy = DispatchPolicy.from_legacy(executor, workers)
         self.task = task
         self.model_factory = model_factory
         self.num_clients = num_clients
@@ -230,7 +208,6 @@ class FederatedSimulation:
             expected_num_malicious=max(expected_malicious, 1),
             reference_dataset=reference_dataset,
             seed=seed + 17,
-            executor=self.executor,
             reference_ref=reference_ref,
             dispatch=self.dispatch,
         )

@@ -16,9 +16,12 @@ defenses (:mod:`repro.defenses`):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .dispatch_policy import DispatchPolicy
 
 __all__ = [
     "ModelUpdate",
@@ -115,31 +118,20 @@ class AttackRoundContext:
 class DefenseContext:
     """Server-side information available to a defense when aggregating.
 
-    ``executor`` is the round's client executor (when the simulation runs
-    one); defenses with per-update or per-row-block work may fan out across
-    it via :meth:`~repro.fl.executor.ClientExecutor.map_fn`, passing a name
-    registered with :func:`~repro.fl.executor.register_fanout_fn` so the
-    process backend can ship the work to its pool.  REFD's D-score
-    inference and the Krum/Bulyan/FoolsGold distance plane
-    (:mod:`repro.defenses.distances`) both ride this path; the distance
-    plane additionally publishes the round's stacked update matrix once via
-    :meth:`~repro.fl.executor.ClientExecutor.publish_arrays` so process
-    workers read it from shared memory instead of per-block pickles.
+    ``dispatch`` is the simulation's
+    :class:`~repro.fl.dispatch_policy.DispatchPolicy` (``None`` runs
+    everything inline).  Defenses with per-update or per-row-block work —
+    REFD's D-score inference and the Krum/Bulyan/FoolsGold distance plane
+    (:mod:`repro.defenses.distances`) — hand it to
+    :meth:`~repro.fl.dispatch_policy.DispatchPolicy.fanout`, which picks
+    the backend, publishes round-sized arrays to shared memory for process
+    workers and falls back to the serial kernel.
 
     ``reference_ref`` is the shared-memory publication of the reference
     dataset's ``(images, labels)`` arrays (a
     :class:`~repro.fl.executor.ShardRef`), available when the simulation
     runs a process executor with its shard store enabled: fan-out payloads
     then reference the segment instead of pickling the images per update.
-
-    ``dispatch`` is the simulation's
-    :class:`~repro.fl.dispatch_policy.DispatchPolicy`.  Defenses should not
-    probe ``executor`` capabilities themselves — they hand per-update or
-    per-row-block work to
-    :meth:`~repro.fl.dispatch_policy.DispatchPolicy.fanout` (usually via
-    :func:`~repro.fl.dispatch_policy.dispatch_for`, which also adapts
-    legacy contexts that only carry ``executor``) and let the policy pick
-    the backend from its benchmark-calibrated cost model.
     """
 
     round_number: int
@@ -148,9 +140,8 @@ class DefenseContext:
     rng: np.random.Generator
     model_factory: Optional[Callable[[], "object"]] = None
     reference_dataset: Optional["object"] = None
-    executor: Optional["object"] = None
     reference_ref: Optional["object"] = None
-    dispatch: Optional["object"] = None
+    dispatch: Optional["DispatchPolicy"] = None
 
 
 @dataclass

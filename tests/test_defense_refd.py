@@ -17,7 +17,8 @@ from repro.defenses.refd import (
     evaluate_update,
     max_balance_value,
 )
-from repro.fl.executor import ParallelExecutor, ThreadedExecutor, resolve_fanout_fn
+from repro.fl.dispatch_policy import DispatchPolicy
+from repro.fl.executor import resolve_fanout_fn
 from repro.fl.training import train_local_model
 from repro.fl.types import DefenseContext, LocalTrainingConfig, ModelUpdate
 from repro.nn.serialization import get_flat_params, set_flat_params
@@ -137,7 +138,7 @@ class TestBatchedScoring:
             for i in range(count)
         ]
 
-    def _context(self, tiny_task, mlp_factory, executor=None, reference_ref=None):
+    def _context(self, tiny_task, mlp_factory, dispatch=None, reference_ref=None):
         return DefenseContext(
             round_number=0,
             global_params=get_flat_params(mlp_factory()),
@@ -145,8 +146,8 @@ class TestBatchedScoring:
             rng=np.random.default_rng(0),
             model_factory=mlp_factory,
             reference_dataset=tiny_task.test,
-            executor=executor,
             reference_ref=reference_ref,
+            dispatch=dispatch,
         )
 
     def test_batched_scores_match_per_update_scoring(self, tiny_task, mlp_factory):
@@ -169,9 +170,9 @@ class TestBatchedScoring:
         serial = defense.score_updates(
             updates, images, self._context(tiny_task, mlp_factory)
         )
-        with ThreadedExecutor(workers=2) as executor:
+        with DispatchPolicy.fixed("thread", workers=2) as policy:
             threaded = defense.score_updates(
-                updates, images, self._context(tiny_task, mlp_factory, executor=executor)
+                updates, images, self._context(tiny_task, mlp_factory, dispatch=policy)
             )
         assert [(r.balance, r.confidence, r.score) for r in serial] == [
             (r.balance, r.confidence, r.score) for r in threaded
@@ -215,15 +216,15 @@ class TestBatchedScoring:
                 images=store.refs["reference/images"],
                 labels=store.refs["reference/labels"],
             )
-            with ParallelExecutor(workers=2) as executor:
+            with DispatchPolicy.fixed("process", workers=2) as policy:
                 process = defense.score_updates(
                     updates,
                     images,
                     self._context(
-                        tiny_task, factory, executor=executor, reference_ref=reference_ref
+                        tiny_task, factory, dispatch=policy, reference_ref=reference_ref
                     ),
                 )
-                assert executor.fanout_calls == len(updates)
+                assert policy.counter_snapshot()["process_fanout_calls"] == len(updates)
         assert [(r.balance, r.confidence, r.score) for r in serial] == [
             (r.balance, r.confidence, r.score) for r in process
         ]
@@ -241,11 +242,11 @@ class TestBatchedScoring:
         updates = self._updates(tiny_task, factory)
         images, _ = tiny_task.test.arrays()
         serial = defense.score_updates(updates, images, self._context(tiny_task, factory))
-        with ParallelExecutor(workers=2) as executor:
+        with DispatchPolicy.fixed("process", workers=2) as policy:
             fused = defense.score_updates(
-                updates, images, self._context(tiny_task, factory, executor=executor)
+                updates, images, self._context(tiny_task, factory, dispatch=policy)
             )
-            assert executor.fanout_calls == 0
+            assert policy.counter_snapshot()["process_fanout_calls"] == 0
         assert [(r.balance, r.confidence, r.score) for r in serial] == [
             (r.balance, r.confidence, r.score) for r in fused
         ]

@@ -22,7 +22,7 @@ from repro.defenses import (
     pairwise_sq_distances,
     pardoned_similarities,
 )
-from repro.fl.executor import ParallelExecutor, ThreadedExecutor
+from repro.fl.dispatch_policy import DispatchPolicy
 from repro.fl.types import DefenseContext, ModelUpdate
 
 
@@ -463,13 +463,13 @@ class TestDefenseBackendParity:
             for i in range(n)
         ]
 
-    def _context_with(self, executor, dim=256):
+    def _context_with(self, dispatch, dim=256):
         return DefenseContext(
             round_number=0,
             global_params=np.zeros(dim, dtype=np.float32),
             expected_num_malicious=2,
             rng=np.random.default_rng(0),
-            executor=executor,
+            dispatch=dispatch,
         )
 
     @pytest.mark.parametrize(
@@ -480,12 +480,13 @@ class TestDefenseBackendParity:
     def test_backends_bit_identical(self, defense_factory):
         updates = self._updates()
         serial = defense_factory().aggregate(updates, self._context_with(None))
-        with ThreadedExecutor(workers=3) as executor:
-            threaded = defense_factory().aggregate(updates, self._context_with(executor))
-        with ParallelExecutor(workers=2) as executor:
-            pooled = defense_factory().aggregate(updates, self._context_with(executor))
-            assert executor.fanout_calls > 0  # distance blocks used the pool
-            assert executor.published_stores > 0  # the matrix shipped once per call
+        with DispatchPolicy.fixed("thread", workers=3) as policy:
+            threaded = defense_factory().aggregate(updates, self._context_with(policy))
+        with DispatchPolicy.fixed("process", workers=2) as policy:
+            pooled = defense_factory().aggregate(updates, self._context_with(policy))
+            counters = policy.counter_snapshot()
+            assert counters["process_fanout_calls"] > 0  # distance blocks used the pool
+            assert counters["process_published_stores"] > 0  # the matrix shipped once per call
         for other in (threaded, pooled):
             np.testing.assert_array_equal(serial.new_params, other.new_params)
             assert serial.accepted_client_ids == other.accepted_client_ids

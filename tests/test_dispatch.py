@@ -25,7 +25,6 @@ from repro.experiments.dispatch import (
     resolve_task,
     shard_of,
 )
-from repro.fl.executor import ParallelExecutor
 
 
 def _tiny_grid(**overrides):
@@ -121,7 +120,7 @@ class TestClaimLedger:
         assert read_claim(claim_path(tmp_path, "nope")) is None
 
     def test_background_heartbeat_protects_a_long_cell(self, tmp_path):
-        """A workers=1 runner cannot refresh while a cell executes in its
+        """A serial runner cannot refresh while a cell executes in its
         own process; the daemon heartbeat must keep the lease fresh past
         the TTL regardless."""
         owner = ClaimLedger(tmp_path, "runner-a", ttl=0.2)
@@ -165,7 +164,7 @@ class TestSharding:
     def test_shards_partition_the_grid(self, tmp_path):
         grid = _tiny_grid()
         runners = [
-            GridRunner(workers=1, cache_dir=tmp_path / f"cache{i}", shard=(i, 2))
+            GridRunner(cache_dir=tmp_path / f"cache{i}", shard=(i, 2))
             for i in range(2)
         ]
         results = [runner.run(grid) for runner in runners]
@@ -180,7 +179,7 @@ class TestSharding:
 
     def test_string_shard_spec_accepted(self, tmp_path):
         grid = _tiny_grid()
-        runner = GridRunner(workers=1, cache_dir=tmp_path, shard="0/2")
+        runner = GridRunner(cache_dir=tmp_path, shard="0/2")
         runner.run(grid)
         stats = runner.last_stats
         assert stats.executed + stats.cells_skipped_shard == len(grid)
@@ -192,14 +191,14 @@ class TestSharding:
 class TestClaimAwareGridRunner:
     def test_claim_ttl_requires_cache_dir(self):
         with pytest.raises(ValueError, match="cache_dir"):
-            GridRunner(workers=1, claim_ttl=30)
+            GridRunner(claim_ttl=30)
 
     def test_peer_held_cells_are_skipped_without_wait(self, tmp_path):
         grid = _tiny_grid()
         peer = ClaimLedger(tmp_path, "peer", ttl=60)
         assert peer.try_claim(config_hash(grid[0][1]))
         runner = GridRunner(
-            workers=1, cache_dir=tmp_path, claim_ttl=60, wait_for_peers=False
+            cache_dir=tmp_path, claim_ttl=60, wait_for_peers=False
         )
         results = runner.run(grid)
         stats = runner.last_stats
@@ -219,7 +218,7 @@ class TestClaimAwareGridRunner:
         path.write_text(json.dumps({"owner": "dead-peer"}))
         stale = time.time() - 100
         os.utime(path, (stale, stale))
-        runner = GridRunner(workers=1, cache_dir=tmp_path, claim_ttl=5)
+        runner = GridRunner(cache_dir=tmp_path, claim_ttl=5)
         results = runner.run(grid)
         stats = runner.last_stats
         assert stats.executed == len(grid)
@@ -234,7 +233,7 @@ class TestClaimAwareGridRunner:
         clean = grid[0][1].clean_variant()
         peer = ClaimLedger(tmp_path, "dead-peer", ttl=0.4)
         assert peer.try_claim(config_hash(clean))
-        runner = GridRunner(workers=1, cache_dir=tmp_path, claim_ttl=0.4)
+        runner = GridRunner(cache_dir=tmp_path, claim_ttl=0.4)
         results = runner.run(grid)
         stats = runner.last_stats
         assert stats.baselines_awaited == 1
@@ -252,7 +251,7 @@ class TestClaimAwareGridRunner:
         peer = ClaimLedger(tmp_path, "peer", ttl=60)
         assert peer.try_claim(config_hash(clean))
         runner = GridRunner(
-            workers=1, cache_dir=tmp_path, claim_ttl=60, wait_for_peers=False
+            cache_dir=tmp_path, claim_ttl=60, wait_for_peers=False
         )
         started = time.time()
         results = runner.run(grid)
@@ -293,7 +292,7 @@ class TestClaimAwareGridRunner:
 
         def finish_peer_cell():
             time.sleep(0.5)
-            solo = GridRunner(workers=1, cache_dir=tmp_path / "peer-scratch")
+            solo = GridRunner(cache_dir=tmp_path / "peer-scratch")
             (label, result), = solo.run([(target_label, target_config)])
             # publish the artifact into the shared dir the way a peer would
             from repro.experiments.io import atomic_write_json, result_to_dict
@@ -307,7 +306,7 @@ class TestClaimAwareGridRunner:
         thread = threading.Thread(target=finish_peer_cell)
         thread.start()
         try:
-            runner = GridRunner(workers=1, cache_dir=tmp_path, claim_ttl=60)
+            runner = GridRunner(cache_dir=tmp_path, claim_ttl=60)
             results = runner.run(grid)
         finally:
             thread.join()
@@ -324,7 +323,7 @@ import json, sys, dataclasses
 from repro.experiments import GridRunner, expand_grid, smoke_scale
 grid = expand_grid(attacks=("lie",), defenses=("fedavg", "mkrum", "median", "krum"),
                    betas=(0.5, None), scale=smoke_scale, num_rounds=1)
-runner = GridRunner(workers=1, cache_dir=sys.argv[1], claim_ttl=30, runner_id=sys.argv[2])
+runner = GridRunner(cache_dir=sys.argv[1], claim_ttl=30, runner_id=sys.argv[2])
 results = runner.run(grid)
 print(json.dumps({"stats": dataclasses.asdict(runner.last_stats),
                   "labels": [label for label, _ in results],
@@ -387,7 +386,7 @@ print(json.dumps({"stats": dataclasses.asdict(runner.last_stats),
             scale=smoke_scale,
             num_rounds=1,
         )
-        solo = GridRunner(workers=1, cache_dir=tmp_path / "solo-cache").run(grid)
+        solo = GridRunner(cache_dir=tmp_path / "solo-cache").run(grid)
         assert {label: result.max_accuracy for label, result in solo} == outs[0]["acc"]
         assert {
             label: [r.accuracy for r in result.records] for label, result in solo
@@ -400,7 +399,7 @@ print(json.dumps({"stats": dataclasses.asdict(runner.last_stats),
 class TestDatasetBroker:
     def test_one_publication_per_distinct_dataset(self, tmp_path):
         grid = _tiny_grid()  # one dataset, four cells
-        runner = GridRunner(workers=1, cache_dir=tmp_path)
+        runner = GridRunner(cache_dir=tmp_path)
         runner.run(grid)
         assert runner.last_stats.dataset_publications == 1
 
@@ -438,14 +437,14 @@ class TestDatasetBroker:
         assert dataset_key(config) != dataset_key(config.with_overrides(dataset_seed=1))
 
     def test_share_datasets_off_publishes_nothing(self, tmp_path):
-        runner = GridRunner(workers=1, cache_dir=tmp_path, share_datasets=False)
+        runner = GridRunner(cache_dir=tmp_path, share_datasets=False)
         runner.run(_tiny_grid()[:1])
         assert runner.last_stats.dataset_publications == 0
 
     def test_shared_dataset_results_bit_identical(self, tmp_path):
         grid = _tiny_grid()
-        with_store = GridRunner(workers=1).run(grid)
-        without = GridRunner(workers=1, share_datasets=False).run(grid)
+        with_store = GridRunner().run(grid)
+        without = GridRunner(share_datasets=False).run(grid)
         for (label_a, result_a), (label_b, result_b) in zip(with_store, without):
             assert label_a == label_b
             assert result_a.max_accuracy == result_b.max_accuracy
@@ -459,8 +458,7 @@ class TestSimulationStoreCounter:
         from repro.experiments import build_simulation
 
         config = smoke_scale(attack="lie", defense="mkrum", num_rounds=1)
-        executor = ParallelExecutor(workers=2)
-        with build_simulation(config, executor=executor) as simulation:
+        with build_simulation(config, policy="process:2") as simulation:
             assert simulation.store_publications == 1
 
     def test_serial_backend_publishes_nothing(self):

@@ -1,16 +1,16 @@
-"""Tests for the unified dispatch policy: cost model, cache, shims, parity."""
+"""Tests for the unified dispatch policy: cost model, specs, overrides, parity."""
 
 from __future__ import annotations
 
 import json
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.defenses import Bulyan, Krum
+from repro.defenses.krum import krum_scores_from_distances
 from repro.defenses.distances import pairwise_cosine_similarities, pairwise_sq_distances
 from repro.experiments import ExperimentRunner, GridRunner, smoke_scale
 from repro.experiments.runner import build_simulation
@@ -18,10 +18,8 @@ from repro.fl.dispatch_policy import (
     BenchRecord,
     CostModel,
     DispatchPolicy,
-    DistanceCache,
-    dispatch_for,
 )
-from repro.fl.executor import ParallelExecutor, SerialExecutor, ThreadedExecutor
+from repro.fl.executor import SerialExecutor, ThreadedExecutor
 from repro.fl.types import DefenseContext, ModelUpdate
 
 LEDGER_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
@@ -179,38 +177,54 @@ class TestParseAndCoerce:
 
     def test_coerce(self):
         assert DispatchPolicy.coerce(None).backend == "serial"
-        executor = SerialExecutor()
-        assert DispatchPolicy.coerce(executor)._pinned is executor
+        existing = DispatchPolicy.fixed("thread", workers=2)
+        assert DispatchPolicy.coerce(existing) is existing
         assert DispatchPolicy.coerce("thread:2").backend == "thread"
 
-    def test_from_legacy_matches_build_executor_semantics(self):
-        # build_executor(None, workers) ignored workers -> serial.
-        assert DispatchPolicy.from_legacy(None, 4).backend == "serial"
-        policy = DispatchPolicy.from_legacy("thread", 2)
-        assert policy.backend == "thread" and policy.workers == 2
+    @pytest.mark.parametrize("value", [SerialExecutor(), 4], ids=["executor", "int"])
+    def test_coerce_rejects_non_specs(self, value):
+        with pytest.raises(TypeError, match="None, a DispatchPolicy or a str"):
+            DispatchPolicy.coerce(value)
 
 
 class TestPinningAndOverrides:
     def test_for_executor_is_cached_per_instance(self):
-        executor = ThreadedExecutor(workers=2)
-        try:
-            p1 = DispatchPolicy.for_executor(executor)
-            p2 = dispatch_for(SimpleNamespace(dispatch=None, executor=executor))
-            assert p1 is p2
-            decision = p1.decide("refd", items=4, work=1e3)
+        """A policy builds one executor per backend and hands that same
+        instance back for every later decision on the backend."""
+        with DispatchPolicy.fixed("thread", workers=2) as policy:
+            decision = policy.decide("refd", items=4, work=1e3)
             assert decision.backend == "thread"
-            assert p1.executor_for(decision) is executor
-        finally:
-            executor.close()
+            executor = policy.executor_for(decision)
+            assert isinstance(executor, ThreadedExecutor)
+            again = policy.decide("distance", items=8, work=1e3)
+            assert policy.executor_for(again) is executor
+            assert DispatchPolicy.coerce(policy).executor_for(decision) is executor
 
     def test_dispatch_for_prefers_context_dispatch(self):
+        """Defenses route their distance plane through ``context.dispatch``;
+        without one they run the serial kernels and record nothing."""
+        rng = np.random.default_rng(5)
+        updates = [
+            ModelUpdate(client_id=i, parameters=rng.normal(size=64).astype(np.float32), num_samples=10)
+            for i in range(6)
+        ]
+
+        def context(dispatch):
+            return DefenseContext(
+                round_number=0,
+                global_params=np.zeros(64, dtype=np.float32),
+                expected_num_malicious=1,
+                rng=np.random.default_rng(0),
+                dispatch=dispatch,
+            )
+
         policy = DispatchPolicy.serial()
-        context = SimpleNamespace(dispatch=policy, executor=ThreadedExecutor(workers=2))
-        try:
-            assert dispatch_for(context) is policy
-            assert dispatch_for(SimpleNamespace(dispatch=None, executor=None)) is None
-        finally:
-            context.executor.close()
+        routed = Krum().aggregate(list(updates), context(policy))
+        assert policy.counter_snapshot()["decisions"] > 0
+        assert "distance" in {d.site for d in policy.trace}
+        bare = Krum().aggregate(list(updates), context(None))
+        assert routed.accepted_client_ids == bare.accepted_client_ids
+        assert np.array_equal(routed.new_params, bare.new_params)
 
     def test_overrides_pin_sites(self):
         policy = DispatchPolicy.adaptive(workers=2, overrides={"distance": "serial"})
@@ -233,37 +247,36 @@ class TestPinningAndOverrides:
         snapshot = policy.counter_snapshot()
         assert snapshot["decisions"] == 3
         assert snapshot["serial"] == 3
-        assert "distance_cache_hits" in snapshot
         dicts = policy.trace_dicts()
         assert all({"site", "backend", "reason", "count"} <= set(d) for d in dicts)
 
 
 class TestDeprecationShims:
-    def test_experiment_runner_workers_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="policy="):
+    """The ``executor=``/``workers=`` shims are gone: ``policy=`` is the only
+    entry point, and the old keyword arguments are rejected outright."""
+
+    @pytest.mark.parametrize(
+        "legacy", [{"executor": "thread"}, {"workers": 2}], ids=["executor", "workers"]
+    )
+    def test_build_simulation_rejects_executor_kwargs(self, legacy):
+        config = smoke_scale("fashion-mnist", defense="fedavg")
+        with pytest.raises(TypeError):
+            build_simulation(config, **legacy)
+
+    def test_experiment_runner_rejects_workers_kwarg(self):
+        with pytest.raises(TypeError):
             ExperimentRunner(workers=2)
 
-    def test_grid_runner_workers_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="policy="):
+    def test_grid_runner_rejects_workers_kwarg(self):
+        with pytest.raises(TypeError):
             GridRunner(workers=2)
-        with pytest.raises(ValueError):
-            GridRunner(workers=0)
-        with pytest.raises(ValueError):
-            GridRunner(workers=2, policy="serial")
-
-    def test_build_simulation_executor_kwarg_warns(self):
-        config = smoke_scale("fashion-mnist", defense="fedavg")
-        with pytest.warns(DeprecationWarning, match="policy="):
-            simulation = build_simulation(config, executor="thread", workers=2)
-        try:
-            assert isinstance(simulation.executor, ThreadedExecutor)
-        finally:
-            simulation.close()
 
     def test_policy_and_legacy_kwargs_conflict(self):
         config = smoke_scale("fashion-mnist", defense="fedavg")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             build_simulation(config, executor="thread", policy="serial")
+        with pytest.raises(TypeError):
+            GridRunner(workers=2, policy="serial")
 
     def test_policy_kwarg_warns_nothing(self):
         config = smoke_scale("fashion-mnist", defense="fedavg")
@@ -317,41 +330,42 @@ class TestMidRunBackendSwitchParity:
 
 
 class TestDistanceCache:
-    def test_row_digests_are_content_exact(self):
-        matrix = np.arange(12, dtype=np.float64).reshape(3, 4)
-        digests = DistanceCache.row_digests(matrix)
-        assert digests == DistanceCache.row_digests(matrix.copy())
-        bumped = matrix.copy()
-        bumped[1, 2] = np.nextafter(bumped[1, 2], np.inf)  # a single ulp
-        assert digests[1] != DistanceCache.row_digests(bumped)[1]
+    """Repeated distance calls through one policy.
+
+    Nothing is carried between calls any more (the cross-round cache never
+    hit in practice and was removed), so every call must equal a bare
+    recomputation.  These tests keep the contracts such a cache had to
+    honour: exact repeats, row-local changes, per-epsilon separation.
+    """
 
     def test_repeat_call_hits_every_pair(self):
         rng = np.random.default_rng(1)
         matrix = rng.normal(size=(6, 64)).astype(np.float32)
         policy = DispatchPolicy.serial()
         first = pairwise_sq_distances(matrix, dispatch=policy)
-        hits_before = policy.distance_cache.hits
         second = pairwise_sq_distances(matrix, dispatch=policy)
+        assert first.shape == (6, 6)
         assert np.array_equal(first, second)
-        assert policy.distance_cache.hits - hits_before == 6 * 7 // 2
         assert np.array_equal(first, pairwise_sq_distances(matrix))
 
     def test_mutation_invalidates_exactly_affected_pairs(self):
         rng = np.random.default_rng(2)
         matrix = rng.normal(size=(6, 64)).astype(np.float32)
         policy = DispatchPolicy.serial()
-        pairwise_sq_distances(matrix, dispatch=policy)
+        before = pairwise_sq_distances(matrix, dispatch=policy)
 
         mutated = matrix.copy()
         mutated[3] += 1.0
-        hits_before = policy.distance_cache.hits
-        misses_before = policy.distance_cache.misses
-        cached = pairwise_sq_distances(mutated, dispatch=policy)
-        # Row 3 participates in 6 of the 21 unordered pairs (incl. (3,3));
-        # the other 15 pairs must come straight from the cache.
-        assert policy.distance_cache.misses - misses_before == 6
-        assert policy.distance_cache.hits - hits_before == 15
-        assert np.array_equal(cached, pairwise_sq_distances(mutated))
+        after = pairwise_sq_distances(mutated, dispatch=policy)
+        assert np.array_equal(after, pairwise_sq_distances(mutated))
+        # Row 3 participates in 6 of the 21 unordered pairs (incl. (3,3)):
+        # off-diagonal pairs through row 3 change, every other pair is
+        # bitwise what the previous call returned.
+        touched = np.zeros((6, 6), dtype=bool)
+        touched[3, :] = touched[:, 3] = True
+        assert np.array_equal(after[~touched], before[~touched])
+        off_diagonal = touched & ~np.eye(6, dtype=bool)
+        assert np.all(after[off_diagonal] != before[off_diagonal])
 
     def test_krum_bulyan_selections_bitwise_stable_across_cache_hits(self):
         rng = np.random.default_rng(3)
@@ -370,36 +384,30 @@ class TestDistanceCache:
                 dispatch=policy,
             )
 
+        matrix = np.stack([update.parameters for update in updates])
+        scores = krum_scores_from_distances(pairwise_sq_distances(matrix), 2)
         for defense in (Krum(), Bulyan()):
             cold = defense.aggregate(list(updates), context())
-            hits_before = policy.distance_cache.hits
             warm = defense.aggregate(list(updates), context())
-            assert policy.distance_cache.hits > hits_before
             assert cold.accepted_client_ids == warm.accepted_client_ids
             assert np.array_equal(cold.new_params, warm.new_params)
+        krum = Krum().aggregate(list(updates), context())
+        assert krum.scores == {i: float(score) for i, score in enumerate(scores)}
+        assert krum.accepted_client_ids == [int(np.argmin(scores))]
 
     def test_cosine_epsilon_namespaces_do_not_cross_hit(self):
         rng = np.random.default_rng(4)
         matrix = rng.normal(size=(5, 64)).astype(np.float64)
         policy = DispatchPolicy.serial()
         base = pairwise_cosine_similarities(matrix, epsilon=0.0, dispatch=policy)
-        misses_before = policy.distance_cache.misses
         other = pairwise_cosine_similarities(matrix, epsilon=1e-3, dispatch=policy)
-        # A different epsilon renormalizes the rows: different namespace,
-        # zero reuse, and the values genuinely differ.
-        assert policy.distance_cache.misses - misses_before == 5 * 6 // 2
+        # A different epsilon renormalizes the rows: the values genuinely
+        # differ, and neither result leaks into the other.
         assert not np.array_equal(base, other)
+        assert np.array_equal(base, pairwise_cosine_similarities(matrix, epsilon=0.0))
+        assert np.array_equal(other, pairwise_cosine_similarities(matrix, epsilon=1e-3))
         repeat = pairwise_cosine_similarities(matrix, epsilon=1e-3, dispatch=policy)
         assert np.array_equal(other, repeat)
-
-    def test_fifo_bound_evicts(self):
-        cache = DistanceCache(max_pairs=2)
-        ns = ("sq", 4, "<f8")
-        cache.put(ns, b"a", b"b", 1.0)
-        cache.put(ns, b"a", b"c", 2.0)
-        cache.put(ns, b"a", b"d", 3.0)
-        assert len(cache) == 2
-        assert cache.evictions == 1
 
 
 class TestGridPolicy:

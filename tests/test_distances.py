@@ -13,6 +13,7 @@ from repro.defenses.distances import (
     pairwise_cosine_similarities,
     pairwise_sq_distances,
 )
+from repro.fl.dispatch_policy import DispatchPolicy
 from repro.fl.executor import (
     ParallelExecutor,
     SerialExecutor,
@@ -144,22 +145,23 @@ class TestFanoutParity:
     def test_thread_fanout_bit_identical(self):
         matrix = _random_matrix(seed=5)
         serial = pairwise_sq_distances(matrix)
-        with ThreadedExecutor(workers=3) as executor:
-            threaded = pairwise_sq_distances(matrix, executor=executor)
+        with DispatchPolicy.fixed("thread", workers=3) as policy:
+            threaded = pairwise_sq_distances(matrix, dispatch=policy)
         np.testing.assert_array_equal(serial, threaded)
 
     def test_process_fanout_bit_identical_and_counts(self):
         matrix = _random_matrix(seed=6)
         serial = pairwise_sq_distances(matrix)
         serial_cos = pairwise_cosine_similarities(matrix, epsilon=1e-5)
-        with ParallelExecutor(workers=2) as executor:
-            pooled = pairwise_sq_distances(matrix, executor=executor)
-            assert executor.fanout_calls > 1  # row blocks went through the pool
-            assert executor.published_stores == 1  # the matrix shipped once
+        with DispatchPolicy.fixed("process", workers=2) as policy:
+            pooled = pairwise_sq_distances(matrix, dispatch=policy)
+            counters = policy.counter_snapshot()
+            assert counters["process_fanout_calls"] > 1  # row blocks went through the pool
+            assert counters["process_published_stores"] == 1  # the matrix shipped once
             pooled_cos = pairwise_cosine_similarities(
-                matrix, epsilon=1e-5, executor=executor
+                matrix, epsilon=1e-5, dispatch=policy
             )
-            assert executor.published_stores == 2
+            assert policy.counter_snapshot()["process_published_stores"] == 2
         np.testing.assert_array_equal(serial, pooled)
         np.testing.assert_array_equal(serial_cos, pooled_cos)
 
@@ -168,17 +170,22 @@ class TestFanoutParity:
         once per block, so the shm opt-out must compute serially instead."""
         matrix = _random_matrix(seed=7)
         serial = pairwise_sq_distances(matrix)
-        with ParallelExecutor(workers=2, use_shared_memory=False) as executor:
-            result = pairwise_sq_distances(matrix, executor=executor)
-            assert executor.fanout_calls == 0
-            assert executor.published_stores == 0
+        policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=False)
+        with policy:
+            result = pairwise_sq_distances(matrix, dispatch=policy)
+            counters = policy.counter_snapshot()
+            assert counters["process"] == 1  # decided for the pool ...
+            assert counters["process_fanout_calls"] == 0  # ... but ran serially
+            assert counters["process_published_stores"] == 0
         np.testing.assert_array_equal(serial, result)
 
     def test_single_block_skips_the_pool(self):
         matrix = _random_matrix(n=3, seed=8)
-        with ParallelExecutor(workers=2) as executor:
-            result = pairwise_sq_distances(matrix, executor=executor, block_rows=3)
-            assert executor.fanout_calls == 0
+        with DispatchPolicy.fixed("process", workers=2) as policy:
+            result = pairwise_sq_distances(matrix, dispatch=policy, block_rows=3)
+            counters = policy.counter_snapshot()
+            assert counters["serial"] == 1
+            assert counters.get("process_fanout_calls", 0) == 0
         np.testing.assert_array_equal(result, pairwise_sq_distances(matrix))
 
 

@@ -22,11 +22,7 @@ import pytest
 from repro.experiments import build_simulation, smoke_scale
 from repro.experiments.dispatch import ClaimLedger
 from repro.experiments.io import atomic_write_json, quarantine_count, read_json
-from repro.fl.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    ThreadedExecutor,
-)
+from repro.fl.dispatch_policy import DispatchPolicy
 from repro.fl.faults import (
     FaultEvent,
     FaultPlan,
@@ -49,12 +45,12 @@ def _records_signature(result):
     ]
 
 
-def _run(resilience=None, executor=None, num_rounds=2, **scale_overrides):
+def _run(resilience=None, policy=None, num_rounds=2, **scale_overrides):
     config = smoke_scale(
         attack="lie", defense="mkrum", num_rounds=num_rounds, **scale_overrides
     )
     with build_simulation(
-        config, executor=executor, resilience=resilience
+        config, policy=policy, resilience=resilience
     ) as simulation:
         result = simulation.run(num_rounds)
         params = simulation.server.global_params.copy()
@@ -133,13 +129,13 @@ class TestRecoveryBitIdentical:
     def test_process_pool_worker_kill_recovery(self):
         """A hard worker kill mid-round breaks the pool; the rebuilt pool
         re-executes only the lost tasks and the run stays bit-identical."""
-        clean, clean_params, _ = _run(executor=SerialExecutor())
+        clean, clean_params, _ = _run(policy="serial")
         plan = FaultPlan(events=(FaultEvent(kind="crash", round=0, slot=0),))
         chaos, chaos_params, stats = _run(
             resilience=ResilienceConfig(
                 max_retries=2, backoff_base=0.0, fault_plan=plan
             ),
-            executor=ParallelExecutor(workers=2),
+            policy=DispatchPolicy.fixed("process", workers=2),
         )
         assert stats.crashes_injected == 1
         assert stats.pool_rebuilds >= 1
@@ -159,7 +155,7 @@ class TestStragglerCutoff:
                 round_deadline=0.4,
                 fault_plan=plan,
             ),
-            executor=ThreadedExecutor(workers=4),
+            policy=DispatchPolicy.fixed("thread", workers=4),
         )
         assert stats.hangs_injected == 1
         assert stats.tasks_cut >= 1
@@ -171,7 +167,7 @@ class TestStragglerCutoff:
     def test_hang_with_retry_budget_stays_bit_identical(self):
         """A per-attempt deadline window means the retry (without the
         injected hang) completes and nothing is cut."""
-        clean, clean_params, _ = _run(executor=ThreadedExecutor(workers=4))
+        clean, clean_params, _ = _run(policy=DispatchPolicy.fixed("thread", workers=4))
         plan = FaultPlan(events=(FaultEvent(kind="hang", round=0, slot=0, seconds=5.0),))
         chaos, chaos_params, stats = _run(
             ResilienceConfig(
@@ -180,7 +176,7 @@ class TestStragglerCutoff:
                 round_deadline=0.4,
                 fault_plan=plan,
             ),
-            executor=ThreadedExecutor(workers=4),
+            policy=DispatchPolicy.fixed("thread", workers=4),
         )
         assert stats.tasks_cut == 1
         assert stats.clients_cut == 0
@@ -264,19 +260,17 @@ class TestPoolRebuildBetweenRounds:
     def test_plain_map_survives_a_worker_killed_between_rounds(self):
         """Satellite contract: ParallelExecutor.map() detects a pool broken
         while idle and transparently rebuilds it once."""
-        executor = ParallelExecutor(workers=2)
-        try:
-            config = smoke_scale(attack=None, defense="fedavg", num_rounds=1)
-            with build_simulation(config, executor=executor) as simulation:
-                simulation.run(1)
-                # Kill one idle worker; the *next* map() sees a broken pool.
-                processes = dict(executor._pool._processes)
-                os.kill(next(iter(processes)), signal.SIGKILL)
-                time.sleep(0.2)
-                simulation.run(1)
-            assert executor.pool_rebuilds == 1
-        finally:
-            executor.close()
+        config = smoke_scale(attack=None, defense="fedavg", num_rounds=1)
+        policy = DispatchPolicy.fixed("process", workers=2)
+        with build_simulation(config, policy=policy) as simulation:
+            executor = simulation.executor
+            simulation.run(1)
+            # Kill one idle worker; the *next* map() sees a broken pool.
+            processes = dict(executor._pool._processes)
+            os.kill(next(iter(processes)), signal.SIGKILL)
+            time.sleep(0.2)
+            simulation.run(1)
+        assert executor.pool_rebuilds == 1
 
 
 class TestLeaseStealUnderKill:

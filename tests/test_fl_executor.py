@@ -18,13 +18,13 @@ from repro.fl.executor import (
     SharedParamsLease,
     SharedParamsRef,
     ThreadedExecutor,
-    build_executor,
     register_fanout_fn,
     resolve_fanout_fn,
     resolve_shared_array,
     run_client_task,
     run_fanout_call,
 )
+from repro.fl.dispatch_policy import DispatchPolicy
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.types import LocalTrainingConfig
 from repro.models import ClassifierFactory
@@ -48,28 +48,47 @@ def _records_signature(result):
     ]
 
 
-def _run_with(executor, num_rounds=2):
-    config = smoke_scale(attack="lie", defense="mkrum", num_rounds=num_rounds)
-    with build_simulation(config, executor=executor) as simulation:
-        return simulation.run(num_rounds)
+def _run_with(policy, num_rounds=2, **config_overrides):
+    """Run a smoke config; returns the result and the policy's counters."""
+    config_overrides = {"attack": "lie", "defense": "mkrum", **config_overrides}
+    config = smoke_scale(num_rounds=num_rounds, **config_overrides)
+    with build_simulation(config, policy=policy) as simulation:
+        return simulation.run(num_rounds), simulation.dispatch.counter_snapshot()
 
 
 class TestBuildExecutor:
+    """A policy spec builds the executor each backend runs on."""
+
+    @staticmethod
+    def _round_executor(spec):
+        policy = DispatchPolicy.coerce(spec)
+        return policy, policy.executor_for(policy.decide("round", items=4, work=1e3))
+
     def test_none_gives_serial(self):
-        assert isinstance(build_executor(None), SerialExecutor)
+        policy, executor = self._round_executor(None)
+        assert isinstance(executor, SerialExecutor)
+        policy.close()
 
     def test_names_resolve(self):
-        assert isinstance(build_executor("serial"), SerialExecutor)
-        assert isinstance(build_executor("thread", workers=2), ThreadedExecutor)
-        assert isinstance(build_executor("process", workers=2), ParallelExecutor)
+        policy, executor = self._round_executor("serial")
+        assert isinstance(executor, SerialExecutor)
+        for spec, kind in (("thread:2", ThreadedExecutor), ("process:2", ParallelExecutor)):
+            policy, executor = self._round_executor(spec)
+            try:
+                assert isinstance(executor, kind)
+                assert executor.workers == 2
+            finally:
+                policy.close()
 
     def test_instance_passthrough(self):
-        executor = ThreadedExecutor(workers=1)
-        assert build_executor(executor) is executor
+        with DispatchPolicy.fixed("thread", workers=1) as policy:
+            same, executor = self._round_executor(policy)
+            assert same is policy
+            assert self._round_executor(policy)[1] is executor
 
     def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            build_executor("gpu-cluster")
+        with pytest.raises(ValueError, match="gpu-cluster"):
+            DispatchPolicy.parse("gpu-cluster")
 
 
 class TestTaskPayload:
@@ -353,7 +372,7 @@ class TestShardStoreWiring:
 
     def _process_simulation(self, **overrides):
         config = smoke_scale(num_rounds=1, **overrides)
-        return build_simulation(config, executor=ParallelExecutor(workers=2))
+        return build_simulation(config, policy=DispatchPolicy.fixed("process", workers=2))
 
     def test_process_tasks_carry_shard_refs_not_arrays(self):
         simulation = self._process_simulation()
@@ -409,10 +428,10 @@ class TestShardStoreWiring:
 
     def test_shared_memory_opt_out_keeps_inline_arrays(self):
         config = smoke_scale(num_rounds=1)
-        executor = ParallelExecutor(workers=2, use_shared_memory=False)
-        simulation = build_simulation(config, executor=executor)
+        policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=False)
+        simulation = build_simulation(config, policy=policy)
         try:
-            assert not executor.supports_shard_store
+            assert not simulation.executor.supports_shard_store
             client = next(iter(simulation.benign_clients.values()))
             assert client.shard_ref is None
         finally:
@@ -445,22 +464,22 @@ class TestDeterminism:
     """Same seed ⇒ bit-identical records and parameters across backends."""
 
     def test_serial_twice_is_identical(self):
-        first, second = _run_with(None), _run_with(None)
+        (first, _), (second, _) = _run_with(None), _run_with(None)
         assert _records_signature(first) == _records_signature(second)
         np.testing.assert_array_equal(first.final_params, second.final_params)
 
     def test_threaded_matches_serial(self):
-        serial = _run_with(None)
-        threaded = _run_with(ThreadedExecutor(workers=3))
+        serial, _ = _run_with(None)
+        threaded, counters = _run_with(DispatchPolicy.fixed("thread", workers=3))
+        assert counters["thread"] > 0
         assert _records_signature(serial) == _records_signature(threaded)
         np.testing.assert_array_equal(serial.final_params, threaded.final_params)
 
     @pytest.mark.slow
     def test_process_pool_matches_serial_via_shared_memory(self):
-        serial = _run_with(None)
-        executor = ParallelExecutor(workers=4)
-        parallel = _run_with(executor)
-        assert executor.shm_rounds > 0  # the shm fast path actually ran
+        serial, _ = _run_with(None)
+        parallel, counters = _run_with(DispatchPolicy.fixed("process", workers=4))
+        assert counters["process_shm_rounds"] > 0  # the shm fast path actually ran
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
@@ -473,51 +492,44 @@ class TestDeterminism:
                 (r.client_id, r.balance, r.confidence, r.score)
                 for r in simulation.server.defense.last_reports
             ]
-        executor = ParallelExecutor(workers=2)
-        with build_simulation(config, executor=executor) as simulation:
+        policy = DispatchPolicy.fixed("process", workers=2)
+        with build_simulation(config, policy=policy) as simulation:
             parallel = simulation.run(2)
             parallel_reports = [
                 (r.client_id, r.balance, r.confidence, r.score)
                 for r in simulation.server.defense.last_reports
             ]
-        assert executor.shm_rounds > 0
-        assert executor.shard_rounds > 0
-        assert executor.fanout_calls > 0  # D-scores went through the pool
+            counters = policy.counter_snapshot()
+        assert counters["process_shm_rounds"] > 0
+        assert counters["process_shard_rounds"] > 0
+        assert counters["process_fanout_calls"] > 0  # D-scores went through the pool
         assert serial_reports == parallel_reports
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
     def test_process_krum_distance_fanout_matches_serial(self):
         """Distance-plane fan-out: Krum rounds are bit-identical on the pool."""
-        config = smoke_scale(attack="lie", defense="krum", num_rounds=2)
-        with build_simulation(config) as simulation:
-            serial = simulation.run(2)
-        executor = ParallelExecutor(workers=2)
-        with build_simulation(config, executor=executor) as simulation:
-            parallel = simulation.run(2)
-        assert executor.fanout_calls > 0  # distance blocks went through the pool
-        assert executor.published_stores > 0  # one matrix publication per round
+        serial, _ = _run_with(None, defense="krum")
+        parallel, counters = _run_with(DispatchPolicy.fixed("process", workers=2), defense="krum")
+        assert counters["process_fanout_calls"] > 0  # distance blocks went through the pool
+        assert counters["process_published_stores"] > 0  # one matrix publication per round
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
     @pytest.mark.slow
     def test_process_bulyan_distance_fanout_matches_serial(self):
-        config = smoke_scale(attack="lie", defense="bulyan", num_rounds=2)
-        with build_simulation(config) as simulation:
-            serial = simulation.run(2)
-        executor = ParallelExecutor(workers=2)
-        with build_simulation(config, executor=executor) as simulation:
-            parallel = simulation.run(2)
-        assert executor.fanout_calls > 0
+        serial, _ = _run_with(None, defense="bulyan")
+        parallel, counters = _run_with(DispatchPolicy.fixed("process", workers=2), defense="bulyan")
+        assert counters["process_fanout_calls"] > 0
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
     @pytest.mark.slow
     def test_process_pool_matches_serial_with_inline_params(self):
-        serial = _run_with(None)
-        executor = ParallelExecutor(workers=4, use_shared_memory=False)
-        parallel = _run_with(executor)
-        assert executor.shm_rounds == 0
+        serial, _ = _run_with(None)
+        policy = DispatchPolicy.fixed("process", workers=4, use_shared_memory=False)
+        parallel, counters = _run_with(policy)
+        assert counters["process_shm_rounds"] == 0
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
@@ -534,8 +546,7 @@ class TestSimulationWiring:
             clients_per_round=3,
             malicious_fraction=0.0,
             training_config=LocalTrainingConfig(local_epochs=1, batch_size=16, learning_rate=0.1),
-            executor="thread",
-            workers=2,
+            policy="thread:2",
         )
         assert isinstance(simulation.executor, ThreadedExecutor)
         result = simulation.run(1)

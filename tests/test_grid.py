@@ -102,7 +102,7 @@ class TestConfigHash:
 class TestGridRunnerCaching:
     def test_miss_then_hit(self, tmp_path):
         grid = _tiny_grid()
-        runner = GridRunner(workers=1, cache_dir=tmp_path)
+        runner = GridRunner(cache_dir=tmp_path)
         first = runner.run(grid)
         assert runner.last_stats.cache_hits == 0
         assert runner.last_stats.executed == len(grid)
@@ -111,7 +111,7 @@ class TestGridRunnerCaching:
         artifacts = sorted(tmp_path.glob("*.json"))
         assert len(artifacts) == len(grid) + 2
 
-        rerun = GridRunner(workers=1, cache_dir=tmp_path)
+        rerun = GridRunner(cache_dir=tmp_path)
         second = rerun.run(grid)
         assert rerun.last_stats.cache_hits == len(grid)
         assert rerun.last_stats.executed == 0
@@ -126,19 +126,19 @@ class TestGridRunnerCaching:
 
     def test_partial_cache_only_runs_missing_cells(self, tmp_path):
         grid = _tiny_grid()
-        GridRunner(workers=1, cache_dir=tmp_path).run(grid[:2])
-        runner = GridRunner(workers=1, cache_dir=tmp_path)
+        GridRunner(cache_dir=tmp_path).run(grid[:2])
+        runner = GridRunner(cache_dir=tmp_path)
         runner.run(grid)
         assert runner.last_stats.cache_hits == 2
         assert runner.last_stats.executed == 2
 
     def test_corrupt_artifact_reruns(self, tmp_path):
         grid = _tiny_grid()[:1]
-        runner = GridRunner(workers=1, cache_dir=tmp_path)
+        runner = GridRunner(cache_dir=tmp_path)
         runner.run(grid)
         for artifact in sorted(tmp_path.glob("*.json")):
             artifact.write_text("{not json")
-        rerun = GridRunner(workers=1, cache_dir=tmp_path)
+        rerun = GridRunner(cache_dir=tmp_path)
         rerun.run(grid)
         assert rerun.last_stats.cache_hits == 0
         assert rerun.last_stats.executed == 1
@@ -147,11 +147,11 @@ class TestGridRunnerCaching:
         grid = _tiny_grid()
         duplicated = [("same-label", config) for _, config in grid[:2]]
         with pytest.raises(ValueError, match="duplicate scenario labels"):
-            GridRunner(workers=1).run(duplicated)
+            GridRunner().run(duplicated)
 
     def test_no_cache_dir_disables_caching(self):
         grid = _tiny_grid()[:1]
-        runner = GridRunner(workers=1)
+        runner = GridRunner()
         runner.run(grid)
         runner.run(grid)
         assert runner.last_stats.cache_hits == 0
@@ -159,7 +159,7 @@ class TestGridRunnerCaching:
 
     def test_results_keep_input_order_and_metrics(self, tmp_path):
         grid = _tiny_grid()
-        results = GridRunner(workers=1, cache_dir=tmp_path).run(grid)
+        results = GridRunner(cache_dir=tmp_path).run(grid)
         assert [label for label, _ in results] == [label for label, _ in grid]
         for _, result in results:
             assert result.baseline_accuracy is not None
@@ -191,7 +191,7 @@ class TestGridRunnerFailurePaths:
 
     def test_failing_cell_does_not_lose_siblings(self, tmp_path):
         scenario_list = self._grid_with_poison_cell()
-        runner = GridRunner(workers=1, cache_dir=tmp_path)
+        runner = GridRunner(cache_dir=tmp_path)
         with pytest.raises(GridExecutionError) as info:
             runner.run(scenario_list)
         error = info.value
@@ -205,7 +205,7 @@ class TestGridRunnerFailurePaths:
         assert runner.last_stats.executed == 2
         assert runner.last_stats.failed == 1
         assert runner.last_failures == error.failures
-        rerun = GridRunner(workers=1, cache_dir=tmp_path)
+        rerun = GridRunner(cache_dir=tmp_path)
         with pytest.raises(GridExecutionError):
             rerun.run(scenario_list)
         assert rerun.last_stats.cache_hits == 2
@@ -213,7 +213,7 @@ class TestGridRunnerFailurePaths:
 
     @pytest.mark.slow
     def test_failing_cell_does_not_abandon_inflight_pool_siblings(self, tmp_path):
-        runner = GridRunner(workers=2, cache_dir=tmp_path)
+        runner = GridRunner(policy="process:2", cache_dir=tmp_path)
         with pytest.raises(GridExecutionError) as info:
             runner.run(self._grid_with_poison_cell())
         assert len(info.value.results) == 2
@@ -238,7 +238,7 @@ class TestGridRunnerFailurePaths:
         )
         scenario_list = [("killer-cell", grid[0][1])] + grid[1:]
         # claim_ttl forces small claim batches -> several batches, one pool
-        runner = GridRunner(workers=2, cache_dir=tmp_path, claim_ttl=30)
+        runner = GridRunner(policy="process:2", cache_dir=tmp_path, claim_ttl=30)
         with pytest.raises(GridExecutionError) as info:
             runner.run(scenario_list)
         assert "killer-cell" in info.value.failures
@@ -250,7 +250,7 @@ class TestGridRunnerFailurePaths:
 
     def test_unfilled_baseline_raises_with_offending_labels(self, monkeypatch):
         grid = _tiny_grid()
-        runner = GridRunner(workers=1)
+        runner = GridRunner()
         original = GridRunner._execute_batch
 
         def drop_baselines(self, jobs, phase, ledger=None):
@@ -278,7 +278,7 @@ class TestGridRunnerFailurePaths:
             return original(label, config, baseline_accuracy, **extras)
 
         monkeypatch.setattr(grid_module, "_run_cell", poisoned_run_cell)
-        runner = GridRunner(workers=1, cache_dir=tmp_path)
+        runner = GridRunner(cache_dir=tmp_path)
         with pytest.raises(GridBaselineError):
             runner.run(grid)
         assert runner.last_stats.executed == 0  # no cell ran with a NaN baseline
@@ -299,7 +299,7 @@ class TestGridRunnerFailurePaths:
             return original(label, config, baseline_accuracy, **extras)
 
         monkeypatch.setattr(grid_module, "_run_cell", poisoned_run_cell)
-        runner = GridRunner(workers=1, cache_dir=tmp_path)
+        runner = GridRunner(cache_dir=tmp_path)
         with pytest.raises(GridBaselineError) as info:
             runner.run(grid)
         iid_labels = [label for label, config in grid if config.beta is None]
@@ -314,8 +314,8 @@ class TestGridRunnerFailurePaths:
 class TestGridRunnerParallel:
     def test_parallel_matches_serial(self, tmp_path):
         grid = _tiny_grid()
-        serial = GridRunner(workers=1).run(grid)
-        parallel = GridRunner(workers=2, cache_dir=tmp_path / "cache").run(grid)
+        serial = GridRunner().run(grid)
+        parallel = GridRunner(policy="process:2", cache_dir=tmp_path / "cache").run(grid)
         for (label_a, result_a), (label_b, result_b) in zip(serial, parallel):
             assert label_a == label_b
             assert result_a.max_accuracy == result_b.max_accuracy
@@ -324,15 +324,15 @@ class TestGridRunnerParallel:
     def test_run_many_workers_matches_serial(self):
         configs = [config for _, config in _tiny_grid()]
         serial = ExperimentRunner().run_many(configs)
-        parallel = ExperimentRunner().run_many(configs, workers=2)
+        parallel = ExperimentRunner().run_many(configs, policy="process:2")
         assert [r.max_accuracy for r in serial] == [r.max_accuracy for r in parallel]
         assert [r.asr for r in serial] == [r.asr for r in parallel]
 
     def test_progress_streams_one_line_per_cell(self, tmp_path):
         lines = []
         grid = _tiny_grid()
-        GridRunner(workers=2, cache_dir=tmp_path, progress=lines.append).run(grid)
+        GridRunner(policy="process:2", cache_dir=tmp_path, progress=lines.append).run(grid)
         grid_lines = [line for line in lines if line.startswith("[grid")]
         assert len(grid_lines) == len(grid)
-        GridRunner(workers=2, cache_dir=tmp_path, progress=lines.append).run(grid)
+        GridRunner(policy="process:2", cache_dir=tmp_path, progress=lines.append).run(grid)
         assert sum(1 for line in lines if line.startswith("[cache]")) == len(grid)
