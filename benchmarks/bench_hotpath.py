@@ -40,9 +40,8 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.defenses import Refd
-from repro.defenses.distances import pairwise_sq_distances
 from repro.experiments import benchmark_scale, build_simulation
-from repro.fl.dispatch_policy import CostModel, DispatchPolicy
+from repro.fl.dispatch_policy import DispatchPolicy
 from repro.fl.faults import ResilienceConfig
 from repro.fl.executor import (
     ShardRef,
@@ -92,10 +91,6 @@ CHECK_THRESHOLDS = {
     # updates, see bench_distance_block); ~0.05x measured, bound at 0.02x.
     "distance_block": 0.02,
     "e2e_round": 1.2,
-    # The adaptive policy must track the best static backend at bench scale:
-    # its headline is min(speedup vs serial, speedup vs best static), so the
-    # bound asserts it is never more than ~10% slower than either.
-    "adaptive_dispatch": 0.9,
     # Overhead bound for the fault-tolerance plane: a round under an armed
     # (but event-free) ResilienceConfig must stay within ~2% of the plain
     # round loop — the recovery machinery may not tax the fault-free path.
@@ -450,7 +445,7 @@ def bench_round_dispatch(repeats: int) -> Dict[str, float]:
     results: Dict[str, float] = {}
     for label, use_shm in (("inline", False), ("shm", True)):
         policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=use_shm)
-        with build_simulation(config, policy=policy) as simulation:
+        with policy, build_simulation(config, policy=policy) as simulation:
             simulation.run_round()  # warm the pool
             results[f"{label}_s"] = _best_of(simulation.run_round, max(2, repeats // 8))
             if use_shm:
@@ -475,7 +470,7 @@ def bench_shard_broadcast() -> Dict[str, float]:
     results: Dict[str, float] = {}
     for label, use_shm in (("inline", False), ("shm", True)):
         policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=use_shm)
-        with build_simulation(config, policy=policy) as simulation:
+        with policy, build_simulation(config, policy=policy) as simulation:
             client = next(iter(simulation.benign_clients.values()))
             params = simulation.server.distribute()
             task = client.make_task(params, 0)
@@ -495,15 +490,15 @@ def bench_shard_broadcast() -> Dict[str, float]:
 
 
 def bench_refd_fanout(repeats: int) -> Dict[str, float]:
-    """REFD D-score scoring: fused serial loop vs process-pool registry fan-out.
+    """REFD D-score scoring: fused serial loop vs process-pool fan-out.
 
     The process leg is the production path of a process-backend round: the
-    per-update inference ships as registered ``FanoutCall`` envelopes whose
-    reference images live in a shared-memory segment, so each work item
-    pickles one parameter vector.  Scores must agree bitwise with the
-    serial loop.  On 1-2 cores the dispatch overhead dominates (see the
-    generous ``refd_fanout`` threshold); the point of the metric is to
-    track that overhead and show the multi-core win where there is one.
+    pool maps ``evaluate_update`` over payloads whose reference images live
+    in a shared-memory segment, so each work item pickles one parameter
+    vector.  Scores must agree bitwise with the serial loop.  On one core
+    the dispatch overhead dominates (see the generous ``refd_fanout``
+    threshold); the point of the metric is to track that overhead and show
+    the multi-core win where there is one.
     """
     factory = ClassifierFactory(
         architecture="small-cnn", in_channels=1, image_size=16, num_classes=10, seed=5
@@ -560,37 +555,6 @@ def bench_refd_fanout(repeats: int) -> Dict[str, float]:
         "process_s": process,
         "speedup": serial / process,
         "fanout_calls": fanout_calls,
-        "workers": 2,
-    }
-
-
-def bench_distance_fanout(repeats: int) -> Dict[str, float]:
-    """Distance-plane row-block fan-out: serial kernels vs a 2-worker pool.
-
-    Times the full production path (policy decision, matrix publication,
-    block fan-out) on the ledger's reference geometry — a 10x100k float32
-    matrix split into 4 row blocks.  The measured pair is what calibrates the ``"distance"`` site of the adaptive cost
-    model, documenting the regression the adaptive policy exists to avoid:
-    at this scale the process fan-out *loses* on 1-2 core machines.
-    """
-    rng = np.random.default_rng(0)
-    matrix = rng.standard_normal((10, 100_000)).astype(np.float32)
-    repeats = max(3, repeats)
-    serial_policy = DispatchPolicy.serial()
-    baseline = pairwise_sq_distances(matrix, dispatch=serial_policy)
-
-    def run(policy):
-        return pairwise_sq_distances(matrix, dispatch=policy)
-
-    serial = _best_of(lambda: run(serial_policy), repeats)
-    with DispatchPolicy.fixed("process", workers=2) as process_policy:
-        np.testing.assert_array_equal(baseline, run(process_policy))
-        process = _best_of(lambda: run(process_policy), repeats)
-    return {
-        "serial_s": serial,
-        "process_s": process,
-        "speedup": serial / process,
-        "blocks": 4,
         "workers": 2,
     }
 
@@ -669,6 +633,17 @@ class _legacy_kernels:
         (F.conv2d, executor_module.get_flat_params, SGD.step, Refd.score_updates) = self._saved
 
 
+def _eager_simulation(config):
+    """``build_simulation(config)`` with local training pinned to the eager
+    engine through ``LocalTrainingConfig(trace="eager")``."""
+    simulation = build_simulation(config)
+    eager = dataclasses.replace(simulation.training_config, trace="eager")
+    simulation.training_config = eager
+    for client in simulation.benign_clients.values():
+        client.config = eager
+    return simulation
+
+
 def bench_e2e_round(repeats: int) -> Dict[str, float]:
     """Serial end-to-end round: FashionCNN 28×28, LIE attack, REFD defense.
 
@@ -683,15 +658,11 @@ def bench_e2e_round(repeats: int) -> Dict[str, float]:
     # kernels (F.conv2d etc.), which a replayed tape would silently bypass,
     # and the current leg stays comparable with the metric's history.  The
     # engine comparison has its own metric (``trace_replay``).
-    eager_policy = DispatchPolicy.fixed("serial", overrides={"train": "eager"})
     with _legacy_kernels():
-        with build_simulation(_e2e_config(), policy=eager_policy) as simulation:
+        with _eager_simulation(_e2e_config()) as simulation:
             simulation.run_round()  # warm caches
             legacy = _best_of(simulation.run_round, rounds)
-    with build_simulation(
-        _e2e_config(),
-        policy=DispatchPolicy.fixed("serial", overrides={"train": "eager"}),
-    ) as simulation:
+    with _eager_simulation(_e2e_config()) as simulation:
         simulation.run_round()
         current = _best_of(simulation.run_round, rounds)
     return {
@@ -701,117 +672,6 @@ def bench_e2e_round(repeats: int) -> Dict[str, float]:
         "pre_pr_reference_s": PRE_PR_REFERENCE["e2e_round_serial_s"],
         "pre_pr_machine": PRE_PR_REFERENCE["machine"],
     }
-
-
-def _dispatch_site_records(results) -> list:
-    """Explicit per-site calibration records for ``CostModel.from_ledger``.
-
-    Rewrites this run's measured serial/pooled pairs into the
-    ``dispatch_sites`` section of the ledger (site, backend, items, work,
-    serial_s, parallel_s, workers), using the known bench geometries.
-    """
-    records = []
-    refd = results.get("refd_fanout")
-    if refd:
-        records.append(
-            {
-                "site": "refd",
-                "backend": "process",
-                "items": 8,
-                "work": float(8 * 3818),  # 8 updates x SmallCNN(1, 16, 8) params
-                "serial_s": refd["serial_s"],
-                "parallel_s": refd["process_s"],
-                "workers": refd.get("workers", 2),
-            }
-        )
-    distance = results.get("distance_fanout")
-    if distance:
-        records.append(
-            {
-                "site": "distance",
-                "backend": "process",
-                "items": distance.get("blocks", 4),
-                "work": float(10 * 10 * 100_000),  # n * n * dim of the probe
-                "serial_s": distance["serial_s"],
-                "parallel_s": distance["process_s"],
-                "workers": distance.get("workers", 2),
-            }
-        )
-    round_dispatch = results.get("round_dispatch")
-    e2e = results.get("e2e_round")
-    if round_dispatch and e2e:
-        records.append(
-            {
-                "site": "round",
-                "backend": "process",
-                "items": 8,
-                "work": float(8 * 20490),  # 8 clients x FashionCNN/28px params
-                "serial_s": e2e["current_s"],
-                "parallel_s": round_dispatch["inline_s"],
-                "workers": 2,
-            }
-        )
-    return records
-
-
-def bench_adaptive_dispatch(repeats: int, results) -> Dict[str, object]:
-    """Adaptive policy vs serial and the best static backend, end to end.
-
-    Builds the cost model from the numbers this very run just measured (the
-    in-memory ledger), runs the e2e round under ``DispatchPolicy.adaptive``
-    and compares against the serial policy plus every static process timing
-    already on record.  The headline is the *minimum* of the two ratios, so
-    the CI bound asserts the adaptive policy is never meaningfully slower
-    than serial nor than the best static choice at bench scale.
-    """
-    config = _e2e_config()
-    rounds = max(3, repeats // 5)
-    out: Dict[str, object] = {}
-    model = CostModel.from_ledger({"results": results})
-    # Both legs pin eager training so the metric stays a pure executor
-    # comparison — otherwise the train-site decision (replay vs eager)
-    # would differ between the fixed and adaptive policies and leak into
-    # the dispatch ratio.
-    policy = DispatchPolicy.adaptive(
-        cost_model=model, overrides={"train": "eager"}
-    )
-    # Interleave the timed rounds of both legs so machine-load drift over the
-    # measurement window biases neither ratio leg.
-    serial_best = float("inf")
-    adaptive_best = float("inf")
-    serial_policy = DispatchPolicy.fixed("serial", overrides={"train": "eager"})
-    with build_simulation(config, policy=serial_policy) as serial_sim:
-        with build_simulation(config, policy=policy) as adaptive_sim:
-            serial_sim.run_round()
-            adaptive_sim.run_round()
-            for _ in range(rounds):
-                start = time.perf_counter()
-                serial_sim.run_round()
-                serial_best = min(serial_best, time.perf_counter() - start)
-                start = time.perf_counter()
-                adaptive_sim.run_round()
-                adaptive_best = min(adaptive_best, time.perf_counter() - start)
-            out["serial_s"] = serial_best
-            out["adaptive_s"] = adaptive_best
-            out["decision_trace"] = policy.trace_dicts()
-            out["counters"] = {
-                k: v
-                for k, v in policy.counter_snapshot().items()
-                if isinstance(v, int)
-            }
-
-    static = {"serial": out["serial_s"]}
-    round_dispatch = results.get("round_dispatch")
-    if round_dispatch:
-        static["process_inline"] = round_dispatch["inline_s"]
-        static["process_shm"] = round_dispatch["shm_s"]
-    best = min(static, key=static.get)
-    out["best_static"] = best
-    out["best_static_s"] = static[best]
-    out["speedup_vs_serial"] = out["serial_s"] / out["adaptive_s"]
-    out["speedup_vs_best_static"] = out["best_static_s"] / out["adaptive_s"]
-    out["speedup"] = min(out["speedup_vs_serial"], out["speedup_vs_best_static"])
-    return out
 
 
 def bench_fault_hooks(repeats: int) -> Dict[str, float]:
@@ -877,7 +737,7 @@ def bench_trace_replay(repeats: int) -> Dict[str, float]:
     """Replayed training vs the eager engine on a full e2e round.
 
     Two identical FashionCNN/REFD simulations run side by side: one pins
-    the train site to the eager engine, the other resolves ``trace="auto"``
+    local training to the eager engine, the other resolves ``trace="auto"``
     to replay through the recorded buffer plans.  Rounds are timed in
     adjacent eager/replay pairs and the headline speedup is the *median* of
     the per-pair ratios — on shared 1-core runners a single lucky-fast
@@ -888,11 +748,10 @@ def bench_trace_replay(repeats: int) -> Dict[str, float]:
     config = _trace_config()
     rounds = max(6, repeats)
     nn_trace.reset_trace_cache()
-    eager_policy = DispatchPolicy.fixed("serial", overrides={"train": "eager"})
     ratios = []
     eager_times = []
     replay_times = []
-    with build_simulation(config, policy=eager_policy) as eager_sim:
+    with _eager_simulation(config) as eager_sim:
         with build_simulation(config, policy="serial") as replay_sim:
             # Warm rounds: record every batch signature the Dirichlet
             # shards produce and fault in both sims' working sets.
@@ -923,10 +782,10 @@ def bench_trace_replay(repeats: int) -> Dict[str, float]:
 def bench_trace_record_overhead(repeats: int) -> Dict[str, float]:
     """Per-step engine costs: eager step, replayed step, one-time record.
 
-    Emits exactly the keys ``CostModel.from_ledger`` reads into its train
-    cost table (``eager_step_s``, ``replay_step_s``, ``overhead_s``), so
-    regenerating the ledger recalibrates the adaptive policy's
-    record-vs-replay break-even on this machine.  The step is a FashionCNN
+    ``overhead_s`` against the per-step saving (``eager_step_s`` minus
+    ``replay_step_s``) is the record-vs-replay break-even behind
+    ``trace="auto"``, which replays from two optimizer steps on.  The step
+    is a FashionCNN
     forward/backward at the trace-metric batch size; the record cost is the
     first step on a cold signature (trace + compile + the step itself).
     """
@@ -1031,23 +890,17 @@ def run_suite(repeats: int = 25, include_dispatch: bool = True, include_e2e: boo
         results["round_dispatch"] = bench_round_dispatch(repeats)
         results["shard_broadcast"] = bench_shard_broadcast()
         results["refd_fanout"] = bench_refd_fanout(repeats)
-        results["distance_fanout"] = bench_distance_fanout(max(3, repeats // 5))
     if include_e2e:
         results["e2e_round"] = bench_e2e_round(repeats)
     # Cheap (no legacy-kernel leg), so it runs even under --skip-e2e: CI
     # always enforces the fault-plane overhead bound.
     results["fault_hooks"] = bench_fault_hooks(repeats)
     # Same deal: no legacy leg, and CI must always enforce the replayed-tape
-    # round speedup and refresh the train-site cost calibration, so both
-    # trace metrics run even under --skip-e2e.
+    # round speedup and record the per-step engine costs, so both trace
+    # metrics run even under --skip-e2e.
     results["trace_replay"] = bench_trace_replay(repeats)
     results["trace_record_overhead"] = bench_trace_record_overhead(repeats)
     results["trace_plan_memory"] = bench_trace_plan_memory()
-    site_records = _dispatch_site_records(results)
-    if site_records:
-        results["dispatch_sites"] = site_records
-    if include_dispatch:
-        results["adaptive_dispatch"] = bench_adaptive_dispatch(repeats, results)
     return results
 
 
@@ -1066,8 +919,6 @@ def _aggregate_speedups(results) -> Dict[str, float]:
     for metric in (
         "shard_broadcast",
         "refd_fanout",
-        "distance_fanout",
-        "adaptive_dispatch",
         "fault_hooks",
         "trace_replay",
         "trace_record_overhead",
@@ -1143,16 +994,6 @@ def render_table(results, headline) -> str:
                 f"{numbers['speedup']:.2f}x",
             ]
         )
-    if "distance_fanout" in results:
-        numbers = results["distance_fanout"]
-        rows.append(
-            [
-                "distance_fanout(serial vs process)",
-                f"{numbers['serial_s'] * 1e6:.0f}",
-                f"{numbers['process_s'] * 1e6:.0f}",
-                f"{numbers['speedup']:.2f}x",
-            ]
-        )
     if "e2e_round" in results:
         numbers = results["e2e_round"]
         rows.append(
@@ -1160,16 +1001,6 @@ def render_table(results, headline) -> str:
                 "e2e_round(legacy kernels)",
                 f"{numbers['legacy_s'] * 1e6:.0f}",
                 f"{numbers['current_s'] * 1e6:.0f}",
-                f"{numbers['speedup']:.2f}x",
-            ]
-        )
-    if "adaptive_dispatch" in results:
-        numbers = results["adaptive_dispatch"]
-        rows.append(
-            [
-                f"adaptive_dispatch(vs {numbers['best_static']})",
-                f"{numbers['best_static_s'] * 1e6:.0f}",
-                f"{numbers['adaptive_s'] * 1e6:.0f}",
                 f"{numbers['speedup']:.2f}x",
             ]
         )
@@ -1250,24 +1081,6 @@ def main(argv=None) -> int:
     with open(args.output, "w") as handle:
         json.dump(payload, handle, indent=2)
     print(f"\nwrote {args.output}")
-
-    adaptive = results.get("adaptive_dispatch")
-    if adaptive:
-        trace_path = os.path.join(
-            os.path.dirname(os.path.abspath(args.output)), "BENCH_dispatch_trace.json"
-        )
-        with open(trace_path, "w") as handle:
-            json.dump(
-                {
-                    "decision_trace": adaptive["decision_trace"],
-                    "counters": adaptive["counters"],
-                    "speedup_vs_serial": adaptive["speedup_vs_serial"],
-                    "speedup_vs_best_static": adaptive["speedup_vs_best_static"],
-                },
-                handle,
-                indent=2,
-            )
-        print(f"wrote {trace_path}")
 
     if args.check:
         verdicts = check_thresholds(headline)

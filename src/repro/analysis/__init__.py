@@ -8,7 +8,6 @@ Rule ID     Contract
 ==========  ==============================================================
 RNG001-004  seeded-``np.random.Generator``-only randomness (PRs 1, 7)
 DT001-002   float64 defense geometry over float32 payloads (PRs 2, 4)
-FO001-003   module-level picklable fan-out registrations (PR 3)
 SHM001      shared-memory creations own a release path (PRs 3, 5)
 ORD001-002  no filesystem- or hash-ordered iteration (PRs 1, 5, 7)
 TR001-002   backend-clean, import-time-registered trace kernels (PR 9)
@@ -29,7 +28,7 @@ DT101       float64 defense geometry traced *through* helper calls
             (supersedes DT001 in whole-program runs)
 MUT001-003  no in-place writes to shared-memory views: directly
             (MUT001), via a mutating callee (MUT002), or inside a
-            registered fan-out/trace kernel (MUT003)
+            registered trace kernel (MUT003)
 ==========  ==============================================================
 
 Suppress a justified finding inline with

@@ -142,8 +142,7 @@ def module_name_for(path: Path) -> Optional[str]:
 
     Files under a ``src`` directory map to their import path from there
     (``src/repro/fl/types.py`` -> ``repro.fl.types``); files under a
-    top-level ``tests`` directory map to ``tests.<name>`` (the convention
-    the fan-out registry's ``module:label`` names use).  Anything else gets
+    top-level ``tests`` directory map to ``tests.<name>``.  Anything else gets
     ``None`` and module-scoped checks are skipped for it.
     """
     parts = path.parts
@@ -498,7 +497,6 @@ def default_rules() -> List[Rule]:
     """Instantiate every shipped rule, in stable rule-id order."""
     from . import (
         rules_dtype,
-        rules_fanout,
         rules_ordering,
         rules_rng,
         rules_shm,
@@ -509,7 +507,6 @@ def default_rules() -> List[Rule]:
     for module in (
         rules_rng,
         rules_dtype,
-        rules_fanout,
         rules_shm,
         rules_ordering,
         rules_trace,

@@ -12,8 +12,7 @@ that sound:
   today, the optional torch adapter when present) swaps the whole replay
   path at once instead of leaving hidden numpy islands;
 * ``register_trace_op`` runs at module import time with module-level
-  named builder functions (``TR002``) — mirroring the fan-out registry
-  contract (``FO001``–``FO003``), so a process-pool worker that merely
+  named builder functions (``TR002``), so a process-pool worker that merely
   imports :mod:`repro.nn.trace_ops` reconstructs the exact registry the
   parent recorded against, and compiled plans stay picklable by name.
 """

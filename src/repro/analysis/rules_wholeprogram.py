@@ -20,9 +20,9 @@ anchor findings in any linted file.
   ``resolve*`` results, or any function summarized as returning one).
 * ``MUT002`` — passing a shared view to a callee that writes that
   parameter in place (directly or transitively).
-* ``MUT003`` — a registered fan-out / trace kernel that mutates its own
-  inputs: the static face of the cross-process write race the sealed-
-  array sanitizer (``repro.utils.sanitize``) trips at runtime.
+* ``MUT003`` — a registered trace kernel that mutates its own inputs: the
+  static face of the write-through-a-shared-input bug the sealed-array
+  sanitizer (``repro.utils.sanitize``) trips at runtime.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .engine import (
     ProgramRule,
 )
 from .rules_dtype import DtypeGeometryRule, _Float64Tracer
-from . import rules_fanout, rules_trace
+from . import rules_trace
 from .callgraph import FunctionInfo
 from .summaries import (
     FunctionSummary,
@@ -279,8 +279,8 @@ class SharedViewEscapeRule(ProgramRule):
 class KernelInputMutationRule(ProgramRule):
     rule_id = "MUT003"
     contract = (
-        "Registered fan-out/trace kernels run against shm-attached inputs "
-        "in worker processes: a kernel that writes its own parameters in "
+        "Registered trace kernels may receive shm-attached inputs in "
+        "worker processes: a kernel that writes its own parameters in "
         "place (out/out_* output buffers excepted) mutates the published "
         "segment under every process attached to it."
     )
@@ -288,33 +288,28 @@ class KernelInputMutationRule(ProgramRule):
     def check_program(self, program: ProgramContext) -> Iterable[Diagnostic]:
         findings: List[Diagnostic] = []
         reported: Set[str] = set()
-        for info, kind in self._registered_kernels(program):
+        for info in self._registered_kernels(program):
             if info.qualname in reported:
                 continue
             reported.add(info.qualname)
             summary = program.summaries.get(info.qualname)
             if summary is None or not summary.mutates_params:
                 continue
-            findings.extend(self._kernel_findings(info, summary, kind))
+            findings.extend(self._kernel_findings(info, summary))
         return findings
 
     def _registered_kernels(
         self, program: ProgramContext
-    ) -> Iterator[Tuple[FunctionInfo, str]]:
+    ) -> Iterator[FunctionInfo]:
         for ctx in program.contexts:
             for node in ctx.nodes(ast.Call):
                 if not isinstance(node, ast.Call):
                     continue
-                if rules_fanout._is_register_call(ctx, node):
-                    _, fn_expr = rules_fanout._register_args(node)
-                    info = self._resolve_fn(program, ctx, fn_expr)
-                    if info is not None:
-                        yield info, "fan-out"
-                elif rules_trace._is_register_call(ctx, node):
+                if rules_trace._is_register_call(ctx, node):
                     for expr in rules_trace._register_kernel_exprs(node):
                         info = self._resolve_fn(program, ctx, expr)
                         if info is not None:
-                            yield info, "trace"
+                            yield info
 
     @staticmethod
     def _resolve_fn(
@@ -331,7 +326,7 @@ class KernelInputMutationRule(ProgramRule):
         return info
 
     def _kernel_findings(
-        self, info: FunctionInfo, summary: FunctionSummary, kind: str
+        self, info: FunctionInfo, summary: FunctionSummary
     ) -> Iterator[Diagnostic]:
         for index in sorted(summary.mutates_params):
             if index >= len(info.params):
@@ -345,7 +340,7 @@ class KernelInputMutationRule(ProgramRule):
                     yield info.ctx.diagnostic(
                         site.node,
                         self.rule_id,
-                        f"registered {kind} kernel '{info.qualname}' writes "
+                        f"registered trace kernel '{info.qualname}' writes "
                         f"its input parameter '{param}' in place "
                         f"({site.kind}) — kernel inputs may be shm views "
                         "shared across worker processes; copy before "
@@ -356,7 +351,7 @@ class KernelInputMutationRule(ProgramRule):
                 yield info.ctx.diagnostic(
                     info.node,
                     self.rule_id,
-                    f"registered {kind} kernel '{info.qualname}' mutates "
+                    f"registered trace kernel '{info.qualname}' mutates "
                     f"its input parameter '{param}' via {via} — kernel "
                     "inputs may be shm views shared across worker "
                     "processes; copy before passing them on",

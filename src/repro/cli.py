@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--dispatch",
         default=None,
         metavar="SPEC",
-        help="dispatch-policy spec, e.g. 'adaptive', 'process:2' or "
-        "'adaptive,distance=serial' (overrides --workers)",
+        help="dispatch-policy spec: 'serial', 'thread[:N]' or 'process[:N]' "
+        "(overrides --workers)",
     )
     run.add_argument(
         "--stats-json",
@@ -214,11 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint",
-        help="statically check the determinism/dtype/fan-out contracts",
+        help="statically check the determinism/dtype/shm contracts",
         description="AST-lint python sources against the reproduction's "
         "standing contracts (seeded-Generator RNG, float64 defense "
-        "geometry, picklable fan-out, shm lifecycle, deterministic "
-        "ordering); exits nonzero on any non-suppressed finding.",
+        "geometry, shm lifecycle, deterministic ordering, trace "
+        "kernels); exits nonzero on any non-suppressed finding.",
     )
     lint.add_argument(
         "paths",
@@ -384,14 +384,14 @@ def _run_single(args: argparse.Namespace) -> int:
         overrides["malicious_fraction"] = args.malicious_fraction
     config = scale(args.dataset, **overrides)
 
-    policy = _policy_from_args(args)
-    runner = ExperimentRunner(
-        policy=policy,
-        resilience=_resilience_from_args(args),
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-    )
-    result = runner.run(config)
+    with _policy_from_args(args) as policy:
+        runner = ExperimentRunner(
+            policy=policy,
+            resilience=_resilience_from_args(args),
+            checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume,
+        )
+        result = runner.run(config)
     rows = [
         ["clean accuracy acc (%)", 100.0 * (result.baseline_accuracy or 0.0)],
         ["max accuracy under attack acc_m (%)", 100.0 * result.max_accuracy],
@@ -426,20 +426,20 @@ def _save_if_requested(results, output: Optional[str]) -> None:
 def _run_scenario(args: argparse.Namespace) -> int:
     scale = _SCALES[args.scale]
     scenario_list = _SCENARIOS[args.name](scale)
-    policy = _policy_from_args(args)
-    batch = policy.decide("grid", items=len(scenario_list), work=float(len(scenario_list)))
-    if batch.backend == "process" or args.cache_dir:
-        runner = GridRunner(policy=policy, cache_dir=args.cache_dir, progress=print)
-        results = runner.run(scenario_list)
-        for label, result in results:
-            _print_result_line(label, result)
-    else:
-        runner = ExperimentRunner(policy=policy)
-        results = []
-        for label, config in scenario_list:
-            result = runner.run(config)
-            results.append((label, result))
-            _print_result_line(label, result)
+    with _policy_from_args(args) as policy:
+        batch = policy.decide("grid", items=len(scenario_list))
+        if batch.backend == "process" or args.cache_dir:
+            runner = GridRunner(policy=policy, cache_dir=args.cache_dir, progress=print)
+            results = runner.run(scenario_list)
+            for label, result in results:
+                _print_result_line(label, result)
+        else:
+            runner = ExperimentRunner(policy=policy)
+            results = []
+            for label, config in scenario_list:
+                result = runner.run(config)
+                results.append((label, result))
+                _print_result_line(label, result)
     _save_if_requested(results, args.output)
     return 0
 
@@ -522,7 +522,8 @@ def _run_grid(args: argparse.Namespace) -> int:
     )
     exit_code = 0
     try:
-        results = runner.run(scenario_list)
+        with policy:
+            results = runner.run(scenario_list)
     except GridExecutionError as error:
         # GridBaselineError is a subclass: baseline-starved cells appear in
         # the failure list and completed siblings are still salvaged.

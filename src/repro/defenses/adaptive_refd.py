@@ -88,8 +88,8 @@ class AdaptiveRefd(Refd):
         images, _ = self._reference_arrays(context)
         # One batched inference pass observes the statistics — the context's
         # dispatch policy routes it exactly like plain REFD (pooled backends
-        # run the registered ``evaluate_update`` envelopes, serial falls
-        # back to the fused loop).
+        # map ``evaluate_update`` over the updates, serial runs the fused
+        # loop).
         # The balance and confidence values do not depend on α, so after
         # adapting it only the D-scores need recomputing — no second pass
         # over the reference set.

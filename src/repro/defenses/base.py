@@ -23,11 +23,11 @@ class Defense(ABC):
         the defense pass rate (DPR, Eq. 5) is well defined.  Statistical
         rules such as Median and Trimmed mean set this to ``False``.
 
-    Defenses with per-update or per-row-block hot paths never pick an
-    executor themselves: they hand the work to
+    Defenses with a per-update hot path (REFD's reference-set inference)
+    never pick an executor themselves: they hand the work to
     :meth:`repro.fl.dispatch_policy.DispatchPolicy.fanout` on
-    ``context.dispatch``, which owns backend selection, shared-memory
-    publication and the serial fallback.
+    ``context.dispatch``, which runs it on the policy's pool or declines so
+    the defense runs its own serial loop.
     """
 
     name: str = "defense"

@@ -9,9 +9,8 @@ per round.
 
 The pairwise geometry comes from the shared defense distance plane
 (:mod:`repro.defenses.distances`): the full float64 distance matrix is
-computed exactly once (the context's dispatch policy decides whether the
-row blocks run inline or fan out) and the iterative θ-selection rescores
-the shrinking candidate set by slicing that one matrix — O(θ·n²·log n) instead of the
+computed exactly once and the iterative θ-selection rescores the shrinking
+candidate set by slicing that one matrix — O(θ·n²·log n) instead of the
 O(θ·n²·dim) of recomputing Krum scores from the raw updates on every pick.
 """
 
@@ -100,7 +99,7 @@ class Bulyan(Defense):
 
         # One exact distance matrix for the whole selection; every pick
         # rescores the remaining candidates by slicing it.
-        distances = pairwise_sq_distances(matrix, dispatch=context.dispatch)
+        distances = pairwise_sq_distances(matrix)
         selected = iterative_krum_selection(distances, theta, f)
 
         selected_matrix = matrix[selected]

@@ -23,21 +23,16 @@ compute plane:
   computes the similarity Gram product per row block in float64 (cosine has
   no cancelling subtraction, but the float32 accumulation loses the
   near-duplicate structure FoolsGold keys on just the same).
-* Row blocks route through a
-  :class:`~repro.fl.dispatch_policy.DispatchPolicy` (``dispatch=``), which
-  decides serial vs pooled from the benchmark-calibrated cost model — at
-  the paper's 10-client scale the fan-out overhead loses to the serial
-  kernel, so the policy keeps row blocks inline there.  Pooled backends
-  whose fan-out pickles its work items receive the stacked matrix **once**
-  (``publish``) and each envelope carries only a
-  :class:`~repro.fl.executor.SharedArrayRef` plus row indices.  Bare calls
-  (``dispatch=None``) run the serial kernels directly.
+
+Both run inline in the calling process.  Fanning the row blocks out across
+a process pool was measured at 0.53–0.66× of this serial kernel at the
+paper's 10-client scale on two cores, so that path was removed.
 
 Determinism contract
 --------------------
 The per-pair reduction runs over fixed ``_DIM_CHUNK`` column chunks in a
-fixed order, independent of the row-block partition, so serial, thread and
-process backends — and any ``block_rows`` override — produce bitwise
+fixed order, independent of the row-block partition, so any ``block_rows``
+override — and any thread or process the call runs in — produces bitwise
 identical matrices for the same input.
 """
 
@@ -47,18 +42,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..fl.dispatch_policy import DispatchPolicy
-from ..fl.executor import (
-    SharedArrayRef,
-    register_fanout_fn,
-    resolve_shared_array,
-)
-
 __all__ = [
-    "DISTANCE_BLOCK_FANOUT",
-    "COSINE_BLOCK_FANOUT",
-    "distance_block",
-    "cosine_block",
     "pairwise_sq_distances",
     "pairwise_cosine_similarities",
 ]
@@ -74,20 +58,15 @@ _DIM_CHUNK = 1 << 16
 #: :func:`_exact_distance_block`, are both derived from it.
 _TARGET_BLOCK_ELEMENTS = 1 << 22
 
-#: Preferred number of row blocks per matrix, so a pooled executor has
-#: work to overlap even for the paper's 10-client rounds.
+#: Preferred number of row blocks per matrix, which keeps each float64
+#: temporary to about a quarter of the full plane even for the paper's
+#: 10-client rounds.
 _TARGET_BLOCKS = 4
-
-#: Registered fan-out names (``module:label`` so worker processes resolve
-#: them by importing this module on demand).
-DISTANCE_BLOCK_FANOUT = "repro.defenses.distances:distance_block"
-COSINE_BLOCK_FANOUT = "repro.defenses.distances:cosine_block"
 
 
 def _default_block_rows(n: int, dim: int) -> int:
     """Rows per block: bounded by the temp-memory budget and spread over
-    ``_TARGET_BLOCKS`` blocks so pooled backends overlap; pure function of
-    the matrix shape, hence identical in the parent and every worker."""
+    ``_TARGET_BLOCKS`` blocks; a pure function of the matrix shape."""
     budget = _TARGET_BLOCK_ELEMENTS // max(1, n * min(dim, _DIM_CHUNK))
     spread = -(-n // _TARGET_BLOCKS)  # ceil(n / _TARGET_BLOCKS)
     return max(1, min(max(1, budget), spread))
@@ -126,97 +105,37 @@ def _exact_distance_block(block: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resolve_matrix(matrix) -> np.ndarray:
-    if isinstance(matrix, SharedArrayRef):
-        return resolve_shared_array(matrix)
-    return matrix
+def _cosine_block(block: np.ndarray, normalized: np.ndarray) -> np.ndarray:
+    """Cosine similarities from ``block`` rows to every ``normalized`` row.
 
-
-def _payload_block(payload) -> Tuple[np.ndarray, np.ndarray]:
-    """Resolve a ``(matrix, start, stop)`` fan-out payload to
-    ``(left_block, matrix)``.
-
-    ``matrix`` is either the in-process array or a
-    :class:`~repro.fl.executor.SharedArrayRef` into the executor's
-    published store.
-    """
-    matrix, start, stop = payload
-    matrix = _resolve_matrix(matrix)
-    return matrix[start:stop], matrix
-
-
-def distance_block(payload) -> np.ndarray:
-    """One ``(rows, n)`` tile of the squared-distance matrix (fan-out unit).
-
-    See :func:`_payload_block` for the payload form; pure function of the
-    payload, bit-identical to the serial path.
-    """
-    block, matrix = _payload_block(payload)
-    return _exact_distance_block(block, matrix)
-
-
-def cosine_block(payload) -> np.ndarray:
-    """One ``(rows, n)`` tile of the cosine-similarity matrix (fan-out unit).
-
-    The payload carries the float64 row-normalized matrix — the parent
-    normalizes once, so every block is a plain float64 inner-product tile.
+    Both operands are the float64 row-normalized matrix (the caller
+    normalizes once), so every block is a plain float64 inner-product tile.
     The reduction runs through ``np.einsum`` (not BLAS) so each pair's
     accumulation order depends only on ``dim``, keeping the result bitwise
     independent of the row blocking — the same contract as
-    :func:`distance_block`.
+    :func:`_exact_distance_block`.
     """
-    block, normalized = _payload_block(payload)
-    # repro: allow[DT001] the payload contract ships float64 row-normalized
-    # operands (asserted by the parent's cast above), invisible to the tracer
+    # repro: allow[DT001] both operands are the caller's float64
+    # row-normalized matrix, invisible to the tracer
     return np.einsum("bd,nd->bn", block, normalized)
 
 
-register_fanout_fn(DISTANCE_BLOCK_FANOUT, distance_block)
-register_fanout_fn(COSINE_BLOCK_FANOUT, cosine_block)
-
-
 def _pairwise_matrix(
-    dispatch,
-    name: str,
-    kernel: Callable,
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     source: np.ndarray,
-    n: int,
-    dim: int,
     rows_per_block: int,
 ) -> np.ndarray:
-    """Assemble the full ``(n, n)`` matrix from row-block tiles.
-
-    With no policy the tiles run inline; otherwise they go through
-    ``dispatch.fanout`` (site ``"distance"``), which handles all backend
-    gating: serial decisions (and capability fallbacks) run ``kernel``
-    in-process, pickling backends get the matrix published once and the
-    payloads rebuilt over the shared ref.
-    """
-    blocks = _row_blocks(n, rows_per_block)
-
-    def build(payload_matrix):
-        return [(payload_matrix, start, stop) for start, stop in blocks]
-
-    if dispatch is None:
-        tiles = [kernel(payload) for payload in build(source)]
-    else:
-        tiles = DispatchPolicy.coerce(dispatch).fanout(
-            "distance",
-            name,
-            build(source),
-            work=float(n) * float(n) * float(max(1, dim)),
-            kernel=kernel,
-            payload_by_ref=False,
-            publish={"matrix": source},
-            payloads_from_refs=lambda refs: build(refs["matrix"]),
-        )
+    """Assemble the full ``(n, n)`` matrix from row-block tiles of ``kernel``."""
+    tiles = [
+        kernel(source[start:stop], source)
+        for start, stop in _row_blocks(source.shape[0], rows_per_block)
+    ]
     return np.concatenate(tiles, axis=0)
 
 
 def pairwise_sq_distances(
     matrix: np.ndarray,
     block_rows: Optional[int] = None,
-    dispatch=None,
 ) -> np.ndarray:
     """Exact float64 ``(n, n)`` squared L2 distance matrix of ``matrix`` rows.
 
@@ -228,10 +147,6 @@ def pairwise_sq_distances(
         Rows per block (default: derived from the shape).  The result is
         bitwise independent of this value; it only exists for tests and
         tuning.
-    dispatch:
-        A :class:`~repro.fl.dispatch_policy.DispatchPolicy` (or spec string)
-        deciding serial vs pooled per call.  ``None`` runs the serial
-        kernels directly.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
@@ -240,29 +155,19 @@ def pairwise_sq_distances(
     if n == 0:
         return np.zeros((0, 0), dtype=np.float64)
     rows = block_rows if block_rows is not None else _default_block_rows(n, dim)
-    return _pairwise_matrix(
-        dispatch,
-        DISTANCE_BLOCK_FANOUT,
-        distance_block,
-        matrix,
-        n,
-        dim,
-        max(1, int(rows)),
-    )
+    return _pairwise_matrix(_exact_distance_block, matrix, max(1, int(rows)))
 
 
 def pairwise_cosine_similarities(
     matrix: np.ndarray,
     epsilon: float = 0.0,
     block_rows: Optional[int] = None,
-    dispatch=None,
 ) -> np.ndarray:
     """Float64 ``(n, n)`` cosine-similarity matrix of ``matrix`` rows.
 
     Rows are normalized once in float64 (``‖x‖ + epsilon`` in the
     denominator, matching FoolsGold's guard against zero histories); the
-    Gram product then runs per row block on the same dispatch plane as
-    :func:`pairwise_sq_distances`.
+    Gram product then runs per row block like :func:`pairwise_sq_distances`.
     """
     matrix64 = np.asarray(matrix, dtype=np.float64)
     if matrix64.ndim != 2:
@@ -273,12 +178,4 @@ def pairwise_cosine_similarities(
     norms = np.sqrt(np.einsum("nd,nd->n", matrix64, matrix64)) + epsilon
     normalized = matrix64 / norms[:, None]
     rows = block_rows if block_rows is not None else _default_block_rows(n, dim)
-    return _pairwise_matrix(
-        dispatch,
-        COSINE_BLOCK_FANOUT,
-        cosine_block,
-        normalized,
-        n,
-        dim,
-        max(1, int(rows)),
-    )
+    return _pairwise_matrix(_cosine_block, normalized, max(1, int(rows)))

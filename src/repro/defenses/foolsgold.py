@@ -8,9 +8,8 @@ defense; the main evaluation uses mKrum, Bulyan, Median and Trimmed mean.
 
 The similarity matrix comes from the shared defense distance plane
 (:mod:`repro.defenses.distances`): rows are normalized once in float64 and
-the Gram product runs per row block, routed inline or across a pooled
-backend by the context's dispatch policy exactly like the Krum-family
-distance matrices.
+the Gram product runs per row block, exactly like the Krum-family distance
+matrices.
 """
 
 from __future__ import annotations
@@ -87,9 +86,7 @@ class FoolsGold(Defense):
             self._history[update.client_id] = delta if previous is None else previous + delta
 
         histories = np.stack([self._history[update.client_id] for update in updates], axis=0)
-        similarity = pairwise_cosine_similarities(
-            histories, epsilon=self.epsilon, dispatch=context.dispatch
-        )
+        similarity = pairwise_cosine_similarities(histories, epsilon=self.epsilon)
         # Pardoning rescale (cs_ij *= maxcs_i / maxcs_j when maxcs_j is the
         # larger), then the per-client maximum drives the re-weighting.
         pardoned = pardoned_similarities(similarity)

@@ -10,9 +10,7 @@ The pairwise geometry comes from the shared defense distance plane
 instead of the old in-dtype Gram trick ``‖x‖²+‖y‖²−2x·y``, which
 catastrophically cancelled for near-duplicate float32 updates
 (eps32 · ‖x‖² ≫ the true inter-update distance once training converges) and
-scrambled which client Krum accepts.  The context's
-:class:`~repro.fl.dispatch_policy.DispatchPolicy` decides whether the
-distance row blocks run inline or fan out across a pooled backend.
+scrambled which client Krum accepts.
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ def krum_scores(
     matrix: np.ndarray,
     num_malicious: int,
     distances: Optional[np.ndarray] = None,
-    dispatch=None,
 ) -> np.ndarray:
     """Krum score of each row of ``matrix`` (lower is more trustworthy).
 
@@ -86,12 +83,9 @@ def krum_scores(
         Optional precomputed squared-distance matrix (skips the pairwise
         computation — Bulyan's iterative selection reuses one matrix for
         every pick).
-    dispatch:
-        Optional :class:`~repro.fl.dispatch_policy.DispatchPolicy` (or spec
-        string) governing the distance-plane fan-out.
     """
     if distances is None:
-        distances = pairwise_sq_distances(matrix, dispatch=dispatch)
+        distances = pairwise_sq_distances(matrix)
     return krum_scores_from_distances(distances, num_malicious)
 
 
@@ -128,7 +122,7 @@ class Krum(Defense):
     ) -> AggregationResult:
         self._validate(updates)
         matrix = stack_updates(updates)
-        distances = pairwise_sq_distances(matrix, dispatch=context.dispatch)
+        distances = pairwise_sq_distances(matrix)
         scores = krum_scores_from_distances(distances, context.expected_num_malicious)
         best = int(np.argmin(scores))
         accepted = [updates[best].client_id]
@@ -160,7 +154,7 @@ class MultiKrum(Defense):
         n = matrix.shape[0]
         m = self.num_selected if self.num_selected is not None else n - context.expected_num_malicious
         m = int(np.clip(m, 1, n))
-        distances = pairwise_sq_distances(matrix, dispatch=context.dispatch)
+        distances = pairwise_sq_distances(matrix)
         scores = krum_scores_from_distances(distances, context.expected_num_malicious)
         chosen = np.argsort(scores)[:m]
         accepted_updates = [updates[i] for i in chosen]

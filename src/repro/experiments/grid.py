@@ -301,7 +301,7 @@ class GridRunner:
     ----------
     policy:
         A :class:`~repro.fl.dispatch_policy.DispatchPolicy` (or spec string
-        such as ``"process:4"`` / ``"adaptive"``) governing the batch-level
+        such as ``"process:4"``) governing the batch-level
         ``"grid"`` dispatch site: before executing pending cells the runner
         asks the policy whether to fan them out across worker processes and
         with how many workers; a serial decision runs everything in the
@@ -881,9 +881,7 @@ class GridRunner:
             # One batch-level dispatch decision for the whole set of pending
             # cells: the "grid" site picks process fan-out (and the worker
             # count) or the in-process serial path.
-            decision = self.dispatch.decide(
-                "grid", items=len(remaining), work=float(len(remaining))
-            )
+            decision = self.dispatch.decide("grid", items=len(remaining))
             self.workers = (
                 decision.workers if decision.backend == "process" else 1
             )

@@ -68,7 +68,8 @@ def build_simulation(
 
     ``policy`` selects the dispatch backend for the simulation's hot paths
     (see :class:`~repro.fl.dispatch_policy.DispatchPolicy`); it accepts a
-    policy object or a spec string (``"adaptive"``, ``"process:2"``).  When
+    policy object, which the caller keeps and closes, or a spec string
+    (``"process:2"``), which the simulation parses and closes.  When
     omitted, ``config.dispatch`` (a spec string) is used if set.  The model
     factory is a picklable :class:`~repro.models.ClassifierFactory`, so the
     ``"process"`` backend works out of the box.  ``task`` injects a pre-built
@@ -82,7 +83,7 @@ def build_simulation(
     ``dispatch``, it never enters the config's cache identity.
     """
     if policy is None and config.dispatch:
-        policy = DispatchPolicy.parse(config.dispatch)
+        policy = config.dispatch
     if task is None:
         from .dispatch import load_task_for  # local import: dispatch pulls in shm machinery
 
@@ -244,15 +245,14 @@ class ExperimentRunner:
         """Run a list of experiments, optionally across worker processes.
 
         ``policy`` governs the batch-level (``"grid"`` site) dispatch: a
-        fixed ``"process"`` policy or an adaptive policy whose cost model
-        picks ``"process"`` for the batch routes it through
-        :class:`~repro.experiments.grid.GridRunner` (scenario-level
+        ``"process"`` policy with two or more workers routes the batch
+        through :class:`~repro.experiments.grid.GridRunner` (scenario-level
         parallelism); anything else runs the batch serially through
         :meth:`run`.  Results come back in input order
         and are merged into this runner's in-memory cache afterwards.
         """
         policy = DispatchPolicy.coerce(policy)
-        decision = policy.decide("grid", items=len(configs), work=float(len(configs)))
+        decision = policy.decide("grid", items=len(configs))
         if decision.backend != "process" or (decision.workers or 1) <= 1:
             return [self.run(config) for config in configs]
         from .grid import GridRunner  # local import: grid depends on this module

@@ -2,12 +2,7 @@
 
 from .aggregation import fedavg, stack_updates, unweighted_average
 from .client import BenignClient
-from .dispatch_policy import (
-    BenchRecord,
-    CostModel,
-    DispatchDecision,
-    DispatchPolicy,
-)
+from .dispatch_policy import DispatchDecision, DispatchPolicy
 from .executor import (
     ClientExecutor,
     ClientTask,
@@ -43,8 +38,6 @@ __all__ = [
     "unweighted_average",
     "stack_updates",
     "BenignClient",
-    "BenchRecord",
-    "CostModel",
     "DispatchDecision",
     "DispatchPolicy",
     "ClientExecutor",

@@ -32,20 +32,16 @@ when the next round publishes under a new name, while *persistent* segments
 serial and thread backends keep inline arrays — they already share the
 parent's address space, so there is nothing to ship.
 
-Named fan-out registry
-----------------------
-Closures do not pickle, so a process pool cannot run arbitrary callables.
-:func:`register_fanout_fn` maintains a module-level registry of named,
-picklable work functions; callers pass the *name* to
-:meth:`ClientExecutor.map_fn` and the process backend ships tiny
-:class:`FanoutCall` envelopes to its workers, which resolve the name in
-their own registry (importing ``"package.module:fn"``-style names on
-demand).  REFD's per-update D-score inference fans out this way
-(:mod:`repro.defenses.refd`), as do the Krum/Bulyan/FoolsGold distance and
-cosine row blocks of the defense distance plane
-(:mod:`repro.defenses.distances`), whose stacked update matrix is published
-once per call through :meth:`ClientExecutor.publish_arrays` instead of
-being pickled into every envelope.
+Generic fan-out
+---------------
+:meth:`ClientExecutor.map_fn` maps a module-level work function over a list
+of payloads, preserving order.  The process backend hands the function to
+its pool as is: pickle ships a module-level function by its qualified name,
+so a worker imports the defining module and calls the same code.  Closures
+and lambdas do not pickle and cannot run there.  REFD's per-update D-score
+inference (:func:`repro.defenses.refd.evaluate_update`) fans out this way,
+with the reference images read from the simulation's shard store instead of
+being pickled into every payload.
 
 Determinism contract
 --------------------
@@ -56,8 +52,8 @@ serialized state, trains, and ships the *advanced* state back so the owning
 would have.  Given the same seed, :class:`SerialExecutor`,
 :class:`ThreadedExecutor` and :class:`ParallelExecutor` therefore yield
 bit-identical :class:`~repro.fl.types.ModelUpdate` sequences — the
-shared-memory paths ship the same bytes as the inline paths, and registered
-fan-out functions are pure functions of their payloads.
+shared-memory paths ship the same bytes as the inline paths, and fan-out
+work functions are pure functions of their payloads.
 
 Picklability
 ------------
@@ -72,7 +68,6 @@ dataclass) when running with processes.  The experiment layer
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -88,7 +83,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -112,11 +106,6 @@ __all__ = [
     "SharedParamsLease",
     "attach_array_store",
     "resolve_shared_array",
-    "FanoutCall",
-    "register_fanout_fn",
-    "resolve_fanout_fn",
-    "run_fanout_call",
-    "pooled_fanout_ready",
     "run_client_task",
     "ClientExecutor",
     "SerialExecutor",
@@ -407,76 +396,6 @@ def _attach_shared_params(ref: SharedParamsRef) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Named fan-out registry
-# ----------------------------------------------------------------------
-_FANOUT_REGISTRY: Dict[str, Callable] = {}
-
-
-def register_fanout_fn(name: str, fn: Callable) -> Callable:
-    """Register a named, picklable work function for executor fan-out.
-
-    Use ``"package.module:label"`` names so worker processes that have not
-    imported the defining module yet can resolve the name by importing it
-    (:func:`resolve_fanout_fn` does this automatically).  Re-registering the
-    same function under the same name is a no-op (identity or qualified
-    name — the same module imported under two paths registers equal
-    functions); registering a genuinely *different* function under a taken
-    name raises.
-    """
-    existing = _FANOUT_REGISTRY.get(name)
-    if existing is not None and existing is not fn:
-        if getattr(existing, "__qualname__", None) != getattr(fn, "__qualname__", ""):
-            raise ValueError(f"fan-out name '{name}' is already registered")
-        return existing
-    _FANOUT_REGISTRY[name] = fn
-    return fn
-
-
-def resolve_fanout_fn(name: str) -> Callable:
-    """Look up a registered fan-out function, importing its module on demand."""
-    fn = _FANOUT_REGISTRY.get(name)
-    if fn is None and ":" in name:
-        try:
-            importlib.import_module(name.split(":", 1)[0])
-        except ImportError:
-            pass  # fall through to the KeyError below
-        fn = _FANOUT_REGISTRY.get(name)
-    if fn is None:
-        raise KeyError(f"no fan-out function registered under '{name}'")
-    return fn
-
-
-@dataclass(frozen=True)
-class FanoutCall:
-    """Picklable envelope shipping one registered-function call to a worker."""
-
-    name: str
-    payload: object
-
-
-def run_fanout_call(call: FanoutCall):
-    """Execute one envelope: resolve the name and apply it to the payload."""
-    return resolve_fanout_fn(call.name)(call.payload)
-
-
-def pooled_fanout_ready(executor, payload_by_ref: bool = True) -> bool:
-    """Whether defense-side work should hand a batch to ``executor.map_fn``.
-
-    ``payload_by_ref`` states whether the caller can ship its large shared
-    payloads by shared-memory reference: backends whose fan-out *pickles*
-    its work items (:attr:`ClientExecutor.fanout_requires_pickling`) are
-    only worth using when that hand-off is possible — inlining a large
-    array into every envelope re-ships it once per item, which a fused
-    serial loop beats.
-    """
-    if executor is None or not getattr(executor, "supports_generic_fanout", False):
-        return False
-    if getattr(executor, "fanout_requires_pickling", False) and not payload_by_ref:
-        return False
-    return True
-
-
-# ----------------------------------------------------------------------
 # Fault directives (the worker-side half of the fault-injection plane)
 # ----------------------------------------------------------------------
 class InjectedWorkerCrash(RuntimeError):
@@ -620,18 +539,9 @@ class ClientExecutor:
     """Strategy interface: run a batch of client tasks, preserving order."""
 
     name = "base"
-    supports_generic_fanout = False
-    """Whether :meth:`map_fn` actually runs items concurrently.  Consumers
-    with a cheaper serial fast path (REFD's fused scoring loop) only hand
-    work to the executor when this is set."""
     supports_shard_store = False
     """Whether the backend benefits from the once-per-simulation shard store
     (only process pools do — threads already share the address space)."""
-    fanout_requires_pickling = False
-    """Whether :meth:`map_fn` serializes each work item to reach its workers.
-    Consumers with large shared payloads (REFD's reference images) only fan
-    out across such a backend when they can pass those payloads by
-    shared-memory reference instead of inlining them into every item."""
 
     def map(self, tasks: Sequence[ClientTask]) -> List[ClientTaskResult]:
         """Run every task and return results in the same order as ``tasks``."""
@@ -660,32 +570,16 @@ class ClientExecutor:
                 outcomes.append(TaskOutcome(index=index, error=err))
         return outcomes
 
-    def map_fn(self, fn: Union[str, Callable], items: Iterable) -> List:
+    def map_fn(self, fn: Callable, items: Iterable) -> List:
         """Generic order-preserving fan-out for non-task work.
 
-        ``fn`` is either a callable or the *name* of a function registered
-        with :func:`register_fanout_fn`.  Defense-side per-update work
-        (REFD scoring) uses this to reuse the round's worker pool.  The base
-        implementation runs serially; :class:`ThreadedExecutor` overlaps
-        numpy-heavy callables on its thread pool; :class:`ParallelExecutor`
-        ships *registered names* to its process pool (bare callables fall
-        back to serial there, because closures do not pickle).
+        ``fn`` must be a module-level function so the process backend can
+        pickle it by name.  Defense-side per-update work (REFD scoring) uses
+        this to reuse the round's worker pool.  The base implementation runs
+        serially; :class:`ThreadedExecutor` overlaps numpy-heavy calls on its
+        thread pool; :class:`ParallelExecutor` runs them on its process pool.
         """
-        if isinstance(fn, str):
-            fn = resolve_fanout_fn(fn)
         return [fn(item) for item in items]
-
-    def publish_arrays(self, arrays: Mapping[str, np.ndarray]) -> Optional[SharedArrayStore]:
-        """Publish arrays for by-reference fan-out payloads, when worthwhile.
-
-        Returns a live :class:`SharedArrayStore` (caller owns it and must
-        :meth:`~SharedArrayStore.close` it once the fan-out completes) or
-        ``None`` on backends that share the parent's address space — there
-        is nothing to ship, callers just put the array into the payload.
-        The defense distance plane uses this to ship the round's stacked
-        update matrix once instead of once per row block.
-        """
-        return None
 
     def counter_snapshot(self) -> Dict[str, int]:
         """This executor's observability counters (empty for stateless
@@ -722,7 +616,6 @@ class ThreadedExecutor(ClientExecutor):
     """
 
     name = "thread"
-    supports_generic_fanout = True
 
     def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = workers or default_worker_count()
@@ -759,9 +652,7 @@ class ThreadedExecutor(ClientExecutor):
                 outcomes.append(TaskOutcome(index=index, error=err))
         return outcomes
 
-    def map_fn(self, fn: Union[str, Callable], items: Iterable) -> List:
-        if isinstance(fn, str):
-            fn = resolve_fanout_fn(fn)
+    def map_fn(self, fn: Callable, items: Iterable) -> List:
         return list(self._ensure_pool().map(fn, items))
 
     def close(self) -> None:
@@ -786,17 +677,14 @@ class ParallelExecutor(ClientExecutor):
       once per simulation in a :class:`SharedArrayStore` and tasks carry
       only a :class:`ShardRef` (see
       :attr:`~ClientExecutor.supports_shard_store`);
-    * :meth:`map_fn` ships registered fan-out names to the same pool
-      (:attr:`~ClientExecutor.supports_generic_fanout`), which is how REFD
-      D-score inference runs across processes.
+    * :meth:`map_fn` runs module-level work functions on the same pool,
+      which is how REFD D-score inference runs across processes.
 
     Set it to ``False`` to force inline payloads (e.g. on platforms without
     POSIX shared memory).
     """
 
     name = "process"
-    supports_generic_fanout = True
-    fanout_requires_pickling = True
 
     def __init__(
         self, workers: Optional[int] = None, use_shared_memory: bool = True
@@ -809,11 +697,7 @@ class ParallelExecutor(ClientExecutor):
         """Number of rounds whose tasks carried shard-store refs instead of
         inline image/label arrays."""
         self.fanout_calls = 0
-        """Number of registered-name work items shipped through :meth:`map_fn`."""
-        self.published_stores = 0
-        """Number of per-call array publications served to defense-side
-        fan-out through :meth:`publish_arrays` (e.g. distance-plane update
-        matrices)."""
+        """Number of work items shipped to the pool through :meth:`map_fn`."""
         self.pool_rebuilds = 0
         """Number of times a broken or deadline-cut pool was torn down and
         replaced mid-simulation."""
@@ -971,34 +855,17 @@ class ParallelExecutor(ClientExecutor):
             self.shard_rounds += 1
         return outcomes
 
-    def map_fn(self, fn: Union[str, Callable], items: Iterable) -> List:
+    def map_fn(self, fn: Callable, items: Iterable) -> List:
         items = list(items)
-        if not isinstance(fn, str):
-            # Bare callables (closures) do not pickle; run them serially
-            # rather than failing.  Register a named function to fan out.
-            return [fn(item) for item in items]
-        resolve_fanout_fn(fn)  # fail fast in the parent on unknown names
-        calls = [FanoutCall(name=fn, payload=item) for item in items]
-        results = list(self._ensure_pool().map(run_fanout_call, calls))
-        self.fanout_calls += len(calls)
+        results = list(self._ensure_pool().map(fn, items))
+        self.fanout_calls += len(items)
         return results
-
-    def publish_arrays(self, arrays: Mapping[str, np.ndarray]) -> Optional[SharedArrayStore]:
-        if not self.use_shared_memory:
-            return None
-        try:
-            store = SharedArrayStore(arrays, persistent=False)
-        except (ImportError, OSError):  # pragma: no cover - no POSIX shm
-            return None
-        self.published_stores += 1
-        return store
 
     def counter_snapshot(self) -> Dict[str, int]:
         return {
             "shm_rounds": self.shm_rounds,
             "shard_rounds": self.shard_rounds,
             "fanout_calls": self.fanout_calls,
-            "published_stores": self.published_stores,
             "pool_rebuilds": self.pool_rebuilds,
         }
 

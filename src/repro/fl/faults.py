@@ -1,7 +1,7 @@
 """Deterministic fault injection and fault-tolerant round execution.
 
 The execution plane built so far (process fan-out, shm data plane,
-claim-lease grid sharding, adaptive dispatch) is fast but brittle: a worker
+claim-lease grid sharding) is fast but brittle: a worker
 crash mid-round kills the whole simulation and a hung client stalls a round
 forever.  This module supplies both halves of the fix:
 

@@ -87,24 +87,21 @@ class FederatedSimulation:
         avoid leakage).  Only relevant when the defense needs it.
     policy:
         The :class:`~repro.fl.dispatch_policy.DispatchPolicy` routing the
-        round's client fan-out and the defenses' per-update / row-block
-        work — ``DispatchPolicy.serial()`` (``None``, the default),
-        ``DispatchPolicy.fixed("process", workers=4)``,
-        ``DispatchPolicy.adaptive()`` (benchmark-calibrated per-call
-        decisions), or a spec string like ``"process:4"``.  All backends
-        are bit-identical for a given seed; process backends additionally
-        require ``model_factory`` to be picklable (e.g.
-        :class:`repro.models.ClassifierFactory`).  When the planned round
-        backend is a shared-memory process pool, the simulation publishes
-        every benign client's round-invariant data shard (and the defense's
-        reference arrays) in a once-per-simulation shared-memory
+        round's client fan-out and REFD's per-update inference —
+        ``None`` (serial, the default), a spec string like ``"process:4"``,
+        or a policy object such as ``DispatchPolicy.fixed("process",
+        workers=4)``.  A policy built here from ``None`` or a string is
+        closed by :meth:`close`; a policy object stays owned by the caller,
+        who may share it (and its worker pool) across simulations and
+        closes it when done.  All backends are bit-identical for a given
+        seed; process backends additionally require ``model_factory`` to be
+        picklable (e.g. :class:`repro.models.ClassifierFactory`).  When the
+        round backend is a shared-memory process pool, the simulation
+        publishes every benign client's round-invariant data shard (and the
+        defense's reference arrays) in a once-per-simulation shared-memory
         :class:`~repro.fl.executor.SharedArrayStore`, so per-round task
-        payloads stay tiny.  Defense matrices that change every round (the
-        distance plane's stacked update matrix, REFD's parameter vectors)
-        are not stored here: the executor publishes them per call through
-        :meth:`~repro.fl.executor.ClientExecutor.publish_arrays` and the
-        per-round parameter lease, so the store holds only round-invariant
-        data.
+        payloads stay tiny; the global parameters travel through the
+        executor's per-round parameter lease.
     resilience:
         Optional :class:`~repro.fl.faults.ResilienceConfig` enabling the
         fault-tolerant round loop: per-task retries with backoff, a round
@@ -150,22 +147,9 @@ class FederatedSimulation:
         self.training_config = training_config or LocalTrainingConfig()
         self.selector = selector or UniformSelector()
         self.eval_batch_size = eval_batch_size
+        self._owns_dispatch = not isinstance(policy, DispatchPolicy)
         self.dispatch: DispatchPolicy = DispatchPolicy.coerce(policy)
-        # Plan the round backend up front: the shard store only pays for
-        # itself when rounds actually reach a shared-memory process pool.
-        # Adaptive mode needs the problem size, so probe the model dimension
-        # once; per-round calls re-decide with the actual task geometry.
-        plan_work = None
-        if self.dispatch.is_adaptive:
-            from ..nn.serialization import get_flat_params
-
-            plan_work = float(clients_per_round) * float(
-                get_flat_params(model_factory()).size
-            )
-        round_plan = self.dispatch.decide(
-            "round", items=clients_per_round, work=plan_work
-        )
-        self.executor: ClientExecutor = self.dispatch.executor_for(round_plan)
+        self.executor: ClientExecutor = self.dispatch.executor
         self._rng = np.random.default_rng(seed)
         self.resilience = resilience
         self.fault_stats = FaultStats()
@@ -176,18 +160,18 @@ class FederatedSimulation:
         # must never perturb the science RNGs.
         self._retry_rng = np.random.default_rng((seed + 1) * 7919)
 
-        # Resolve trace="auto" through the policy's train site before the
-        # clients capture their config: an average shard yields
-        # ~train_size/num_clients samples, so that is the optimizer-step
-        # count the record-vs-replay trade is priced at.  Both engines are
-        # bit-identical, so this only moves wall-clock time.
+        # Resolve trace="auto" before the clients capture their config: an
+        # average shard yields ~train_size/num_clients samples, and replay
+        # pays only when recording can amortise over two or more optimizer
+        # steps.  Both engines are bit-identical, so this only moves
+        # wall-clock time.
         if getattr(self.training_config, "trace", "auto") == "auto":
             samples_per_client = max(1, len(task.train) // num_clients)
             steps = self.training_config.local_epochs * max(
                 1, -(-samples_per_client // self.training_config.batch_size)
             )
             self.training_config = replace(
-                self.training_config, trace=self.dispatch.training_mode(steps)
+                self.training_config, trace="replay" if steps >= 2 else "eager"
             )
 
         self._partition_clients(seed)
@@ -504,8 +488,10 @@ class FederatedSimulation:
                 hook(payload)
 
     def close(self) -> None:
-        """Release pooled executor workers and the shared-memory shard store."""
-        self.dispatch.close()
+        """Release the shared-memory shard store, and the policy's workers
+        when the simulation built the policy itself."""
+        if self._owns_dispatch:
+            self.dispatch.close()
         if self._shard_store is not None:
             self._shard_store.close()
             self._shard_store = None

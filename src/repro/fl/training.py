@@ -35,7 +35,7 @@ def train_on_arrays(
         their distance-based regularization term.
 
     When ``config.trace`` is ``"replay"`` (or ``"auto"``, which resolves
-    to replay here when a :class:`DispatchPolicy` has not already decided)
+    to replay here unless the simulation has already picked an engine)
     and the model declares a ``trace_signature``, each distinct batch
     shape runs through the recorded-tape engine of :mod:`repro.nn.trace`:
     the first step records (eagerly — so it is also a normal step) and

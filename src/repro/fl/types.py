@@ -41,8 +41,10 @@ class LocalTrainingConfig:
     each ``(model, input-shape, dtype)`` signature once and replays the
     buffer-planned tape (bit-identical to eager; falls back per signature
     when a model is untraceable), ``"eager"`` forces the per-op closure
-    engine, and ``"auto"`` lets :class:`DispatchPolicy`'s ``train`` site
-    decide from the benchmark ledger.
+    engine, and ``"auto"`` lets the simulation pick replay when a client's
+    local training takes two or more optimizer steps (recording cannot
+    amortise over one) and eager otherwise.  Pin an engine by setting
+    ``"replay"`` or ``"eager"`` here.
     """
 
     local_epochs: int = 1
@@ -120,12 +122,11 @@ class DefenseContext:
 
     ``dispatch`` is the simulation's
     :class:`~repro.fl.dispatch_policy.DispatchPolicy` (``None`` runs
-    everything inline).  Defenses with per-update or per-row-block work —
-    REFD's D-score inference and the Krum/Bulyan/FoolsGold distance plane
-    (:mod:`repro.defenses.distances`) — hand it to
-    :meth:`~repro.fl.dispatch_policy.DispatchPolicy.fanout`, which picks
-    the backend, publishes round-sized arrays to shared memory for process
-    workers and falls back to the serial kernel.
+    everything inline).  REFD hands its per-update D-score inference to
+    :meth:`~repro.fl.dispatch_policy.DispatchPolicy.fanout`, which runs it
+    on the policy's pool or declines so REFD runs its fused serial loop.
+    The Krum/Bulyan/FoolsGold distance plane
+    (:mod:`repro.defenses.distances`) always runs inline.
 
     ``reference_ref`` is the shared-memory publication of the reference
     dataset's ``(images, labels)`` arrays (a

@@ -99,9 +99,10 @@ OP_REGISTRY: Dict[str, OpSpec] = {}
 def register_trace_op(name: str, forward: Callable, vjp: Callable) -> None:
     """Register the forward/VJP kernel builders for op ``name``.
 
-    Must be called at module import time with module-level functions
-    (mirroring the fan-out registry contract) — the ``TR001``/``TR002``
-    lint rules enforce both properties statically.
+    Must be called at module import time with module-level functions, so
+    a worker process that imports the defining module rebuilds the same
+    registry — the ``TR001``/``TR002`` lint rules enforce both properties
+    statically.
     """
     OP_REGISTRY[name] = OpSpec(name, forward, vjp)
 

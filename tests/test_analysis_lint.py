@@ -429,78 +429,6 @@ class TestDtypeRules:
 
 
 # ----------------------------------------------------------------------
-# Fan-out purity
-# ----------------------------------------------------------------------
-class TestFanoutRules:
-    def test_fo001_lambda_and_bound_method_targets(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "src/repro/fl/myfan.py",
-            """\
-            from repro.fl.executor import register_fanout_fn
-
-            class Kernel:
-                def run(self, p):
-                    return p
-
-            kernel = Kernel()
-            register_fanout_fn("repro.fl.myfan:lam", lambda p: p)
-            register_fanout_fn("repro.fl.myfan:bound", kernel.run)
-            """,
-        )
-        assert lines_of(report, "FO001") == [8, 9]
-
-    def test_fo002_registration_inside_a_function(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "src/repro/fl/myfan.py",
-            """\
-            from repro.fl.executor import register_fanout_fn
-
-            def work(p):
-                return p
-
-            def setup():
-                register_fanout_fn("repro.fl.myfan:late", work)
-            """,
-        )
-        assert lines_of(report, "FO002") == [7]
-
-    def test_fo003_name_must_match_defining_module(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "src/repro/fl/myfan.py",
-            """\
-            from repro.fl.executor import register_fanout_fn
-
-            def work(p):
-                return p
-
-            register_fanout_fn("repro.fl.other:work", work)
-            register_fanout_fn("nocolon", work)
-            """,
-        )
-        assert lines_of(report, "FO003") == [6, 7]
-
-    def test_clean_module_level_registration(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "src/repro/fl/myfan.py",
-            """\
-            from repro.fl.executor import register_fanout_fn
-
-            WORK_FANOUT = "repro.fl.myfan:work"
-
-            def work(p):
-                return p
-
-            register_fanout_fn(WORK_FANOUT, work)
-            """,
-        )
-        assert report.ok
-
-
-# ----------------------------------------------------------------------
 # Shared-memory lifecycle
 # ----------------------------------------------------------------------
 class TestShmRule:

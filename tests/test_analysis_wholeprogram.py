@@ -445,29 +445,6 @@ class TestMut002:
 
 
 class TestMut003:
-    def test_registered_fanout_kernel_mutating_input_flagged(self, tmp_path):
-        report = wp_lint(
-            tmp_path,
-            {
-                "src/repro/fl/__init__.py": "",
-                "src/repro/fl/kern.py": """\
-                    from repro.fl.executor import register_fanout_fn
-
-                    def block_stat(block, out):
-                        block -= block.mean()
-                        out[:] = block
-                        return out
-
-                    register_fanout_fn("repro.fl.kern:block_stat", block_stat)
-                    """,
-            },
-        )
-        # only the *input* write is a finding; ``out`` is the kernel's
-        # designated output buffer
-        assert lines_of(report, "MUT003") == [4]
-        (finding,) = findings_of(report, "MUT003")
-        assert "'block'" in finding.message
-
     def test_registered_trace_kernel_mutating_input_flagged(self, tmp_path):
         report = wp_lint(
             tmp_path,
@@ -488,21 +465,27 @@ class TestMut003:
             },
         )
         assert lines_of(report, "MUT003") == [4]
+        (finding,) = findings_of(report, "MUT003")
+        assert "registered trace kernel" in finding.message
+        assert "'x'" in finding.message
 
     def test_pure_kernel_is_clean(self, tmp_path):
         report = wp_lint(
             tmp_path,
             {
-                "src/repro/fl/__init__.py": "",
-                "src/repro/fl/kern.py": """\
-                    from repro.fl.executor import register_fanout_fn
+                "src/repro/nn/__init__.py": "",
+                "src/repro/nn/tkern.py": """\
+                    from repro.nn.trace import register_trace_op
 
-                    def block_stat(block, out):
-                        local = block - block.mean()
+                    def fwd(xp, x, out):
+                        local = x - x.mean()
                         out[:] = local
                         return out
 
-                    register_fanout_fn("repro.fl.kern:block_stat", block_stat)
+                    def vjp(xp, grad):
+                        return grad
+
+                    register_trace_op("centre", fwd, vjp)
                     """,
             },
         )

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.defenses.refd import (
-    EVALUATE_UPDATE_FANOUT,
     Refd,
     balance_value,
     balance_values,
@@ -18,7 +19,6 @@ from repro.defenses.refd import (
     max_balance_value,
 )
 from repro.fl.dispatch_policy import DispatchPolicy
-from repro.fl.executor import resolve_fanout_fn
 from repro.fl.training import train_local_model
 from repro.fl.types import DefenseContext, LocalTrainingConfig, ModelUpdate
 from repro.nn.serialization import get_flat_params, set_flat_params
@@ -183,8 +183,9 @@ class TestBatchedScoring:
         images, _ = tiny_task.test.arrays()
         assert defense.score_updates([], images, self._context(tiny_task, mlp_factory)) == []
 
-    def test_evaluate_update_is_registered_for_fanout(self):
-        assert resolve_fanout_fn(EVALUATE_UPDATE_FANOUT) is evaluate_update
+    def test_evaluate_update_pickles_by_name(self):
+        """Process workers receive the work function by qualified name."""
+        assert pickle.loads(pickle.dumps(evaluate_update)) is evaluate_update
 
     def test_evaluate_update_matches_fused_loop(self, tiny_task, mlp_factory):
         defense = Refd(num_rejected=1)
@@ -230,9 +231,9 @@ class TestBatchedScoring:
         ]
 
     def test_process_executor_without_reference_ref_stays_serial(self, tiny_task):
-        """A pickling fan-out backend is skipped when the reference images
-        cannot be passed by shared-memory reference — inlining them into
-        every envelope would re-ship the tensor num_updates times a round."""
+        """A process pool is skipped when the reference images cannot be
+        passed by shared-memory reference — inlining them into every
+        payload would re-ship the tensor num_updates times a round."""
         from repro.models import ClassifierFactory
 
         factory = ClassifierFactory(
@@ -246,7 +247,9 @@ class TestBatchedScoring:
             fused = defense.score_updates(
                 updates, images, self._context(tiny_task, factory, dispatch=policy)
             )
-            assert policy.counter_snapshot()["process_fanout_calls"] == 0
+            counters = policy.counter_snapshot()
+            assert counters.get("process_fanout_calls", 0) == 0
+            assert counters["serial"] == 1 and counters["process"] == 0
         assert [(r.balance, r.confidence, r.score) for r in serial] == [
             (r.balance, r.confidence, r.score) for r in fused
         ]

@@ -1,155 +1,22 @@
-"""Tests for the unified dispatch policy: cost model, specs, overrides, parity."""
+"""Tests for the dispatch policy: specs, decisions, executor ownership, parity."""
 
 from __future__ import annotations
 
 import json
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.defenses import Bulyan, Krum
+from repro.cli import main as cli_main
+from repro.defenses import Bulyan, Krum, Refd
 from repro.defenses.krum import krum_scores_from_distances
 from repro.defenses.distances import pairwise_cosine_similarities, pairwise_sq_distances
 from repro.experiments import ExperimentRunner, GridRunner, smoke_scale
 from repro.experiments.runner import build_simulation
-from repro.fl.dispatch_policy import (
-    BenchRecord,
-    CostModel,
-    DispatchPolicy,
-)
-from repro.fl.executor import SerialExecutor, ThreadedExecutor
+from repro.fl.dispatch_policy import DispatchPolicy
+from repro.fl.executor import ParallelExecutor, SerialExecutor, ThreadedExecutor
 from repro.fl.types import DefenseContext, ModelUpdate
-
-LEDGER_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
-
-
-def _synthetic_model() -> CostModel:
-    """A hand-calibrated model with a known serial/process crossover.
-
-    At the recorded scale (items=8, work=8e4): serial 10ms, process 20ms —
-    pooling loses.  Scaling work x1000 with the same item count leaves the
-    per-item overhead constant while the compute halves across 2 workers,
-    so process wins decisively.
-    """
-    return CostModel(
-        [
-            BenchRecord(
-                site="refd",
-                backend="process",
-                items=8,
-                work=8e4,
-                serial_s=0.01,
-                parallel_s=0.02,
-                workers=2,
-            )
-        ]
-    )
-
-
-class TestCostModel:
-    def test_golden_decision_table(self):
-        model = _synthetic_model()
-        table = [
-            # (items, work, workers) -> expected backend
-            ((8, 8e4, 2), "serial"),  # bench scale: pooling measured slower
-            ((8, 8e7, 2), "process"),  # 1000x work: compute dominates overhead
-            ((8, 8e7, 1), "serial"),  # one worker can never win
-            ((1, 8e7, 2), "serial"),  # single item: nothing to fan out
-            ((8, None, 2), "serial"),  # unknown work: stay serial
-        ]
-        for (items, work, workers), expected in table:
-            backend, reason, _, _ = model.choose(
-                "refd", items=items, work=work, workers=workers
-            )
-            assert backend == expected, (items, work, workers, reason)
-
-    def test_serial_bias_margin(self):
-        # Pooled estimate must beat margin * serial, not merely tie it.
-        model = _synthetic_model()
-        est_serial = model.estimate_serial("refd", 8e4)
-        est_par = model.estimate_parallel("refd", "process", 8e4, items=8, workers=2)
-        assert est_serial == pytest.approx(0.01)
-        assert est_par == pytest.approx(0.02)
-        # Find roughly where the raw estimates tie and check the margin keeps
-        # the decision serial there.
-        work = 8e4
-        while True:
-            est_serial = model.estimate_serial("refd", work)
-            est_par = model.estimate_parallel("refd", "process", work, 8, 2)
-            if est_par < est_serial:
-                break
-            work *= 1.5
-        if est_par >= model.margin * est_serial:
-            backend, _, _, _ = model.choose("refd", items=8, work=work, workers=2)
-            assert backend == "serial"
-
-    def test_grid_site_rule(self):
-        model = CostModel()
-        assert model.choose("grid", items=6, work=6.0, workers=4)[0] == "process"
-        assert model.choose("grid", items=1, work=1.0, workers=4)[0] == "serial"
-        assert model.choose("grid", items=6, work=6.0, workers=1)[0] == "serial"
-
-    def test_from_ledger_dispatch_sites_shape(self):
-        payload = {
-            "results": {
-                "dispatch_sites": [
-                    {
-                        "site": "refd",
-                        "backend": "process",
-                        "items": 8,
-                        "work": 8e4,
-                        "serial_s": 0.01,
-                        "parallel_s": 0.02,
-                        "workers": 2,
-                    }
-                ]
-            }
-        }
-        model = CostModel.from_ledger(payload)
-        assert model.choose("refd", items=8, work=8e4, workers=2)[0] == "serial"
-        assert model.choose("refd", items=8, work=8e7, workers=2)[0] == "process"
-
-    def test_from_ledger_legacy_shape(self, tmp_path):
-        payload = {
-            "results": {
-                "refd_fanout": {"serial_s": 0.012, "process_s": 0.0195, "workers": 2},
-                "round_dispatch": {"inline_s": 0.11, "shm_s": 0.13},
-                "e2e_round": {"current_s": 0.104},
-            }
-        }
-        path = tmp_path / "ledger.json"
-        path.write_text(json.dumps(payload))
-        model = CostModel.from_ledger(path)
-        # The measured refd fan-out lost at bench scale -> serial there.
-        assert model.choose("refd", items=8, work=8 * 3818.0, workers=2)[0] == "serial"
-        # shm cost 20ms slower than inline -> crossover well above tiny payloads.
-        assert model.shm_min_bytes > 1 << 20
-
-    def test_committed_ledger_pins_distance_serial_at_bench_scale(self):
-        # Regression guard for the ledger-documented 0.12x distance-block
-        # fan-out: at bench scale (4 blocks of a 10x100k matrix) the model
-        # built from the committed ledger must keep the row blocks inline.
-        model = CostModel.from_ledger(LEDGER_PATH)
-        backend, reason, _, _ = model.choose(
-            "distance", items=4, work=10 * 10 * 100_000.0, workers=2
-        )
-        assert backend == "serial", reason
-
-    def test_adaptive_pairwise_stays_serial_at_bench_scale(self):
-        policy = DispatchPolicy.adaptive(
-            workers=2, cost_model=CostModel.from_ledger(LEDGER_PATH)
-        )
-        matrix = np.random.default_rng(0).normal(size=(10, 4096)).astype(np.float32)
-        pairwise_sq_distances(matrix, dispatch=policy)
-        distance_decisions = [d for d in policy.trace if d.site == "distance"]
-        assert distance_decisions, "distance site never consulted"
-        assert all(d.backend == "serial" for d in distance_decisions)
-
-    def test_bad_site_rejected(self):
-        with pytest.raises(ValueError):
-            CostModel([BenchRecord("bogus", "process", 8, 8e4, 0.01, 0.02)])
 
 
 class TestParseAndCoerce:
@@ -157,9 +24,9 @@ class TestParseAndCoerce:
         assert DispatchPolicy.parse("serial").backend == "serial"
         policy = DispatchPolicy.parse("process:4")
         assert policy.backend == "process" and policy.workers == 4
-        policy = DispatchPolicy.parse("adaptive:2,distance=serial")
-        assert policy.is_adaptive and policy.workers == 2
-        assert policy.overrides == {"distance": "serial"}
+        policy = DispatchPolicy.parse(" thread:2 ")
+        assert policy.backend == "thread" and policy.workers == 2
+        assert DispatchPolicy.parse("process").workers is None
         assert DispatchPolicy.parse(None).backend == "serial"
         assert DispatchPolicy.parse("").backend == "serial"
         existing = DispatchPolicy.serial()
@@ -169,11 +36,16 @@ class TestParseAndCoerce:
         with pytest.raises(ValueError):
             DispatchPolicy.parse("bogus")
         with pytest.raises(ValueError):
-            DispatchPolicy.parse("adaptive,distance")
-        with pytest.raises(ValueError):
-            DispatchPolicy.parse("adaptive,bogus=serial")
-        with pytest.raises(ValueError):
-            DispatchPolicy.parse("adaptive,distance=bogus")
+            DispatchPolicy.parse("process:x")
+        with pytest.raises(ValueError, match="at least 1"):
+            DispatchPolicy.parse("process:0")
+
+    @pytest.mark.parametrize("spec", ["adaptive", "process:2,distance=serial"])
+    def test_parse_rejects_removed_forms(self, spec):
+        """The cost-model mode and per-site suffixes are gone; the error
+        names the forms that remain."""
+        with pytest.raises(ValueError, match=r"'serial', 'thread\[:N\]' or 'process\[:N\]'"):
+            DispatchPolicy.parse(spec)
 
     def test_coerce(self):
         assert DispatchPolicy.coerce(None).backend == "serial"
@@ -188,59 +60,76 @@ class TestParseAndCoerce:
 
 
 class TestPinningAndOverrides:
-    def test_for_executor_is_cached_per_instance(self):
-        """A policy builds one executor per backend and hands that same
-        instance back for every later decision on the backend."""
-        with DispatchPolicy.fixed("thread", workers=2) as policy:
-            decision = policy.decide("refd", items=4, work=1e3)
-            assert decision.backend == "thread"
-            executor = policy.executor_for(decision)
-            assert isinstance(executor, ThreadedExecutor)
-            again = policy.decide("distance", items=8, work=1e3)
-            assert policy.executor_for(again) is executor
-            assert DispatchPolicy.coerce(policy).executor_for(decision) is executor
+    """Per-site overrides are gone: a policy pins every site to its one
+    backend and hands every decision the one executor it built."""
 
-    def test_dispatch_for_prefers_context_dispatch(self):
-        """Defenses route their distance plane through ``context.dispatch``;
-        without one they run the serial kernels and record nothing."""
+    def test_for_executor_is_cached_per_instance(self):
+        """A policy builds one executor and hands that same instance back
+        for every later decision."""
+        with DispatchPolicy.fixed("thread", workers=2) as policy:
+            assert policy.decide("refd", items=4).backend == "thread"
+            executor = policy.executor
+            assert isinstance(executor, ThreadedExecutor) and executor.workers == 2
+            policy.decide("round", items=8)
+            assert policy.executor is executor
+            assert DispatchPolicy.coerce(policy).executor is executor
+
+    def test_dispatch_for_prefers_context_dispatch(self, tiny_task, mlp_factory):
+        """REFD hands its per-update inference to ``context.dispatch``;
+        without one it runs the fused loop and records nothing."""
+        from repro.nn.serialization import get_flat_params
+
+        params = get_flat_params(mlp_factory())
         rng = np.random.default_rng(5)
         updates = [
-            ModelUpdate(client_id=i, parameters=rng.normal(size=64).astype(np.float32), num_samples=10)
-            for i in range(6)
+            ModelUpdate(
+                client_id=i,
+                parameters=params + 0.1 * rng.standard_normal(params.shape).astype(np.float32),
+                num_samples=10,
+            )
+            for i in range(4)
         ]
 
         def context(dispatch):
             return DefenseContext(
                 round_number=0,
-                global_params=np.zeros(64, dtype=np.float32),
+                global_params=params,
                 expected_num_malicious=1,
                 rng=np.random.default_rng(0),
+                model_factory=mlp_factory,
+                reference_dataset=tiny_task.test,
                 dispatch=dispatch,
             )
 
-        policy = DispatchPolicy.serial()
-        routed = Krum().aggregate(list(updates), context(policy))
-        assert policy.counter_snapshot()["decisions"] > 0
-        assert "distance" in {d.site for d in policy.trace}
-        bare = Krum().aggregate(list(updates), context(None))
+        with DispatchPolicy.fixed("thread", workers=2) as policy:
+            routed = Refd(num_rejected=1).aggregate(list(updates), context(policy))
+            assert [d.site for d in policy.trace] == ["refd"]
+            assert policy.trace[0].backend == "thread"
+        bare = Refd(num_rejected=1).aggregate(list(updates), context(None))
         assert routed.accepted_client_ids == bare.accepted_client_ids
+        assert routed.scores == bare.scores
         assert np.array_equal(routed.new_params, bare.new_params)
 
-    def test_overrides_pin_sites(self):
-        policy = DispatchPolicy.adaptive(workers=2, overrides={"distance": "serial"})
-        decision = policy.decide("distance", items=8, work=1e12)
-        assert decision.backend == "serial"
-        assert "override" in decision.reason
-        with pytest.raises(ValueError):
-            DispatchPolicy.adaptive(overrides={"distance": "bogus"})
-        with pytest.raises(ValueError):
-            DispatchPolicy.adaptive(overrides={"bogus": "serial"})
+    def test_fanout_declines_single_items_and_unshared_process_payloads(self):
+        with DispatchPolicy.fixed("process", workers=2) as policy:
+            assert policy.fanout("refd", abs, [-1]) is None
+            assert policy.fanout("refd", abs, [-1, -2], payload_by_ref=False) is None
+            reasons = [(d.backend, d.reason) for d in policy.trace]
+            assert reasons == [
+                ("serial", "single work item"),
+                ("serial", "process pool without by-reference payloads"),
+            ]
+            assert policy.counter_snapshot()["process"] == 0
+            assert policy.fanout("refd", abs, [-1, -2]) == [1, 2]
+            assert policy.counter_snapshot()["process_fanout_calls"] == 2
+        with DispatchPolicy.serial() as policy:
+            assert policy.fanout("refd", abs, [-1, -2]) is None
 
     def test_trace_deduplicates_with_counts(self):
         policy = DispatchPolicy.serial()
-        policy.decide("round", items=4, work=10.0)
-        policy.decide("round", items=4, work=10.0)
-        policy.decide("refd", items=4, work=10.0)
+        policy.decide("round", items=4)
+        policy.decide("round", items=4)
+        policy.decide("refd", items=4)
         assert len(policy.trace) == 2
         round_entry = next(d for d in policy.trace if d.site == "round")
         assert round_entry.count == 2
@@ -249,6 +138,71 @@ class TestPinningAndOverrides:
         assert snapshot["serial"] == 3
         dicts = policy.trace_dicts()
         assert all({"site", "backend", "reason", "count"} <= set(d) for d in dicts)
+        with pytest.raises(ValueError, match="distance"):
+            policy.decide("distance", items=4)
+
+
+class TestPolicyOwnership:
+    """A simulation closes only a policy it built; a caller's policy (and
+    its one executor) outlives the simulations it serves."""
+
+    def test_simulations_share_the_callers_executor(self):
+        config = smoke_scale("fashion-mnist", attack="lie", defense="refd", num_rounds=1)
+        with DispatchPolicy.fixed("process", workers=2) as policy:
+            with build_simulation(config, policy=policy) as first:
+                first.run(1)
+            with build_simulation(config, policy=policy) as second:
+                second.run(1)
+            assert first.executor is second.executor is policy.executor
+            assert isinstance(policy.executor, ParallelExecutor)
+            counters = policy.counter_snapshot()
+        # Counters survive both simulations and the policy's own close.
+        assert counters == policy.counter_snapshot()
+        assert counters["process_shm_rounds"] == 2
+        assert counters["process_fanout_calls"] > 0
+
+    def test_counter_keys_come_from_the_one_executor(self):
+        """One executor per policy: its ``process_*`` keys cannot be
+        overwritten by a second executor of the same backend."""
+        config = smoke_scale("fashion-mnist", attack="lie", defense="refd", num_rounds=1)
+        with DispatchPolicy.fixed("process", workers=2) as policy:
+            with build_simulation(config, policy=policy) as simulation:
+                simulation.run(1)
+            executor_counters = policy.executor.counter_snapshot()
+            prefixed = {
+                key[len("process_"):]: value
+                for key, value in policy.counter_snapshot().items()
+                if key.startswith("process_")
+            }
+        assert prefixed == executor_counters
+        assert executor_counters["shm_rounds"] == 1
+
+    def test_spec_built_policy_is_closed_with_the_simulation(self):
+        config = smoke_scale("fashion-mnist", defense="fedavg", num_rounds=1)
+        with build_simulation(config, policy="thread:2") as simulation:
+            simulation.run(1)
+            assert simulation.executor._pool is not None
+        assert simulation.executor._pool is None
+        with DispatchPolicy.fixed("thread", workers=2) as policy:
+            with build_simulation(config, policy=policy) as simulation:
+                simulation.run(1)
+            assert policy.executor._pool is not None  # still the caller's
+        assert policy.executor._pool is None
+
+    def test_cli_stats_json_carries_executor_counters(self, tmp_path, capsys):
+        path = tmp_path / "stats.json"
+        code = cli_main(
+            [
+                "run", "--scale", "smoke", "--attack", "lie", "--defense", "refd",
+                "--rounds", "2", "--dispatch", "process:2",
+                "--stats-json", str(path),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        counters = json.loads(path.read_text())["counters"]
+        assert counters["process_shm_rounds"] > 0
+        assert counters["process_fanout_calls"] > 0
 
 
 class TestDeprecationShims:
@@ -299,38 +253,8 @@ class TestDeprecationShims:
             simulation.close()
 
 
-class TestMidRunBackendSwitchParity:
-    def test_bitwise_parity_across_backend_switches(self):
-        config = smoke_scale(
-            "fashion-mnist", attack="lie", defense="mkrum", num_rounds=3
-        )
-
-        with build_simulation(config, policy="serial") as simulation:
-            for _ in range(3):
-                simulation.run_round()
-            reference = simulation.server.global_params.copy()
-
-        policy = DispatchPolicy.fixed("serial")
-        with build_simulation(config, policy=policy) as simulation:
-            simulation.run_round()  # round 1: serial
-            policy.overrides.update(
-                {"round": "thread", "distance": "thread", "refd": "thread"}
-            )
-            policy.workers = 2
-            simulation.run_round()  # round 2: threads
-            policy.overrides.update(
-                {"round": "process", "distance": "process", "refd": "process"}
-            )
-            simulation.run_round()  # round 3: processes
-            switched = simulation.server.global_params.copy()
-            backends = {d.backend for d in policy.trace}
-
-        assert np.array_equal(reference, switched)
-        assert {"serial", "thread", "process"} <= backends
-
-
 class TestDistanceCache:
-    """Repeated distance calls through one policy.
+    """Repeated distance-plane calls.
 
     Nothing is carried between calls any more (the cross-round cache never
     hit in practice and was removed), so every call must equal a bare
@@ -341,9 +265,8 @@ class TestDistanceCache:
     def test_repeat_call_hits_every_pair(self):
         rng = np.random.default_rng(1)
         matrix = rng.normal(size=(6, 64)).astype(np.float32)
-        policy = DispatchPolicy.serial()
-        first = pairwise_sq_distances(matrix, dispatch=policy)
-        second = pairwise_sq_distances(matrix, dispatch=policy)
+        first = pairwise_sq_distances(matrix)
+        second = pairwise_sq_distances(matrix)
         assert first.shape == (6, 6)
         assert np.array_equal(first, second)
         assert np.array_equal(first, pairwise_sq_distances(matrix))
@@ -351,12 +274,11 @@ class TestDistanceCache:
     def test_mutation_invalidates_exactly_affected_pairs(self):
         rng = np.random.default_rng(2)
         matrix = rng.normal(size=(6, 64)).astype(np.float32)
-        policy = DispatchPolicy.serial()
-        before = pairwise_sq_distances(matrix, dispatch=policy)
+        before = pairwise_sq_distances(matrix)
 
         mutated = matrix.copy()
         mutated[3] += 1.0
-        after = pairwise_sq_distances(mutated, dispatch=policy)
+        after = pairwise_sq_distances(mutated)
         assert np.array_equal(after, pairwise_sq_distances(mutated))
         # Row 3 participates in 6 of the 21 unordered pairs (incl. (3,3)):
         # off-diagonal pairs through row 3 change, every other pair is
@@ -398,15 +320,14 @@ class TestDistanceCache:
     def test_cosine_epsilon_namespaces_do_not_cross_hit(self):
         rng = np.random.default_rng(4)
         matrix = rng.normal(size=(5, 64)).astype(np.float64)
-        policy = DispatchPolicy.serial()
-        base = pairwise_cosine_similarities(matrix, epsilon=0.0, dispatch=policy)
-        other = pairwise_cosine_similarities(matrix, epsilon=1e-3, dispatch=policy)
+        base = pairwise_cosine_similarities(matrix, epsilon=0.0)
+        other = pairwise_cosine_similarities(matrix, epsilon=1e-3)
         # A different epsilon renormalizes the rows: the values genuinely
         # differ, and neither result leaks into the other.
         assert not np.array_equal(base, other)
         assert np.array_equal(base, pairwise_cosine_similarities(matrix, epsilon=0.0))
         assert np.array_equal(other, pairwise_cosine_similarities(matrix, epsilon=1e-3))
-        repeat = pairwise_cosine_similarities(matrix, epsilon=1e-3, dispatch=policy)
+        repeat = pairwise_cosine_similarities(matrix, epsilon=1e-3)
         assert np.array_equal(other, repeat)
 
 

@@ -6,21 +6,10 @@ import numpy as np
 import pytest
 
 from repro.defenses.distances import (
-    COSINE_BLOCK_FANOUT,
-    DISTANCE_BLOCK_FANOUT,
-    cosine_block,
-    distance_block,
     pairwise_cosine_similarities,
     pairwise_sq_distances,
 )
-from repro.fl.dispatch_policy import DispatchPolicy
-from repro.fl.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    ThreadedExecutor,
-    pooled_fanout_ready,
-    resolve_fanout_fn,
-)
+from repro.fl.executor import ParallelExecutor, ThreadedExecutor
 
 
 def _random_matrix(n=8, dim=192, dtype=np.float32, seed=0):
@@ -136,71 +125,25 @@ class TestPairwiseCosineSimilarities:
 
 
 class TestFanoutParity:
-    """Every backend must produce bitwise identical matrices."""
-
-    def test_registered_names_resolve(self):
-        assert resolve_fanout_fn(DISTANCE_BLOCK_FANOUT) is distance_block
-        assert resolve_fanout_fn(COSINE_BLOCK_FANOUT) is cosine_block
+    """The kernels give bitwise identical matrices in any thread or process."""
 
     def test_thread_fanout_bit_identical(self):
         matrix = _random_matrix(seed=5)
         serial = pairwise_sq_distances(matrix)
-        with DispatchPolicy.fixed("thread", workers=3) as policy:
-            threaded = pairwise_sq_distances(matrix, dispatch=policy)
-        np.testing.assert_array_equal(serial, threaded)
+        with ThreadedExecutor(workers=3) as executor:
+            threaded = executor.map_fn(pairwise_sq_distances, [matrix] * 3)
+        for result in threaded:
+            np.testing.assert_array_equal(serial, result)
 
     def test_process_fanout_bit_identical_and_counts(self):
         matrix = _random_matrix(seed=6)
         serial = pairwise_sq_distances(matrix)
-        serial_cos = pairwise_cosine_similarities(matrix, epsilon=1e-5)
-        with DispatchPolicy.fixed("process", workers=2) as policy:
-            pooled = pairwise_sq_distances(matrix, dispatch=policy)
-            counters = policy.counter_snapshot()
-            assert counters["process_fanout_calls"] > 1  # row blocks went through the pool
-            assert counters["process_published_stores"] == 1  # the matrix shipped once
-            pooled_cos = pairwise_cosine_similarities(
-                matrix, epsilon=1e-5, dispatch=policy
-            )
-            assert policy.counter_snapshot()["process_published_stores"] == 2
-        np.testing.assert_array_equal(serial, pooled)
-        np.testing.assert_array_equal(serial_cos, pooled_cos)
-
-    def test_process_without_shared_memory_falls_back_to_serial(self):
-        """Inlining the matrix into every block envelope would re-ship it
-        once per block, so the shm opt-out must compute serially instead."""
-        matrix = _random_matrix(seed=7)
-        serial = pairwise_sq_distances(matrix)
-        policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=False)
-        with policy:
-            result = pairwise_sq_distances(matrix, dispatch=policy)
-            counters = policy.counter_snapshot()
-            assert counters["process"] == 1  # decided for the pool ...
-            assert counters["process_fanout_calls"] == 0  # ... but ran serially
-            assert counters["process_published_stores"] == 0
-        np.testing.assert_array_equal(serial, result)
-
-    def test_single_block_skips_the_pool(self):
-        matrix = _random_matrix(n=3, seed=8)
-        with DispatchPolicy.fixed("process", workers=2) as policy:
-            result = pairwise_sq_distances(matrix, dispatch=policy, block_rows=3)
-            counters = policy.counter_snapshot()
-            assert counters["serial"] == 1
-            assert counters.get("process_fanout_calls", 0) == 0
-        np.testing.assert_array_equal(result, pairwise_sq_distances(matrix))
-
-
-class TestPooledFanoutReady:
-    def test_none_executor(self):
-        assert not pooled_fanout_ready(None)
-
-    def test_serial_backend(self):
-        assert not pooled_fanout_ready(SerialExecutor())
-
-    def test_thread_backend(self):
-        assert pooled_fanout_ready(ThreadedExecutor(workers=1))
-        assert pooled_fanout_ready(ThreadedExecutor(workers=1), payload_by_ref=False)
-
-    def test_process_backend_requires_by_ref_payloads(self):
-        executor = ParallelExecutor(workers=1)
-        assert pooled_fanout_ready(executor)
-        assert not pooled_fanout_ready(executor, payload_by_ref=False)
+        serial_cos = pairwise_cosine_similarities(matrix)
+        with ParallelExecutor(workers=2) as executor:
+            pooled = executor.map_fn(pairwise_sq_distances, [matrix, matrix])
+            pooled_cos = executor.map_fn(pairwise_cosine_similarities, [matrix, matrix])
+            assert executor.fanout_calls == 4  # every call ran in a worker
+        for result in pooled:
+            np.testing.assert_array_equal(serial, result)
+        for result in pooled_cos:
+            np.testing.assert_array_equal(serial_cos, result)

@@ -9,7 +9,6 @@ import pytest
 
 from repro.experiments import build_simulation, smoke_scale
 from repro.fl.executor import (
-    FanoutCall,
     ParallelExecutor,
     SerialExecutor,
     ShardRef,
@@ -18,11 +17,8 @@ from repro.fl.executor import (
     SharedParamsLease,
     SharedParamsRef,
     ThreadedExecutor,
-    register_fanout_fn,
-    resolve_fanout_fn,
     resolve_shared_array,
     run_client_task,
-    run_fanout_call,
 )
 from repro.fl.dispatch_policy import DispatchPolicy
 from repro.fl.simulation import FederatedSimulation
@@ -52,8 +48,10 @@ def _run_with(policy, num_rounds=2, **config_overrides):
     """Run a smoke config; returns the result and the policy's counters."""
     config_overrides = {"attack": "lie", "defense": "mkrum", **config_overrides}
     config = smoke_scale(num_rounds=num_rounds, **config_overrides)
-    with build_simulation(config, policy=policy) as simulation:
-        return simulation.run(num_rounds), simulation.dispatch.counter_snapshot()
+    with DispatchPolicy.coerce(policy) as policy:
+        with build_simulation(config, policy=policy) as simulation:
+            result = simulation.run(num_rounds)
+        return result, policy.counter_snapshot()
 
 
 class TestBuildExecutor:
@@ -62,7 +60,8 @@ class TestBuildExecutor:
     @staticmethod
     def _round_executor(spec):
         policy = DispatchPolicy.coerce(spec)
-        return policy, policy.executor_for(policy.decide("round", items=4, work=1e3))
+        policy.decide("round", items=4)
+        return policy, policy.executor
 
     def test_none_gives_serial(self):
         policy, executor = self._round_executor(None)
@@ -277,94 +276,31 @@ class TestSharedArrayStore:
             assert np.shares_memory(first, again)
 
 
-def _fanout_square(x):
+def _square(x):
     return x * x
 
 
-register_fanout_fn("tests.test_fl_executor:square", _fanout_square)
+class TestMapFn:
+    """ClientExecutor.map_fn: order-preserving fan-out of module-level fns."""
 
-
-class TestFanoutRegistry:
-    """The named-work registry behind ParallelExecutor.map_fn."""
-
-    def test_resolve_returns_registered_fn(self):
-        assert resolve_fanout_fn("tests.test_fl_executor:square") is _fanout_square
-
-    def test_reregistering_same_fn_is_noop(self):
-        # repro: allow[FO002] re-registration semantics are the behavior under test
-        register_fanout_fn("tests.test_fl_executor:square", _fanout_square)
-
-    def test_conflicting_registration_raises(self):
-        with pytest.raises(ValueError):
-            # repro: allow[FO001,FO002] negative-path fixture: the conflict must raise
-            register_fanout_fn("tests.test_fl_executor:square", lambda x: x)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            resolve_fanout_fn("tests.test_fl_executor:no-such-fn")
-
-    def test_import_on_demand_resolution(self):
-        # The module:label convention lets a fresh process resolve names by
-        # importing the module; refd's worker fn registers itself on import.
-        assert resolve_fanout_fn("repro.defenses.refd:evaluate_update") is not None
-
-    def test_fanout_call_roundtrips_through_pickle(self):
-        call = FanoutCall(name="tests.test_fl_executor:square", payload=7)
-        assert run_fanout_call(pickle.loads(pickle.dumps(call))) == 49
-
-    def test_serial_and_thread_map_fn_accept_names(self):
-        assert SerialExecutor().map_fn("tests.test_fl_executor:square", [1, 2, 3]) == [1, 4, 9]
+    def test_serial_and_thread_map_fn_run_module_level_fns(self):
+        assert SerialExecutor().map_fn(_square, [1, 2, 3]) == [1, 4, 9]
         with ThreadedExecutor(workers=2) as executor:
-            assert executor.map_fn("tests.test_fl_executor:square", [1, 2, 3]) == [1, 4, 9]
+            assert executor.map_fn(_square, [1, 2, 3]) == [1, 4, 9]
 
-    def test_process_map_fn_runs_registered_names_on_the_pool(self):
+    def test_process_map_fn_runs_module_level_fns_on_the_pool(self):
         with ParallelExecutor(workers=2) as executor:
-            assert executor.supports_generic_fanout
-            assert executor.map_fn("tests.test_fl_executor:square", list(range(6))) == [
-                x * x for x in range(6)
-            ]
+            assert executor.map_fn(_square, list(range(6))) == [x * x for x in range(6)]
             assert executor.fanout_calls == 6
 
-    def test_process_map_fn_falls_back_to_serial_for_closures(self):
+    def test_process_map_fn_rejects_closures(self):
+        """A closure cannot be pickled by name; the pool survives the error."""
         captured = 3
         with ParallelExecutor(workers=2) as executor:
-            assert executor.map_fn(lambda x: x + captured, [1, 2]) == [4, 5]
+            with pytest.raises((pickle.PicklingError, AttributeError)):
+                executor.map_fn(lambda x: x + captured, [1, 2])
             assert executor.fanout_calls == 0
-
-    def test_process_map_fn_unknown_name_fails_fast(self):
-        with ParallelExecutor(workers=2) as executor:
-            with pytest.raises(KeyError):
-                executor.map_fn("tests.test_fl_executor:no-such-fn", [1])
-
-
-class TestPublishArrays:
-    """Per-call array publication for by-reference fan-out payloads."""
-
-    def test_serial_and_thread_publish_nothing(self):
-        arrays = {"m": np.ones((2, 3), dtype=np.float32)}
-        assert SerialExecutor().publish_arrays(arrays) is None
-        with ThreadedExecutor(workers=1) as executor:
-            assert executor.publish_arrays(arrays) is None
-
-    def test_process_publishes_and_counts(self):
-        matrix = np.arange(12, dtype=np.float64).reshape(3, 4)
-        executor = ParallelExecutor(workers=1)
-        store = executor.publish_arrays({"matrix": matrix})
-        try:
-            assert store is not None
-            assert executor.published_stores == 1
-            np.testing.assert_array_equal(
-                resolve_shared_array(store.refs["matrix"]), matrix
-            )
-            assert not store.refs["matrix"].persistent
-        finally:
-            store.close()
-            executor.close()
-
-    def test_shared_memory_opt_out_publishes_nothing(self):
-        executor = ParallelExecutor(workers=1, use_shared_memory=False)
-        assert executor.publish_arrays({"m": np.ones(4)}) is None
-        assert executor.published_stores == 0
+            assert executor.map_fn(_square, [4]) == [16]
 
 
 class TestShardStoreWiring:
@@ -372,7 +308,7 @@ class TestShardStoreWiring:
 
     def _process_simulation(self, **overrides):
         config = smoke_scale(num_rounds=1, **overrides)
-        return build_simulation(config, policy=DispatchPolicy.fixed("process", workers=2))
+        return build_simulation(config, policy="process:2")
 
     def test_process_tasks_carry_shard_refs_not_arrays(self):
         simulation = self._process_simulation()
@@ -484,7 +420,7 @@ class TestDeterminism:
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
     def test_process_refd_fanout_matches_serial(self):
-        """Registry fan-out + shard store: REFD rounds are bit-identical."""
+        """Pool fan-out + shard store: REFD rounds are bit-identical."""
         config = smoke_scale(attack="lie", defense="refd", num_rounds=2)
         with build_simulation(config) as simulation:
             serial = simulation.run(2)
@@ -492,13 +428,13 @@ class TestDeterminism:
                 (r.client_id, r.balance, r.confidence, r.score)
                 for r in simulation.server.defense.last_reports
             ]
-        policy = DispatchPolicy.fixed("process", workers=2)
-        with build_simulation(config, policy=policy) as simulation:
-            parallel = simulation.run(2)
-            parallel_reports = [
-                (r.client_id, r.balance, r.confidence, r.score)
-                for r in simulation.server.defense.last_reports
-            ]
+        with DispatchPolicy.fixed("process", workers=2) as policy:
+            with build_simulation(config, policy=policy) as simulation:
+                parallel = simulation.run(2)
+                parallel_reports = [
+                    (r.client_id, r.balance, r.confidence, r.score)
+                    for r in simulation.server.defense.last_reports
+                ]
             counters = policy.counter_snapshot()
         assert counters["process_shm_rounds"] > 0
         assert counters["process_shard_rounds"] > 0
@@ -508,11 +444,12 @@ class TestDeterminism:
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
     def test_process_krum_distance_fanout_matches_serial(self):
-        """Distance-plane fan-out: Krum rounds are bit-identical on the pool."""
+        """Krum rounds on a process pool are bit-identical to serial; the
+        distance plane itself always runs inline in the parent."""
         serial, _ = _run_with(None, defense="krum")
         parallel, counters = _run_with(DispatchPolicy.fixed("process", workers=2), defense="krum")
-        assert counters["process_fanout_calls"] > 0  # distance blocks went through the pool
-        assert counters["process_published_stores"] > 0  # one matrix publication per round
+        assert counters["process_shm_rounds"] > 0  # client rounds used the pool
+        assert counters["process_fanout_calls"] == 0  # the distance plane did not
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
@@ -520,7 +457,8 @@ class TestDeterminism:
     def test_process_bulyan_distance_fanout_matches_serial(self):
         serial, _ = _run_with(None, defense="bulyan")
         parallel, counters = _run_with(DispatchPolicy.fixed("process", workers=2), defense="bulyan")
-        assert counters["process_fanout_calls"] > 0
+        assert counters["process_shm_rounds"] > 0
+        assert counters["process_fanout_calls"] == 0
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 

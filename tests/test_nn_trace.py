@@ -142,7 +142,7 @@ class TestDispatchBackendParity:
 
         def run(mode, policy):
             trace.reset_trace_cache()
-            simulation = FederatedSimulation(
+            with FederatedSimulation(
                 task=tiny_task,
                 model_factory=factory,
                 num_clients=6,
@@ -153,15 +153,13 @@ class TestDispatchBackendParity:
                 training_config=LocalTrainingConfig(
                     local_epochs=1, batch_size=16, trace=mode
                 ),
-            )
-            result = simulation.run(2)
+            ) as simulation:
+                result = simulation.run(2)
             records = [(r.accuracy, r.test_loss) for r in result.records]
             return records, result.final_params.copy()
 
-        eager_records, eager_params = run("eager", DispatchPolicy.serial())
-        replay_records, replay_params = run(
-            "replay", DispatchPolicy.fixed(backend, workers=2)
-        )
+        eager_records, eager_params = run("eager", "serial")
+        replay_records, replay_params = run("replay", f"{backend}:2")
         assert replay_records == eager_records
         assert np.array_equal(eager_params, replay_params)
 
@@ -177,18 +175,16 @@ class TestAutoModeResolution:
             training_config=LocalTrainingConfig(local_epochs=2, batch_size=8),
         )
         assert simulation.training_config.trace == "replay"
-        train_decisions = [d for d in simulation.dispatch.trace if d.site == "train"]
-        assert len(train_decisions) == 1
-        assert train_decisions[0].backend == "replay"
+        assert "train" not in {d.site for d in simulation.dispatch.trace}
 
-    def test_override_pins_train_site_to_eager(self, tiny_task, mlp_factory):
+    def test_config_field_pins_eager_where_auto_would_replay(self, tiny_task, mlp_factory):
         simulation = FederatedSimulation(
             task=tiny_task,
             model_factory=mlp_factory,
             num_clients=6,
             clients_per_round=3,
             seed=0,
-            policy=DispatchPolicy.fixed("serial", overrides={"train": "eager"}),
+            training_config=LocalTrainingConfig(local_epochs=2, batch_size=8, trace="eager"),
         )
         assert simulation.training_config.trace == "eager"
 
@@ -204,25 +200,35 @@ class TestAutoModeResolution:
         assert simulation.training_config.trace == "eager"
         assert not [d for d in simulation.dispatch.trace if d.site == "train"]
 
-    def test_training_mode_cost_crossover(self):
-        policy = DispatchPolicy.adaptive(workers=2)
-        # Default reference costs: ~9ms one-off recording overhead against
-        # ~0.8ms saved per replayed step -> replay pays off past ~26 steps.
-        assert policy.training_mode(1) == "eager"
-        assert policy.training_mode(4) == "eager"
-        assert policy.training_mode(200) == "replay"
-        assert {d.site for d in policy.trace} == {"train"}
+    @pytest.mark.parametrize(
+        "batch_size, local_epochs, expected",
+        [(64, 1, "eager"), (64, 2, "replay"), (8, 1, "replay")],
+    )
+    def test_auto_replays_from_two_optimizer_steps(
+        self, tiny_task, mlp_factory, batch_size, local_epochs, expected
+    ):
+        """``trace="auto"`` replays once a client's local training takes two
+        or more optimizer steps (an average shard here is 120 // 6 = 20
+        samples), since recording cannot amortise over a single step."""
+        simulation = FederatedSimulation(
+            task=tiny_task,
+            model_factory=mlp_factory,
+            num_clients=6,
+            clients_per_round=3,
+            seed=0,
+            training_config=LocalTrainingConfig(
+                local_epochs=local_epochs, batch_size=batch_size
+            ),
+        )
+        assert simulation.training_config.trace == expected
 
     def test_train_site_rejects_executor_api(self):
+        """The autograd engine is no dispatch site: the config field picks it."""
         policy = DispatchPolicy.serial()
-        with pytest.raises(ValueError, match="training_mode"):
-            policy.decide("train", items=4)
         with pytest.raises(ValueError, match="train"):
-            DispatchPolicy.fixed("serial", overrides={"train": "thread"})
-
-    def test_parse_accepts_train_override(self):
-        policy = DispatchPolicy.parse("adaptive:2,train=eager")
-        assert policy.training_mode(1000) == "eager"
+            policy.decide("train", items=4)
+        with pytest.raises(ValueError, match="process"):
+            DispatchPolicy.parse("serial,train=eager")
 
     def test_config_validates_trace_value(self):
         with pytest.raises(ValueError, match="trace"):
