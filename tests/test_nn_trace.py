@@ -46,6 +46,9 @@ def _fresh_trace_cache():
 
 
 ARCHITECTURES = ("mlp", "small-cnn", "fashion-cnn", "cifar-cnn", "gru")
+#: The bitwise eager-vs-replay cases: every architecture plus a model that
+#: reaches the registered ops none of them records.
+BITWISE_CASES = ARCHITECTURES + ("op-coverage",)
 
 
 def _counts():
@@ -54,8 +57,30 @@ def _counts():
     return {key: counters[key] for key in ("records", "replays", "fallbacks")}
 
 
+class _OpCoverage(nn.Module):
+    """Float32 model whose tape reaches the ops the architectures never
+    record: ``concat_time``, ``mean``, ``leaky_relu``, ``exp``, ``log``,
+    ``neg`` and ``sum``."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        super().__init__()
+        self.gru = nn.GRU(12, 6, rng=rng, return_sequences=True)
+        self.head = nn.Linear(6, 10, rng=rng)
+        self.trace_signature = ("test-op-coverage",)
+
+    def forward(self, x):
+        # (N, 1, 12, 12) images read as 12-step row sequences.
+        sequence, _ = self.gru(x.reshape(x.shape[0], 12, 12))
+        h = sequence.mean(axis=1).leaky_relu(0.1)
+        h = (h.exp() + 1.0).log()
+        h = h + (-h).sum(axis=1, keepdims=True) * 0.1
+        return self.head(h)
+
+
 def _build_model(name: str, seed: int) -> nn.Module:
     rng = np.random.default_rng(seed)
+    if name == "op-coverage":
+        return _OpCoverage(rng)
     if name == "mlp":
         return MLP(in_channels=1, image_size=12, num_classes=10, hidden=16, rng=rng)
     if name == "small-cnn":
@@ -86,9 +111,19 @@ def _train(name: str, mode: str, seed: int):
     return losses, get_flat_params(model).copy()
 
 
+def _replayed_ops():
+    """Names of the ops whose kernels the cached tapes run on replay."""
+    return {
+        entry.nodes[index].op
+        for entry in trace._TRACES.values()
+        if isinstance(entry, trace.Trace)
+        for index in entry.forward_indices
+    }
+
+
 class TestEagerReplayBitIdentity:
     @pytest.mark.parametrize("seed", (0, 1, 2))
-    @pytest.mark.parametrize("name", ARCHITECTURES)
+    @pytest.mark.parametrize("name", BITWISE_CASES)
     def test_replay_matches_eager_bitwise(self, name, seed):
         eager_losses, eager_params = _train(name, "eager", seed)
         replay_losses, replay_params = _train(name, "replay", seed)
@@ -98,6 +133,13 @@ class TestEagerReplayBitIdentity:
         assert counters["fallbacks"] == 0
         assert replay_losses == eager_losses
         assert np.array_equal(eager_params, replay_params)
+
+    def test_bitwise_cases_reach_every_registered_op(self):
+        reached = set()
+        for name in BITWISE_CASES:
+            _train(name, "replay", 0)
+            reached |= _replayed_ops()
+        assert reached == set(trace.registered_trace_ops())
 
     def test_record_step_is_an_eager_step(self):
         """The first (recording) step already returns the exact eager loss."""
