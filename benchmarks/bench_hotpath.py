@@ -35,7 +35,7 @@ import pickle
 import platform
 import sys
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -211,6 +211,42 @@ def _best_of(fn: Callable[[], object], repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _paired_rounds(first, second, rounds: int) -> Tuple[List[float], List[float]]:
+    """Round times of two live simulations, played in adjacent pairs.
+
+    Each pair runs one round of each simulation, so both legs of a pair
+    see the same machine state, and the leg that runs first alternates
+    from pair to pair, so a warm-cache advantage of running second favours
+    neither.  Round-level metrics gate the median of the per-pair ratios:
+    on a shared host one lucky or preempted round moves a best-of-few
+    ratio, but barely moves that median.
+    """
+    first_times: List[float] = []
+    second_times: List[float] = []
+    legs = ((first, first_times), (second, second_times))
+    for pair in range(rounds):
+        for simulation, times in legs if pair % 2 == 0 else legs[::-1]:
+            start = time.perf_counter()
+            simulation.run_round()
+            times.append(time.perf_counter() - start)
+    return first_times, second_times
+
+
+def _median_ratio(numerators: List[float], denominators: List[float]) -> float:
+    return float(np.median(np.divide(numerators, denominators)))
+
+
+def _gate_pairs(repeats: int) -> int:
+    """Round pairs behind a gate whose bound sits near 1.0×.
+
+    Host noise on a shared runner comes in episodes that span several
+    adjacent rounds.  On a 2-vCPU VM the ``fault_hooks`` median over 12
+    pairs read 0.96–1.07; over 24 pairs (``--repeats 12``) it read
+    0.982–1.012 in nine runs.
+    """
+    return max(12, 2 * repeats)
 
 
 #: (name, input shape, weight shape, stride, padding) — the conv geometries
@@ -439,20 +475,30 @@ def bench_round_dispatch(repeats: int) -> Dict[str, float]:
 
     The shm leg exercises the full shared-memory data plane — per-round
     parameter lease, once-per-simulation shard store, and REFD reference
-    publication — against a fully inline dispatch.
+    publication — against a fully inline dispatch.  Both simulations and
+    their pools stay alive and play paired rounds; the speedup is the
+    median inline/shm ratio over the pairs.
     """
     config = _e2e_config()
-    results: Dict[str, float] = {}
-    for label, use_shm in (("inline", False), ("shm", True)):
-        policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=use_shm)
-        with policy, build_simulation(config, policy=policy) as simulation:
-            simulation.run_round()  # warm the pool
-            results[f"{label}_s"] = _best_of(simulation.run_round, max(2, repeats // 8))
-            if use_shm:
-                results["shm_rounds"] = simulation.executor.shm_rounds
-                results["shard_rounds"] = simulation.executor.shard_rounds
-    results["speedup"] = results["inline_s"] / results["shm_s"]
-    return results
+    inline_policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=False)
+    shm_policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=True)
+    with inline_policy, shm_policy:
+        with build_simulation(config, policy=inline_policy) as inline_sim:
+            with build_simulation(config, policy=shm_policy) as shm_sim:
+                inline_sim.run_round()  # warm both pools
+                shm_sim.run_round()
+                inline_times, shm_times = _paired_rounds(
+                    inline_sim, shm_sim, _gate_pairs(repeats)
+                )
+                shm_rounds = shm_sim.executor.shm_rounds
+                shard_rounds = shm_sim.executor.shard_rounds
+    return {
+        "inline_s": float(np.median(inline_times)),
+        "shm_s": float(np.median(shm_times)),
+        "speedup": _median_ratio(inline_times, shm_times),
+        "shm_rounds": shm_rounds,
+        "shard_rounds": shard_rounds,
+    }
 
 
 def bench_shard_broadcast() -> Dict[str, float]:
@@ -681,13 +727,11 @@ def bench_fault_hooks(repeats: int) -> Dict[str, float]:
     full ``ResilienceConfig`` (retry budget, backoff, stats) but no fault
     plan and no deadline, so every hook is live and every fault is absent —
     exactly the production posture of a long sweep run with ``--max-retries``
-    as insurance.  The "speedup" is plain/resilient: 1.0 means free, and the
-    CI bound holds it above 0.98 (≤ ~2% overhead).
+    as insurance.  The "speedup" is the median plain/resilient ratio of
+    paired rounds: 1.0 means free, and the CI bound holds it above 0.98
+    (≤ ~2% overhead).
     """
     config = _e2e_config()
-    rounds = max(3, repeats // 5)
-    plain_best = float("inf")
-    resilient_best = float("inf")
     resilience = ResilienceConfig(max_retries=2)
     with build_simulation(config, policy="serial") as plain_sim:
         with build_simulation(
@@ -695,18 +739,13 @@ def bench_fault_hooks(repeats: int) -> Dict[str, float]:
         ) as resilient_sim:
             plain_sim.run_round()
             resilient_sim.run_round()
-            # Interleave so load drift biases neither leg.
-            for _ in range(rounds):
-                start = time.perf_counter()
-                plain_sim.run_round()
-                plain_best = min(plain_best, time.perf_counter() - start)
-                start = time.perf_counter()
-                resilient_sim.run_round()
-                resilient_best = min(resilient_best, time.perf_counter() - start)
+            plain_times, resilient_times = _paired_rounds(
+                plain_sim, resilient_sim, _gate_pairs(repeats)
+            )
     return {
-        "plain_s": plain_best,
-        "resilient_s": resilient_best,
-        "speedup": plain_best / resilient_best,
+        "plain_s": float(np.median(plain_times)),
+        "resilient_s": float(np.median(resilient_times)),
+        "speedup": _median_ratio(plain_times, resilient_times),
     }
 
 
@@ -746,11 +785,7 @@ def bench_trace_replay(repeats: int) -> Dict[str, float]:
     (asserted by tests/test_nn_trace.py), so this ratio is pure wall-clock.
     """
     config = _trace_config()
-    rounds = max(6, repeats)
     nn_trace.reset_trace_cache()
-    ratios = []
-    eager_times = []
-    replay_times = []
     with _eager_simulation(config) as eager_sim:
         with build_simulation(config, policy="serial") as replay_sim:
             # Warm rounds: record every batch signature the Dirichlet
@@ -758,21 +793,14 @@ def bench_trace_replay(repeats: int) -> Dict[str, float]:
             for _ in range(3):
                 eager_sim.run_round()
                 replay_sim.run_round()
-            for _ in range(rounds):
-                start = time.perf_counter()
-                eager_sim.run_round()
-                eager_s = time.perf_counter() - start
-                start = time.perf_counter()
-                replay_sim.run_round()
-                replay_s = time.perf_counter() - start
-                eager_times.append(eager_s)
-                replay_times.append(replay_s)
-                ratios.append(eager_s / replay_s)
+            eager_times, replay_times = _paired_rounds(
+                eager_sim, replay_sim, max(6, repeats)
+            )
     counters = nn_trace.trace_counters()
     return {
         "eager_s": float(np.median(eager_times)),
         "replay_s": float(np.median(replay_times)),
-        "speedup": float(np.median(ratios)),
+        "speedup": _median_ratio(eager_times, replay_times),
         "records": counters["records"],
         "replays": counters["replays"],
         "fallbacks": counters["fallbacks"],

@@ -10,7 +10,7 @@ RNG001-004  seeded-``np.random.Generator``-only randomness (PRs 1, 7)
 DT001-002   float64 defense geometry over float32 payloads (PRs 2, 4)
 SHM001      shared-memory creations own a release path (PRs 3, 5)
 ORD001-002  no filesystem- or hash-ordered iteration (PRs 1, 5, 7)
-TR001-002   backend-clean, import-time-registered trace kernels (PR 9)
+TR002       import-time-registered trace kernels (PR 9)
 ENG001-002  files must be readable, parseable python (engine-emitted)
 ==========  ==============================================================
 

@@ -1,30 +1,27 @@
-"""Trace-kernel purity rules: replay kernels must stay backend-clean.
+"""Trace-kernel registration rule: the registry must rebuild by import.
 
 The recorded-tape engine (:mod:`repro.nn.trace`) compiles each op's
-forward/VJP kernel once per signature and replays it thousands of times.
-Every kernel builder receives the plan's
-:class:`~repro.nn.backend.ArrayBackend` as ``xp``, and the registry is
-rebuilt by import in fresh worker processes.  Two static contracts keep
-that sound:
+forward/VJP kernel once per signature and replays it thousands of times,
+and fresh worker processes rebuild the kernel registry by import.  One
+static contract keeps that sound:
 
-* kernel builders never call ``numpy`` directly (``TR001``) — all array
-  math goes through the ``xp`` shim, so swapping the backend (numpy
-  today, the optional torch adapter when present) swaps the whole replay
-  path at once instead of leaving hidden numpy islands;
 * ``register_trace_op`` runs at module import time with module-level
   named builder functions (``TR002``), so a process-pool worker that merely
   imports :mod:`repro.nn.trace_ops` reconstructs the exact registry the
   parent recorded against, and compiled plans stay picklable by name.
+
+MUT003 (:mod:`repro.analysis.rules_wholeprogram`) reuses this module's
+``register_trace_op`` call matching to find the registered kernels.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from .engine import Diagnostic, FileContext, Rule
 
-__all__ = ["TraceKernelBackendRule", "TraceRegistrationScopeRule", "RULES"]
+__all__ = ["TraceRegistrationScopeRule", "RULES"]
 
 
 def _is_register_call(ctx: FileContext, node: ast.Call) -> bool:
@@ -57,46 +54,6 @@ def _module_level_functions(ctx: FileContext) -> Dict[str, ast.AST]:
         for stmt in ctx.tree.body
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
-
-
-class TraceKernelBackendRule(Rule):
-    rule_id = "TR001"
-    contract = (
-        "Registered trace kernels must route array math through the xp "
-        "ArrayBackend shim, never numpy directly: a direct np.* call pins "
-        "the replayed plan to numpy behind the backend's back (PR 9)."
-    )
-
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        findings: List[Diagnostic] = []
-        module_fns = _module_level_functions(ctx)
-        kernel_names: Set[str] = set()
-        for node in ctx.nodes(ast.Call):
-            if not _is_register_call(ctx, node):
-                continue
-            for expr in _register_kernel_exprs(node):
-                if isinstance(expr, ast.Name):
-                    kernel_names.add(expr.id)
-        for name in sorted(kernel_names):
-            fn = module_fns.get(name)
-            if fn is None:
-                continue  # imported builder: checked in its defining module
-            findings.extend(self._numpy_uses(ctx, fn))
-        return findings
-
-    def _numpy_uses(self, ctx: FileContext, fn: ast.AST) -> Iterable[Diagnostic]:
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Name) or not isinstance(node.ctx, ast.Load):
-                continue
-            qualname = ctx.qualname(node)
-            if qualname == "numpy" or (qualname or "").startswith("numpy."):
-                yield ctx.diagnostic(
-                    node,
-                    self.rule_id,
-                    f"trace kernel '{getattr(fn, 'name', '?')}' uses numpy "
-                    f"('{node.id}') directly; go through the xp ArrayBackend "
-                    "argument so backend swaps cover the whole replay path",
-                )
 
 
 class TraceRegistrationScopeRule(Rule):
@@ -160,4 +117,4 @@ class TraceRegistrationScopeRule(Rule):
         return f"a non-function expression '{ast.unparse(expr)}'"
 
 
-RULES = (TraceKernelBackendRule, TraceRegistrationScopeRule)
+RULES = (TraceRegistrationScopeRule,)

@@ -72,6 +72,15 @@ _SCENARIOS: Dict[str, Callable] = {
 }
 
 
+def _dispatch_spec(text: str) -> str:
+    """``--dispatch`` values: a bad spec is a usage error, not a traceback."""
+    try:
+        DispatchPolicy.parse(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the ``repro`` command."""
     parser = argparse.ArgumentParser(
@@ -99,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--dispatch",
         default=None,
+        type=_dispatch_spec,
         metavar="SPEC",
         help="dispatch-policy spec: 'serial', 'thread[:N]' or 'process[:N]' "
         "(overrides --workers)",
@@ -128,6 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--dispatch",
         default=None,
+        type=_dispatch_spec,
         metavar="SPEC",
         help="dispatch-policy spec governing the scenario batch (overrides --workers)",
     )
@@ -158,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument(
         "--dispatch",
         default=None,
+        type=_dispatch_spec,
         metavar="SPEC",
         help="dispatch-policy spec governing the sweep (overrides --workers)",
     )

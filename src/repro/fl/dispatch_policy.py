@@ -145,6 +145,10 @@ class DispatchPolicy:
                 name = text  # not a worker count: report the whole spec
         if name not in BACKENDS:
             raise ValueError(f"unknown dispatch spec {text!r}; expected {_SPEC_FORMS}")
+        if workers is not None and workers < 1:
+            raise ValueError(
+                f"dispatch spec {text!r}: workers must be at least 1; expected {_SPEC_FORMS}"
+            )
         return cls.fixed(name, workers=workers)
 
     @classmethod

@@ -16,8 +16,7 @@ Lifecycle
    result is trivially bit-identical.
 2. **Replay** — subsequent steps with the same signature execute the
    compiled program.  Kernels perform exactly the numpy expressions the
-   eager closures perform, in the same order, through the
-   :class:`~repro.nn.backend.ArrayBackend` shim — replay is bit-identical
+   eager closures perform, in the same order, so replay is bit-identical
    to eager under a fixed seed (covered by the trace test suite).
 3. **Fallback** — untraceable ops (Dropout in train mode, BatchNorm,
    integer embedding lookups, any op without a descriptor) poison the
@@ -50,7 +49,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .backend import ArrayBackend, default_backend
 from . import tensor as tensor_module
 from .tensor import Tensor
 
@@ -82,10 +80,10 @@ class OpSpec:
     """A replayable op: compile-time forward and VJP kernel builders.
 
     ``forward``/``vjp`` are *compilers*: called once per plan with an
-    :class:`OpContext`, they bind buffers and return the per-step callable.
-    Both must be module-level named functions (the ``TR002`` lint rule),
-    so a worker process rebuilding plans after import sees the same
-    registry.
+    :class:`OpContext`, they bind buffers and return the per-step callable,
+    which calls numpy directly.  Both must be module-level named functions
+    (the ``TR002`` lint rule), so a worker process rebuilding plans after
+    import sees the same registry.
     """
 
     name: str
@@ -101,8 +99,7 @@ def register_trace_op(name: str, forward: Callable, vjp: Callable) -> None:
 
     Must be called at module import time with module-level functions, so
     a worker process that imports the defining module rebuilds the same
-    registry — the ``TR001``/``TR002`` lint rules enforce both properties
-    statically.
+    registry — the ``TR002`` lint rule enforces this statically.
     """
     OP_REGISTRY[name] = OpSpec(name, forward, vjp)
 
@@ -486,36 +483,33 @@ class Sink:
     convenience path for kernels that produced the gradient elsewhere.
     """
 
-    __slots__ = ("out", "mode", "_target", "_xp")
+    __slots__ = ("out", "mode", "_target")
 
-    def __init__(self, xp: ArrayBackend, target: np.ndarray, mode: str, scratch) -> None:
-        self._xp = xp
+    def __init__(self, target: np.ndarray, mode: str, scratch) -> None:
         self._target = target
         self.mode = mode
         self.out = target if mode == "store" else scratch
 
     def commit(self) -> None:
         if self.mode == "add":
-            self._xp.add(self._target, self.out, out=self._target)
+            np.add(self._target, self.out, out=self._target)
 
     def write(self, array) -> None:
         if self.mode == "store":
-            self._xp.copyto(self._target, array)
+            np.copyto(self._target, array)
         else:
-            self._xp.add(self._target, array, out=self._target)
+            np.add(self._target, array, out=self._target)
 
 
 class OpContext:
     """Compile-time view of one node handed to the registered kernels."""
 
-    def __init__(self, plan: "CompiledPlan", node_index: int, backward: bool) -> None:
+    def __init__(self, plan: "CompiledPlan", node_index: int) -> None:
         self._plan = plan
         self.node_index = node_index
         self.node = plan.trace.nodes[node_index]
-        self.xp = plan.xp
         self.parents = self.node.parents
         self.out = self.node.out
-        self._backward = backward
         self._edges: Dict[int, str] = {}
 
     # -- shapes --------------------------------------------------------
@@ -589,7 +583,7 @@ class OpContext:
                 self._plan.trace.slots[parent].shape,
                 self._plan.trace.slots[parent].dtype,
             )
-        return Sink(self.xp, target, mode, scratch)
+        return Sink(target, mode, scratch)
 
 
 class CompiledPlan:
@@ -601,14 +595,8 @@ class CompiledPlan:
     counts them.
     """
 
-    def __init__(
-        self,
-        trace: Trace,
-        arena: Union[BufferArena, _SizingArena],
-        xp: Optional[ArrayBackend] = None,
-    ) -> None:
+    def __init__(self, trace: Trace, arena: Union[BufferArena, _SizingArena]) -> None:
         self.trace = trace
-        self.xp = xp or default_backend()
         self.arena = arena
         self.nbytes = 0
         self.buffers: Dict[int, np.ndarray] = {}
@@ -621,9 +609,7 @@ class CompiledPlan:
         # The root gradient: eager seeds backward() with ones.  Written
         # once, so it must not share the arena with other plans.
         loss_info = trace.slots[trace.loss_slot]
-        root = self.xp.empty(loss_info.shape, loss_info.dtype)
-        self.xp.copyto(root, 1.0)
-        self.grads[trace.loss_slot] = root
+        self.grads[trace.loss_slot] = np.ones(loss_info.shape, loss_info.dtype)
         self._forward_program: List[Callable] = []
         self._backward_program: List[Callable] = []
         self.steps_replayed = 0
@@ -675,14 +661,13 @@ class CompiledPlan:
             spec = OP_REGISTRY.get(node.op)
             if spec is None:
                 raise TraceUnsupported(f"op '{node.op}' has no registered trace kernels")
-            ctx = OpContext(self, node_index, backward=False)
-            self._forward_program.append(spec.forward(self.xp, ctx))
+            self._forward_program.append(spec.forward(OpContext(self, node_index)))
         for step in self.trace.backward_steps:
             node = self.trace.nodes[step.node_index]
             spec = OP_REGISTRY[node.op]
-            ctx = OpContext(self, step.node_index, backward=True)
+            ctx = OpContext(self, step.node_index)
             ctx._edges = step.edges
-            self._backward_program.append(spec.vjp(self.xp, ctx))
+            self._backward_program.append(spec.vjp(ctx))
 
     # -- execution -----------------------------------------------------
     def run(self, arrays: Dict[str, np.ndarray], params: Sequence) -> float:

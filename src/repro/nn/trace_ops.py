@@ -11,29 +11,25 @@ contents last one step: a kernel writes every buffer it reads within the
 same step.  Builders only take views of their buffers at
 compile time; they never read or write them there.
 
-Contract (enforced by the ``TR001``/``TR002`` lint rules):
-
-- kernels never call ``np.*`` directly; all array math goes through the
-  ``xp`` :class:`~repro.nn.backend.ArrayBackend` argument (array
-  *methods* like ``.reshape``/``.transpose`` are backend-neutral and
-  allowed);
-- registrations happen at module level with module-level named
-  functions, so worker processes rebuild the same registry on import.
+Registrations happen at module level with module-level named functions,
+so worker processes rebuild the same registry on import (the ``TR002``
+lint rule enforces this).
 
 Bit-identity notes baked into individual kernels:
 
-- ``tanh``'s VJP uses ``xp.power(data, 2)`` (= ``data ** 2``), never a
-  ``square`` shortcut: numpy does not promise ``np.square`` matches
-  ``**`` bitwise.
+- ``tanh``'s VJP uses ``out ** 2``, never ``np.square``: numpy does not
+  promise ``np.square`` matches ``**`` bitwise.
 - scalar-array ops keep the eager operand order where it matters and
   rely on IEEE commutativity (``a*b == b*a`` bitwise) where it does not.
 - "store" edges write gradients straight into the parent's plan buffer
   (fused ``out=``), "add" edges go through an edge scratch then a single
-  ``xp.add`` — exactly the ``grads[key] = grads[key] + pgrad`` order of
+  ``np.add`` — exactly the ``grads[key] = grads[key] + pgrad`` order of
   the eager accumulation.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .tensor import _unbroadcast
 from .trace import TraceUnsupported, register_trace_op
@@ -42,19 +38,19 @@ from .trace import TraceUnsupported, register_trace_op
 # ----------------------------------------------------------------------
 # Element-wise arithmetic
 # ----------------------------------------------------------------------
-def _forward_add(xp, ctx):
+def _forward_add(ctx):
     a, b = ctx.parents
     out = ctx.alloc_out()
     o = ctx.out
 
     def run(vals):
-        xp.add(vals[a], vals[b], out=out)
+        np.add(vals[a], vals[b], out=out)
         vals[o] = out
 
     return run
 
 
-def _vjp_add(xp, ctx):
+def _vjp_add(ctx):
     g = ctx.grad_in()
     out_shape = ctx.out_shape
     sinks = []
@@ -70,19 +66,19 @@ def _vjp_add(xp, ctx):
     return run
 
 
-def _forward_sub(xp, ctx):
+def _forward_sub(ctx):
     a, b = ctx.parents
     out = ctx.alloc_out()
     o = ctx.out
 
     def run(vals):
-        xp.subtract(vals[a], vals[b], out=out)
+        np.subtract(vals[a], vals[b], out=out)
         vals[o] = out
 
     return run
 
 
-def _vjp_sub(xp, ctx):
+def _vjp_sub(ctx):
     g = ctx.grad_in()
     out_shape = ctx.out_shape
     sink0 = ctx.sink(0)
@@ -95,27 +91,27 @@ def _vjp_sub(xp, ctx):
             sink0.write(g if shape0 == out_shape else _unbroadcast(g, shape0))
         if sink1 is not None:
             if shape1 == out_shape:
-                xp.negative(g, out=sink1.out)
+                np.negative(g, out=sink1.out)
                 sink1.commit()
             else:
-                sink1.write(_unbroadcast(xp.negative(g), shape1))
+                sink1.write(_unbroadcast(np.negative(g), shape1))
 
     return run
 
 
-def _forward_mul(xp, ctx):
+def _forward_mul(ctx):
     a, b = ctx.parents
     out = ctx.alloc_out()
     o = ctx.out
 
     def run(vals):
-        xp.multiply(vals[a], vals[b], out=out)
+        np.multiply(vals[a], vals[b], out=out)
         vals[o] = out
 
     return run
 
 
-def _vjp_mul(xp, ctx):
+def _vjp_mul(ctx):
     g = ctx.grad_in()
     out_shape = ctx.out_shape
     a, b = ctx.parents
@@ -127,45 +123,45 @@ def _vjp_mul(xp, ctx):
     def run(vals):
         if sink0 is not None:
             if shape0 == out_shape:
-                xp.multiply(g, vals[b], out=sink0.out)
+                np.multiply(g, vals[b], out=sink0.out)
                 sink0.commit()
             else:
-                sink0.write(_unbroadcast(xp.multiply(g, vals[b]), shape0))
+                sink0.write(_unbroadcast(np.multiply(g, vals[b]), shape0))
         if sink1 is not None:
             if shape1 == out_shape:
-                xp.multiply(g, vals[a], out=sink1.out)
+                np.multiply(g, vals[a], out=sink1.out)
                 sink1.commit()
             else:
-                sink1.write(_unbroadcast(xp.multiply(g, vals[a]), shape1))
+                sink1.write(_unbroadcast(np.multiply(g, vals[a]), shape1))
 
     return run
 
 
-def _forward_neg(xp, ctx):
+def _forward_neg(ctx):
     (a,) = ctx.parents
     out = ctx.alloc_out()
     o = ctx.out
 
     def run(vals):
-        xp.negative(vals[a], out=out)
+        np.negative(vals[a], out=out)
         vals[o] = out
 
     return run
 
 
-def _vjp_neg(xp, ctx):
+def _vjp_neg(ctx):
     g = ctx.grad_in()
     sink = ctx.sink(0)
 
     def run(vals):
         if sink is not None:
-            xp.negative(g, out=sink.out)
+            np.negative(g, out=sink.out)
             sink.commit()
 
     return run
 
 
-def _forward_matmul(xp, ctx):
+def _forward_matmul(ctx):
     a, b = ctx.parents
     if len(ctx.shape(a)) != 2 or len(ctx.shape(b)) != 2:
         raise TraceUnsupported("only 2-D matmul is replayable")
@@ -173,13 +169,13 @@ def _forward_matmul(xp, ctx):
     o = ctx.out
 
     def run(vals):
-        xp.matmul(vals[a], vals[b], out=out)
+        np.matmul(vals[a], vals[b], out=out)
         vals[o] = out
 
     return run
 
 
-def _vjp_matmul(xp, ctx):
+def _vjp_matmul(ctx):
     g = ctx.grad_in()
     a, b = ctx.parents
     sink0 = ctx.sink(0)
@@ -187,10 +183,10 @@ def _vjp_matmul(xp, ctx):
 
     def run(vals):
         if sink0 is not None:
-            xp.matmul(g, vals[b].T, out=sink0.out)
+            np.matmul(g, vals[b].T, out=sink0.out)
             sink0.commit()
         if sink1 is not None:
-            xp.matmul(vals[a].T, g, out=sink1.out)
+            np.matmul(vals[a].T, g, out=sink1.out)
             sink1.commit()
 
     return run
@@ -199,7 +195,7 @@ def _vjp_matmul(xp, ctx):
 # ----------------------------------------------------------------------
 # Reductions
 # ----------------------------------------------------------------------
-def _forward_sum(xp, ctx):
+def _forward_sum(ctx):
     (a,) = ctx.parents
     axis = ctx.kwargs["axis"]
     keepdims = ctx.kwargs["keepdims"]
@@ -207,13 +203,13 @@ def _forward_sum(xp, ctx):
     o = ctx.out
 
     def run(vals):
-        xp.sum(vals[a], axis=axis, keepdims=keepdims, out=out)
+        np.sum(vals[a], axis=axis, keepdims=keepdims, out=out)
         vals[o] = out
 
     return run
 
 
-def _vjp_sum(xp, ctx):
+def _vjp_sum(ctx):
     g = ctx.grad_in()
     axis = ctx.kwargs["axis"]
     keepdims = ctx.kwargs["keepdims"]
@@ -223,8 +219,8 @@ def _vjp_sum(xp, ctx):
     # taken once at compile time.
     expanded = g
     if axis is not None and not keepdims:
-        expanded = xp.expand_dims(g, axis)
-    broadcast = xp.broadcast_to(expanded, input_shape)
+        expanded = np.expand_dims(g, axis)
+    broadcast = np.broadcast_to(expanded, input_shape)
 
     def run(vals):
         if sink is not None:
@@ -233,7 +229,7 @@ def _vjp_sum(xp, ctx):
     return run
 
 
-def _forward_mean(xp, ctx):
+def _forward_mean(ctx):
     (a,) = ctx.parents
     axis = ctx.kwargs["axis"]
     keepdims = ctx.kwargs["keepdims"]
@@ -241,13 +237,13 @@ def _forward_mean(xp, ctx):
     o = ctx.out
 
     def run(vals):
-        xp.mean(vals[a], axis=axis, keepdims=keepdims, out=out)
+        np.mean(vals[a], axis=axis, keepdims=keepdims, out=out)
         vals[o] = out
 
     return run
 
 
-def _vjp_mean(xp, ctx):
+def _vjp_mean(ctx):
     g = ctx.grad_in()
     axis = ctx.kwargs["axis"]
     keepdims = ctx.kwargs["keepdims"]
@@ -264,12 +260,12 @@ def _vjp_mean(xp, ctx):
             count *= input_shape[ax]
     expanded = g
     if axis is not None and not keepdims:
-        expanded = xp.expand_dims(g, axis)
-    broadcast = xp.broadcast_to(expanded, input_shape)
+        expanded = np.expand_dims(g, axis)
+    broadcast = np.broadcast_to(expanded, input_shape)
 
     def run(vals):
         if sink is not None:
-            xp.divide(broadcast, count, out=sink.out)
+            np.divide(broadcast, count, out=sink.out)
             sink.commit()
 
     return run
@@ -279,7 +275,7 @@ def _vjp_mean(xp, ctx):
 # Shape manipulation (outputs are per-step views; gradients still land
 # in this node's own plan buffer, never aliasing the parent's)
 # ----------------------------------------------------------------------
-def _forward_reshape(xp, ctx):
+def _forward_reshape(ctx):
     (a,) = ctx.parents
     shape = ctx.kwargs["shape"]
     o = ctx.out
@@ -290,7 +286,7 @@ def _forward_reshape(xp, ctx):
     return run
 
 
-def _vjp_reshape(xp, ctx):
+def _vjp_reshape(ctx):
     g = ctx.grad_in()
     input_shape = ctx.shape(ctx.parents[0])
     sink = ctx.sink(0)
@@ -303,7 +299,7 @@ def _vjp_reshape(xp, ctx):
     return run
 
 
-def _forward_transpose(xp, ctx):
+def _forward_transpose(ctx):
     (a,) = ctx.parents
     axes = ctx.kwargs["axes"]
     o = ctx.out
@@ -314,7 +310,7 @@ def _forward_transpose(xp, ctx):
     return run
 
 
-def _vjp_transpose(xp, ctx):
+def _vjp_transpose(ctx):
     g = ctx.grad_in()
     axes = ctx.kwargs["axes"]
     sink = ctx.sink(0)
@@ -331,7 +327,7 @@ def _vjp_transpose(xp, ctx):
     return run
 
 
-def _forward_getitem(xp, ctx):
+def _forward_getitem(ctx):
     (a,) = ctx.parents
     index = ctx.kwargs["index"]
     o = ctx.out
@@ -342,15 +338,15 @@ def _forward_getitem(xp, ctx):
     return run
 
 
-def _vjp_getitem(xp, ctx):
+def _vjp_getitem(ctx):
     g = ctx.grad_in()
     index = ctx.kwargs["index"]
     sink = ctx.sink(0)
 
     def run(vals):
         if sink is not None:
-            xp.copyto(sink.out, 0.0)
-            xp.add_at(sink.out, index, g)
+            np.copyto(sink.out, 0.0)
+            np.add.at(sink.out, index, g)
             sink.commit()
 
     return run
@@ -359,47 +355,47 @@ def _vjp_getitem(xp, ctx):
 # ----------------------------------------------------------------------
 # Element-wise non-linearities
 # ----------------------------------------------------------------------
-def _forward_relu(xp, ctx):
+def _forward_relu(ctx):
     (a,) = ctx.parents
     out = ctx.alloc_out()
     mask = ctx.scratch("mask", ctx.out_shape, "bool")
     o = ctx.out
 
     def run(vals):
-        xp.greater(vals[a], 0, out=mask)
-        xp.multiply(vals[a], mask, out=out)
+        np.greater(vals[a], 0, out=mask)
+        np.multiply(vals[a], mask, out=out)
         vals[o] = out
 
     return run
 
 
-def _vjp_relu(xp, ctx):
+def _vjp_relu(ctx):
     g = ctx.grad_in()
     mask = ctx.saved("mask")
     sink = ctx.sink(0)
 
     def run(vals):
         if sink is not None:
-            xp.multiply(g, mask, out=sink.out)
+            np.multiply(g, mask, out=sink.out)
             sink.commit()
 
     return run
 
 
-def _forward_leaky_relu(xp, ctx):
+def _forward_leaky_relu(ctx):
     (a,) = ctx.parents
     slope = ctx.kwargs["negative_slope"]
     mask = ctx.scratch("mask", ctx.out_shape, "bool")
     o = ctx.out
 
     def run(vals):
-        xp.greater(vals[a], 0, out=mask)
-        vals[o] = xp.where(mask, vals[a], xp.multiply(vals[a], slope))
+        np.greater(vals[a], 0, out=mask)
+        vals[o] = np.where(mask, vals[a], np.multiply(vals[a], slope))
 
     return run
 
 
-def _vjp_leaky_relu(xp, ctx):
+def _vjp_leaky_relu(ctx):
     g = ctx.grad_in()
     slope = ctx.kwargs["negative_slope"]
     mask = ctx.saved("mask")
@@ -407,55 +403,55 @@ def _vjp_leaky_relu(xp, ctx):
 
     def run(vals):
         if sink is not None:
-            sink.write(xp.where(mask, g, xp.multiply(g, slope)))
+            sink.write(np.where(mask, g, np.multiply(g, slope)))
 
     return run
 
 
-def _forward_tanh(xp, ctx):
+def _forward_tanh(ctx):
     (a,) = ctx.parents
     out = ctx.alloc_out()
     o = ctx.out
 
     def run(vals):
-        xp.tanh(vals[a], out=out)
+        np.tanh(vals[a], out=out)
         vals[o] = out
 
     return run
 
 
-def _vjp_tanh(xp, ctx):
+def _vjp_tanh(ctx):
     g = ctx.grad_in()
     out = ctx.saved_output()
     sink = ctx.sink(0)
 
     def run(vals):
         if sink is not None:
-            squared = xp.power(out, 2)
-            xp.subtract(1.0, squared, out=squared)
-            xp.multiply(g, squared, out=sink.out)
+            squared = out ** 2
+            np.subtract(1.0, squared, out=squared)
+            np.multiply(g, squared, out=sink.out)
             sink.commit()
 
     return run
 
 
-def _forward_sigmoid(xp, ctx):
+def _forward_sigmoid(ctx):
     (a,) = ctx.parents
     out = ctx.alloc_out()
     tmp = ctx.scratch("tmp", ctx.out_shape, ctx.out_dtype)
     o = ctx.out
 
     def run(vals):
-        xp.negative(vals[a], out=tmp)
-        xp.exp(tmp, out=tmp)
-        xp.add(1.0, tmp, out=tmp)
-        xp.divide(1.0, tmp, out=out)
+        np.negative(vals[a], out=tmp)
+        np.exp(tmp, out=tmp)
+        np.add(1.0, tmp, out=tmp)
+        np.divide(1.0, tmp, out=out)
         vals[o] = out
 
     return run
 
 
-def _vjp_sigmoid(xp, ctx):
+def _vjp_sigmoid(ctx):
     g = ctx.grad_in()
     out = ctx.saved_output()
     tmp = ctx.saved("tmp")
@@ -464,59 +460,59 @@ def _vjp_sigmoid(xp, ctx):
 
     def run(vals):
         if sink is not None:
-            xp.multiply(g, out, out=tmp)
-            xp.subtract(1.0, out, out=one_minus)
-            xp.multiply(tmp, one_minus, out=sink.out)
+            np.multiply(g, out, out=tmp)
+            np.subtract(1.0, out, out=one_minus)
+            np.multiply(tmp, one_minus, out=sink.out)
             sink.commit()
 
     return run
 
 
-def _forward_exp(xp, ctx):
+def _forward_exp(ctx):
     (a,) = ctx.parents
     out = ctx.alloc_out()
     o = ctx.out
 
     def run(vals):
-        xp.exp(vals[a], out=out)
+        np.exp(vals[a], out=out)
         vals[o] = out
 
     return run
 
 
-def _vjp_exp(xp, ctx):
+def _vjp_exp(ctx):
     g = ctx.grad_in()
     out = ctx.saved_output()
     sink = ctx.sink(0)
 
     def run(vals):
         if sink is not None:
-            xp.multiply(g, out, out=sink.out)
+            np.multiply(g, out, out=sink.out)
             sink.commit()
 
     return run
 
 
-def _forward_log(xp, ctx):
+def _forward_log(ctx):
     (a,) = ctx.parents
     out = ctx.alloc_out()
     o = ctx.out
 
     def run(vals):
-        xp.log(vals[a], out=out)
+        np.log(vals[a], out=out)
         vals[o] = out
 
     return run
 
 
-def _vjp_log(xp, ctx):
+def _vjp_log(ctx):
     g = ctx.grad_in()
     (a,) = ctx.parents
     sink = ctx.sink(0)
 
     def run(vals):
         if sink is not None:
-            xp.divide(g, vals[a], out=sink.out)
+            np.divide(g, vals[a], out=sink.out)
             sink.commit()
 
     return run
@@ -525,7 +521,7 @@ def _vjp_log(xp, ctx):
 # ----------------------------------------------------------------------
 # Convolution (batched-GEMM im2col, mirroring functional.conv2d)
 # ----------------------------------------------------------------------
-def _forward_conv2d(xp, ctx):
+def _forward_conv2d(ctx):
     stride = ctx.kwargs["stride"]
     padding = ctx.kwargs["padding"]
     x_slot, w_slot = ctx.parents[0], ctx.parents[1]
@@ -559,39 +555,39 @@ def _forward_conv2d(xp, ctx):
             padded[:, :, padding:-padding, -padding:],
         )
         interior = padded[:, :, padding:-padding, padding:-padding]
-        windows = xp.sliding_window_view(padded, (kh, kw), axis=(2, 3))
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
         if stride > 1:
             windows = windows[:, :, ::stride, ::stride]
         windows_t = windows.transpose(0, 1, 4, 5, 2, 3)
 
         def run(vals):
             for border in borders:
-                xp.copyto(border, 0.0)
-            xp.copyto(interior, vals[x_slot])
-            xp.copyto(cols6, windows_t)
+                np.copyto(border, 0.0)
+            np.copyto(interior, vals[x_slot])
+            np.copyto(cols6, windows_t)
             w_mat = vals[w_slot].reshape(out_channels, features)
-            xp.matmul(w_mat, cols, out=out3)
+            np.matmul(w_mat, cols, out=out3)
             if b_slot is not None:
-                xp.add(out, vals[b_slot].reshape(1, out_channels, 1, 1), out=out)
+                np.add(out, vals[b_slot].reshape(1, out_channels, 1, 1), out=out)
             vals[o] = out
 
     else:
 
         def run(vals):
-            windows = xp.sliding_window_view(vals[x_slot], (kh, kw), axis=(2, 3))
+            windows = np.lib.stride_tricks.sliding_window_view(vals[x_slot], (kh, kw), axis=(2, 3))
             if stride > 1:
                 windows = windows[:, :, ::stride, ::stride]
-            xp.copyto(cols6, windows.transpose(0, 1, 4, 5, 2, 3))
+            np.copyto(cols6, windows.transpose(0, 1, 4, 5, 2, 3))
             w_mat = vals[w_slot].reshape(out_channels, features)
-            xp.matmul(w_mat, cols, out=out3)
+            np.matmul(w_mat, cols, out=out3)
             if b_slot is not None:
-                xp.add(out, vals[b_slot].reshape(1, out_channels, 1, 1), out=out)
+                np.add(out, vals[b_slot].reshape(1, out_channels, 1, 1), out=out)
             vals[o] = out
 
     return run
 
 
-def _vjp_conv2d(xp, ctx):
+def _vjp_conv2d(ctx):
     stride = ctx.kwargs["stride"]
     padding = ctx.kwargs["padding"]
     x_slot, w_slot = ctx.parents[0], ctx.parents[1]
@@ -635,22 +631,22 @@ def _vjp_conv2d(xp, ctx):
 
     def run(vals):
         if w_sink is not None:
-            xp.matmul(g3, cols.transpose(0, 2, 1), out=gw_stack)
-            xp.sum(gw_stack, axis=0, out=w_sink.out.reshape(out_channels, features))
+            np.matmul(g3, cols.transpose(0, 2, 1), out=gw_stack)
+            np.sum(gw_stack, axis=0, out=w_sink.out.reshape(out_channels, features))
             w_sink.commit()
         if x_sink is not None:
             w_mat = vals[w_slot].reshape(out_channels, features)
-            xp.matmul(w_mat.T, g3, out=grad_cols)
-            xp.copyto(pad_buf, 0.0)
+            np.matmul(w_mat.T, g3, out=grad_cols)
+            np.copyto(pad_buf, 0.0)
             for i in range(kh):
                 i_end = i + stride * out_h
                 for j in range(kw):
                     j_end = j + stride * out_w
                     tap = pad_buf[:, :, i:i_end:stride, j:j_end:stride]
-                    xp.add(tap, gc6[:, :, i, j, :, :], out=tap)
+                    np.add(tap, gc6[:, :, i, j, :, :], out=tap)
             x_sink.write(interior)
         if b_sink is not None:
-            xp.sum(g, axis=(0, 2, 3), out=b_sink.out)
+            np.sum(g, axis=(0, 2, 3), out=b_sink.out)
             b_sink.commit()
 
     return run
@@ -659,7 +655,7 @@ def _vjp_conv2d(xp, ctx):
 # ----------------------------------------------------------------------
 # Cross-entropy loss (the training-loop root)
 # ----------------------------------------------------------------------
-def _forward_cross_entropy(xp, ctx):
+def _forward_cross_entropy(ctx):
     (logits_slot,) = ctx.parents
     targets_slot = ctx.kwargs["targets"].slot
     n, num_classes = ctx.shape(logits_slot)
@@ -671,41 +667,41 @@ def _forward_cross_entropy(xp, ctx):
     sum_buf = ctx.scratch("sum", (n, 1), dtype)
     log_probs = ctx.scratch("log_probs", (n, num_classes), dtype)
     probs = ctx.scratch("probs", (n, num_classes), dtype)
-    rows = xp.arange(n)
+    rows = np.arange(n)
     o = ctx.out
 
     def run(vals):
         logits = vals[logits_slot]
-        targets = xp.asarray(vals[targets_slot], dtype="int64")
-        xp.max(logits, axis=1, keepdims=True, out=max_buf)
-        xp.subtract(logits, max_buf, out=shifted)
-        xp.exp(shifted, out=exp_buf)
-        xp.sum(exp_buf, axis=1, keepdims=True, out=sum_buf)
-        xp.log(sum_buf, out=sum_buf)
-        xp.subtract(shifted, sum_buf, out=log_probs)
+        targets = np.asarray(vals[targets_slot], dtype="int64")
+        np.max(logits, axis=1, keepdims=True, out=max_buf)
+        np.subtract(logits, max_buf, out=shifted)
+        np.exp(shifted, out=exp_buf)
+        np.sum(exp_buf, axis=1, keepdims=True, out=sum_buf)
+        np.log(sum_buf, out=sum_buf)
+        np.subtract(shifted, sum_buf, out=log_probs)
         picked = log_probs[rows, targets]
         out[...] = -picked.mean()
-        xp.exp(log_probs, out=probs)
+        np.exp(log_probs, out=probs)
         vals[o] = out
 
     return run
 
 
-def _vjp_cross_entropy(xp, ctx):
+def _vjp_cross_entropy(ctx):
     (logits_slot,) = ctx.parents
     targets_slot = ctx.kwargs["targets"].slot
     n, _ = ctx.shape(logits_slot)
     g = ctx.grad_in()
     probs = ctx.saved("probs")
-    rows = xp.arange(n)
+    rows = np.arange(n)
     sink = ctx.sink(0)
 
     def run(vals):
         if sink is not None:
-            targets = xp.asarray(vals[targets_slot], dtype="int64")
-            xp.copyto(sink.out, probs)
+            targets = np.asarray(vals[targets_slot], dtype="int64")
+            np.copyto(sink.out, probs)
             sink.out[rows, targets] -= 1.0
-            xp.multiply(sink.out, float(g) / n, out=sink.out)
+            np.multiply(sink.out, float(g) / n, out=sink.out)
             sink.commit()
 
     return run
@@ -714,19 +710,19 @@ def _vjp_cross_entropy(xp, ctx):
 # ----------------------------------------------------------------------
 # Time-axis concatenation (GRU output assembly)
 # ----------------------------------------------------------------------
-def _forward_concat_time(xp, ctx):
+def _forward_concat_time(ctx):
     a, b = ctx.parents
     out = ctx.alloc_out()
     o = ctx.out
 
     def run(vals):
-        xp.concatenate([vals[a], vals[b]], axis=1, out=out)
+        np.concatenate([vals[a], vals[b]], axis=1, out=out)
         vals[o] = out
 
     return run
 
 
-def _vjp_concat_time(xp, ctx):
+def _vjp_concat_time(ctx):
     g = ctx.grad_in()
     left_t = ctx.shape(ctx.parents[0])[1]
     right_t = ctx.shape(ctx.parents[1])[1]

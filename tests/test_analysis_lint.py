@@ -503,6 +503,82 @@ class TestShmRule:
 
 
 # ----------------------------------------------------------------------
+# Trace-kernel registration
+# ----------------------------------------------------------------------
+class TestTraceRules:
+    KERNELS = textwrap.dedent(
+        """\
+        import functools
+
+        from repro.nn.trace import register_trace_op
+
+        def fwd(ctx):
+            return None
+
+        def vjp(ctx):
+            return None
+
+        """
+    )
+
+    def _lint(self, tmp_path, source):
+        return lint_snippet(
+            tmp_path, "src/repro/nn/tkern.py", self.KERNELS + textwrap.dedent(source)
+        )
+
+    def test_tr002_lambda_and_partial_builders(self, tmp_path):
+        report = self._lint(
+            tmp_path,
+            """\
+            register_trace_op("lam", lambda ctx: None, vjp)
+            register_trace_op("part", fwd, vjp=functools.partial(vjp))
+            """,
+        )
+        assert lines_of(report, "TR002") == [11, 12]
+        lam, part = findings_of(report, "TR002")
+        assert "a lambda" in lam.message
+        assert "functools.partial(vjp)" in part.message
+
+    def test_tr002_nested_builder_registered_in_a_function(self, tmp_path):
+        report = self._lint(
+            tmp_path,
+            """\
+            def install():
+                def inner(ctx):
+                    return None
+
+                register_trace_op("nested", inner, vjp)
+            """,
+        )
+        assert lines_of(report, "TR002") == [15, 15]
+        messages = [d.message for d in findings_of(report, "TR002")]
+        assert any("called inside a function" in m for m in messages)
+        assert any("nested function 'inner'" in m for m in messages)
+
+    def test_tr002_registration_inside_a_function(self, tmp_path):
+        report = self._lint(
+            tmp_path,
+            """\
+            def install():
+                register_trace_op("late", fwd, vjp)
+            """,
+        )
+        assert lines_of(report, "TR002") == [12]
+        (finding,) = findings_of(report, "TR002")
+        assert "called inside a function" in finding.message
+
+    def test_tr002_module_scope_named_builders_are_clean(self, tmp_path):
+        report = self._lint(
+            tmp_path,
+            """\
+            register_trace_op("ok", fwd, vjp)
+            register_trace_op("kw", forward=fwd, vjp=vjp)
+            """,
+        )
+        assert report.ok, [d.render() for d in report.diagnostics]
+
+
+# ----------------------------------------------------------------------
 # Ordering determinism
 # ----------------------------------------------------------------------
 class TestOrderingRules:

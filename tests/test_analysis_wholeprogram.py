@@ -453,11 +453,11 @@ class TestMut003:
                 "src/repro/nn/tkern.py": """\
                     from repro.nn.trace import register_trace_op
 
-                    def fwd(xp, x):
+                    def fwd(x):
                         x[0] = 1.0
                         return x
 
-                    def vjp(xp, grad):
+                    def vjp(grad):
                         return grad
 
                     register_trace_op("poke", fwd, vjp)
@@ -477,12 +477,12 @@ class TestMut003:
                 "src/repro/nn/tkern.py": """\
                     from repro.nn.trace import register_trace_op
 
-                    def fwd(xp, x, out):
+                    def fwd(x, out):
                         local = x - x.mean()
                         out[:] = local
                         return out
 
-                    def vjp(xp, grad):
+                    def vjp(grad):
                         return grad
 
                     register_trace_op("centre", fwd, vjp)

@@ -47,6 +47,24 @@ class TestParseAndCoerce:
         with pytest.raises(ValueError, match=r"'serial', 'thread\[:N\]' or 'process\[:N\]'"):
             DispatchPolicy.parse(spec)
 
+    @pytest.mark.parametrize("spec", ["adaptive", "process:0", "thread:x"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--scale", "smoke", "--rounds", "1"],
+            ["scenario", "random-weights", "--scale", "smoke"],
+            ["grid", "--scale", "smoke"],
+        ],
+        ids=["run", "scenario", "grid"],
+    )
+    def test_cli_rejects_bad_spec_as_usage_error(self, command, spec, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([*command, "--dispatch", spec])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --dispatch" in err
+        assert "'serial', 'thread[:N]' or 'process[:N]'" in err
+
     def test_coerce(self):
         assert DispatchPolicy.coerce(None).backend == "serial"
         existing = DispatchPolicy.fixed("thread", workers=2)
