@@ -480,8 +480,8 @@ def bench_round_dispatch(repeats: int) -> Dict[str, float]:
     median inline/shm ratio over the pairs.
     """
     config = _e2e_config()
-    inline_policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=False)
-    shm_policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=True)
+    inline_policy = DispatchPolicy("process", workers=2, use_shared_memory=False)
+    shm_policy = DispatchPolicy("process", workers=2, use_shared_memory=True)
     with inline_policy, shm_policy:
         with build_simulation(config, policy=inline_policy) as inline_sim:
             with build_simulation(config, policy=shm_policy) as shm_sim:
@@ -490,8 +490,8 @@ def bench_round_dispatch(repeats: int) -> Dict[str, float]:
                 inline_times, shm_times = _paired_rounds(
                     inline_sim, shm_sim, _gate_pairs(repeats)
                 )
-                shm_rounds = shm_sim.executor.shm_rounds
-                shard_rounds = shm_sim.executor.shard_rounds
+                shm_rounds = shm_policy.shm_rounds
+                shard_rounds = shm_policy.shard_rounds
     return {
         "inline_s": float(np.median(inline_times)),
         "shm_s": float(np.median(shm_times)),
@@ -506,7 +506,7 @@ def bench_shard_broadcast() -> Dict[str, float]:
 
     Measures the bytes a process worker receives per task *as dispatched* —
     parameters rewritten to a :class:`SharedParamsLease` ref exactly like
-    ``ParallelExecutor.map`` does — with the client's image/label shard
+    ``DispatchPolicy.map_tasks`` does — with the client's image/label shard
     carried (a) inline, pickled every round, and (b) as a
     :class:`ShardRef` into the once-per-simulation shard store.  The shrink
     factor is deterministic, so it doubles as the CI regression check for
@@ -515,7 +515,7 @@ def bench_shard_broadcast() -> Dict[str, float]:
     config = _e2e_config()
     results: Dict[str, float] = {}
     for label, use_shm in (("inline", False), ("shm", True)):
-        policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=use_shm)
+        policy = DispatchPolicy("process", workers=2, use_shared_memory=use_shm)
         with policy, build_simulation(config, policy=policy) as simulation:
             client = next(iter(simulation.benign_clients.values()))
             params = simulation.server.distribute()
@@ -579,7 +579,7 @@ def bench_refd_fanout(repeats: int) -> Dict[str, float]:
         reference_ref = ShardRef(
             images=store.refs["reference/images"], labels=store.refs["reference/labels"]
         )
-        with DispatchPolicy.fixed("process", workers=2) as policy:
+        with DispatchPolicy("process", workers=2) as policy:
             process_context = context(dispatch=policy, reference_ref=reference_ref)
             serial_scores = [
                 r.score for r in defense.score_updates(updates, images, serial_context)
@@ -595,7 +595,7 @@ def bench_refd_fanout(repeats: int) -> Dict[str, float]:
             process = _best_of(
                 lambda: defense.score_updates(updates, images, process_context), repeats
             )
-            fanout_calls = policy.counter_snapshot()["process_fanout_calls"]
+            fanout_calls = policy.counter_snapshot()["fanout_calls"]
     return {
         "serial_s": serial,
         "process_s": process,

@@ -14,14 +14,15 @@ Sweep an attack × defense × beta × attacker-fraction grid across four
 worker processes, caching each finished cell on disk::
 
     python -m repro grid --attacks dfa-r,dfa-g --defenses mkrum,bulyan \
-        --betas 0.1,0.5 --workers 4 --cache-dir .repro-cache
+        --betas 0.1,0.5 --dispatch process:4 --cache-dir .repro-cache
 
 Split the same grid across several hosts sharing one cache directory
 (cooperative claim leases; see ``repro.experiments.dispatch``), or
 statically with ``--shard i/n``::
 
     python -m repro grid --attacks dfa-r,dfa-g --defenses mkrum,bulyan \
-        --betas 0.1,0.5 --workers 4 --cache-dir /shared/cache --claim-ttl 900
+        --betas 0.1,0.5 --dispatch process:4 --cache-dir /shared/cache \
+        --claim-ttl 900
 
 List the available attacks, defenses, datasets and scenarios::
 
@@ -35,7 +36,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from .attacks import available_attacks
 from .data.synthetic import DATASET_FACTORIES
@@ -73,9 +74,9 @@ _SCENARIOS: Dict[str, Callable] = {
 
 
 def _dispatch_spec(text: str) -> str:
-    """``--dispatch`` values: a bad spec is a usage error, not a traceback."""
+    """Dispatch-spec values: a bad spec is a usage error, not a traceback."""
     try:
-        DispatchPolicy.parse(text)
+        DispatchPolicy.coerce(text)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
     return text
@@ -100,24 +101,18 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--malicious-fraction", type=float, default=None)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="client-level fan-out processes for local training (1 = serial)",
-    )
-    run.add_argument(
         "--dispatch",
         default=None,
         type=_dispatch_spec,
         metavar="SPEC",
-        help="dispatch-policy spec: 'serial', 'thread[:N]' or 'process[:N]' "
-        "(overrides --workers)",
+        help="where local training and REFD scoring run: 'serial' (default), "
+        "'thread[:N]' or 'process[:N]'",
     )
     run.add_argument(
         "--stats-json",
         default=None,
         metavar="PATH",
-        help="write the dispatch decision trace and executor counters as JSON",
+        help="write the dispatch spec and its pool counters as JSON",
     )
     _add_resilience_args(run)
     run.add_argument(
@@ -133,14 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--scale", default="benchmark", choices=sorted(_SCALES))
     scenario.add_argument("--output", default=None, help="basename for .json/.csv result files")
     scenario.add_argument(
-        "--workers", type=int, default=1, help="scenario-level worker processes (1 = serial)"
-    )
-    scenario.add_argument(
         "--dispatch",
         default=None,
         type=_dispatch_spec,
         metavar="SPEC",
-        help="dispatch-policy spec governing the scenario batch (overrides --workers)",
+        help="dispatch-policy spec for the scenario batch; 'process:N' runs "
+        "experiments on N worker processes (default: serial)",
     )
     scenario.add_argument(
         "--cache-dir", default=None, help="per-scenario result cache directory"
@@ -164,14 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--scale", default="benchmark", choices=sorted(_SCALES))
     grid.add_argument("--rounds", type=int, default=None, help="override the number of rounds")
     grid.add_argument(
-        "--workers", type=int, default=1, help="scenario-level worker processes (1 = serial)"
-    )
-    grid.add_argument(
         "--dispatch",
         default=None,
         type=_dispatch_spec,
         metavar="SPEC",
-        help="dispatch-policy spec governing the sweep (overrides --workers)",
+        help="dispatch-policy spec for the sweep; 'process:N' runs cells on "
+        "N worker processes (default: serial)",
     )
     grid.add_argument(
         "--cache-dir",
@@ -209,13 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats-json",
         default=None,
         metavar="PATH",
-        help="write this run's GridStats as JSON (claim/steal/skip counters "
-        "included) for scripting and CI assertions",
+        help="write this run's GridStats, dispatch spec and pool counters as "
+        "JSON (claim/steal/skip counters included) for scripting and CI "
+        "assertions",
     )
     grid.add_argument("--output", default=None, help="basename for .json/.csv result files")
     grid.add_argument(
         "--cell-dispatch",
         default=None,
+        type=_dispatch_spec,
         metavar="SPEC",
         help="dispatch-policy spec for client fan-out INSIDE each cell "
         "(grid cells default to serial inner dispatch); e.g. 'process:2'",
@@ -317,25 +310,6 @@ def _add_resilience_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _policy_from_args(args: argparse.Namespace) -> DispatchPolicy:
-    """Resolve ``--dispatch`` / ``--workers`` into one dispatch policy.
-
-    ``--dispatch SPEC`` wins; otherwise ``--workers N > 1`` maps to a fixed
-    process policy (the pre-policy CLI behaviour) and everything else runs
-    serial.
-    """
-    workers = getattr(args, "workers", 1) or 1
-    spec = getattr(args, "dispatch", None)
-    if spec:
-        policy = DispatchPolicy.parse(spec)
-        if policy.workers is None and workers > 1:
-            policy.workers = workers
-        return policy
-    if workers > 1:
-        return DispatchPolicy.fixed("process", workers=workers)
-    return DispatchPolicy.serial()
-
-
 def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig]:
     """Resolve the fault-tolerance flags into one config, or ``None``.
 
@@ -368,13 +342,13 @@ def _write_policy_stats(
     path_spec: Optional[str],
     extra: Optional[Dict] = None,
 ) -> None:
-    """Dump the policy's decision trace + counters as JSON when requested."""
+    """Dump the policy's spec + pool counters as JSON when requested."""
     if not path_spec:
         return
     path = Path(path_spec)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "dispatch_decisions": policy.trace_dicts(),
+    payload: Dict[str, Any] = {
+        "dispatch": policy.spec,
         "counters": policy.counter_snapshot(),
     }
     if extra:
@@ -396,7 +370,7 @@ def _run_single(args: argparse.Namespace) -> int:
         overrides["malicious_fraction"] = args.malicious_fraction
     config = scale(args.dataset, **overrides)
 
-    with _policy_from_args(args) as policy:
+    with DispatchPolicy.coerce(args.dispatch) as policy:
         runner = ExperimentRunner(
             policy=policy,
             resilience=_resilience_from_args(args),
@@ -438,9 +412,8 @@ def _save_if_requested(results, output: Optional[str]) -> None:
 def _run_scenario(args: argparse.Namespace) -> int:
     scale = _SCALES[args.scale]
     scenario_list = _SCENARIOS[args.name](scale)
-    with _policy_from_args(args) as policy:
-        batch = policy.decide("grid", items=len(scenario_list))
-        if batch.backend == "process" or args.cache_dir:
+    with DispatchPolicy.coerce(args.dispatch) as policy:
+        if policy.backend == "process" or args.cache_dir:
             runner = GridRunner(policy=policy, cache_dir=args.cache_dir, progress=print)
             results = runner.run(scenario_list)
             for label, result in results:
@@ -484,8 +457,6 @@ def _grid_axes_or_exit(parser: argparse.ArgumentParser, args: argparse.Namespace
         seeds = [int(part) for part in _split_csv(args.seeds)]
     except ValueError as error:
         parser.error(f"bad numeric axis value: {error}")
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
     if not (datasets and attacks and defenses and betas and fractions and seeds):
         parser.error("every grid axis needs at least one value")
     return dict(
@@ -518,8 +489,8 @@ def _run_grid(args: argparse.Namespace) -> int:
         except ValueError as error:
             parser.error(str(error))
     scenario_list = expand_grid(scale=scale, **axes, **overrides)
-    policy = _policy_from_args(args)
-    print(f"grid: {len(scenario_list)} scenarios, workers={args.workers}, "
+    policy = DispatchPolicy.coerce(args.dispatch)
+    print(f"grid: {len(scenario_list)} scenarios, dispatch={policy.spec}, "
           f"cache={args.cache_dir or 'disabled'}")
     runner = GridRunner(
         policy=policy,
@@ -568,11 +539,7 @@ def _run_grid(args: argparse.Namespace) -> int:
     if chaos:
         summary += "\n" + chaos
     print(summary)
-    if args.stats_json:
-        path = Path(args.stats_json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(dataclasses.asdict(stats), indent=2))
-        print(f"stats written to {path}")
+    _write_policy_stats(policy, args.stats_json, extra=dataclasses.asdict(stats))
     _save_if_requested(results, args.output)
     return exit_code
 

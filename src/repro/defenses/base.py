@@ -24,8 +24,8 @@ class Defense(ABC):
         rules such as Median and Trimmed mean set this to ``False``.
 
     Defenses with a per-update hot path (REFD's reference-set inference)
-    never pick an executor themselves: they hand the work to
-    :meth:`repro.fl.dispatch_policy.DispatchPolicy.fanout` on
+    never pick a backend themselves: they hand the work to
+    :meth:`repro.fl.dispatch_policy.DispatchPolicy.map_fn` on
     ``context.dispatch``, which runs it on the policy's pool or declines so
     the defense runs its own serial loop.
     """

@@ -17,8 +17,8 @@ updates with the lowest D-scores are removed before FedAvg aggregation.
 Scoring is *batched*: one fused loop drives all candidate models through the
 reference set, reusing a single model instance and one preallocated
 probability buffer, and the balance/confidence/D-score statistics are then
-computed vectorized over the update axis.  When the round runs on a pooled
-executor, the per-update inference fans out across it instead: the
+computed vectorized over the update axis.  When the round's dispatch policy runs
+a pool, the per-update inference fans out across it instead: the
 module-level :func:`evaluate_update` is mapped over the updates, so thread
 pools call it directly and *process* pools pickle it by name — with the
 reference images read from the simulation's shared-memory shard store
@@ -227,8 +227,8 @@ class Refd(Defense):
         published one (``context.reference_ref``, used only when its shape
         matches ``images``, i.e. no ``max_reference_samples`` truncation
         happened), so each work item pickles just one parameter vector.
-        Without that by-reference hand-off :meth:`DispatchPolicy.fanout
-        <repro.fl.dispatch_policy.DispatchPolicy.fanout>` declines a process
+        Without that by-reference hand-off :meth:`DispatchPolicy.map_fn
+        <repro.fl.dispatch_policy.DispatchPolicy.map_fn>` declines a process
         pool (``rows is None``) and the fused serial loop runs — inlining
         the reference tensor into every payload would re-ship it
         ``num_updates`` times per round, which the serial loop beats.
@@ -248,11 +248,10 @@ class Refd(Defense):
                 (context.model_factory, update.parameters, images_payload)
                 for update in updates
             ]
-            rows = dispatch.fanout(
-                "refd",
+            rows = dispatch.map_fn(
                 evaluate_update,
                 payloads,
-                payload_by_ref=isinstance(images_payload, SharedArrayRef),
+                by_ref=isinstance(images_payload, SharedArrayRef),
             )
             if rows is not None:
                 predicted = np.stack([row[0] for row in rows], axis=0)

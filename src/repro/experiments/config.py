@@ -71,7 +71,7 @@ class ExperimentConfig:
     dispatch: Optional[str] = None
     """Dispatch-policy spec string (``"serial"``, ``"thread:2"``,
     ``"process:4"``) parsed by
-    :meth:`repro.fl.dispatch_policy.DispatchPolicy.parse`.  Pure execution
+    :meth:`repro.fl.dispatch_policy.DispatchPolicy.coerce`.  Pure execution
     mechanics: it changes how work is scheduled, never the result, and is
     therefore excluded from :meth:`to_dict` (so result caches and grid
     config hashes are unaffected by it)."""

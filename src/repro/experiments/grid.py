@@ -214,9 +214,6 @@ class GridStats:
     cells_skipped_shard: int = 0
     dataset_publications: int = 0
     wall_seconds: float = 0.0
-    dispatch_decisions: List[Dict[str, Any]] = field(default_factory=list)
-    """Per-call-site decision trace of the runner's dispatch policy (what
-    ``--stats-json`` surfaces)."""
     fault_stats: Dict[str, int] = field(default_factory=dict)
     """Aggregated :class:`~repro.fl.faults.FaultStats` counters across every
     cell *executed* this run (cache hits do not re-count their stored
@@ -301,12 +298,10 @@ class GridRunner:
     ----------
     policy:
         A :class:`~repro.fl.dispatch_policy.DispatchPolicy` (or spec string
-        such as ``"process:4"``) governing the batch-level
-        ``"grid"`` dispatch site: before executing pending cells the runner
-        asks the policy whether to fan them out across worker processes and
-        with how many workers; a serial decision runs everything in the
-        calling process (no pool, no pickling requirements beyond the cache
-        files).
+        such as ``"process:4"``) sizing the cell fan-out: a ``process``
+        policy runs pending cells on a pool of its ``workers`` processes;
+        any other backend runs everything in the calling process (no pool,
+        no pickling requirements beyond the cache files).
     cache_dir:
         Directory of per-scenario JSON artifacts; ``None`` disables caching.
         Artifacts are keyed by :func:`config_hash`, so re-running a grid after
@@ -878,12 +873,10 @@ class GridRunner:
                 else:
                     remaining.append((label, config))
 
-            # One batch-level dispatch decision for the whole set of pending
-            # cells: the "grid" site picks process fan-out (and the worker
-            # count) or the in-process serial path.
-            decision = self.dispatch.decide("grid", items=len(remaining))
+            # A process policy runs the pending cells on a pool of its
+            # worker count; every other backend runs them in-process.
             self.workers = (
-                decision.workers if decision.backend == "process" else 1
+                self.dispatch.workers if self.dispatch.backend == "process" else 1
             )
 
             # Publish every distinct dataset of the sweep once per host; the
@@ -943,7 +936,6 @@ class GridRunner:
                 else {}
             )
             stats.wall_seconds = time.perf_counter() - started
-            stats.dispatch_decisions = self.dispatch.trace_dicts()
             self.last_stats = stats
             self.last_failures = dict(failures)
 

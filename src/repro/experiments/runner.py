@@ -244,16 +244,15 @@ class ExperimentRunner:
     ) -> List[ExperimentResult]:
         """Run a list of experiments, optionally across worker processes.
 
-        ``policy`` governs the batch-level (``"grid"`` site) dispatch: a
-        ``"process"`` policy with two or more workers routes the batch
+        ``policy`` governs the batch: a ``"process"`` policy with two or
+        more workers routes the batch
         through :class:`~repro.experiments.grid.GridRunner` (scenario-level
         parallelism); anything else runs the batch serially through
         :meth:`run`.  Results come back in input order
         and are merged into this runner's in-memory cache afterwards.
         """
         policy = DispatchPolicy.coerce(policy)
-        decision = policy.decide("grid", items=len(configs))
-        if decision.backend != "process" or (decision.workers or 1) <= 1:
+        if policy.backend != "process" or policy.workers <= 1:
             return [self.run(config) for config in configs]
         from .grid import GridRunner  # local import: grid depends on this module
 

@@ -2,16 +2,8 @@
 
 from .aggregation import fedavg, stack_updates, unweighted_average
 from .client import BenignClient
-from .dispatch_policy import DispatchDecision, DispatchPolicy
-from .executor import (
-    ClientExecutor,
-    ClientTask,
-    ClientTaskResult,
-    ParallelExecutor,
-    SerialExecutor,
-    ThreadedExecutor,
-    run_client_task,
-)
+from .dispatch_policy import DispatchPolicy
+from .executor import ClientTask, ClientTaskResult, run_client_task
 from .faults import (
     FaultEvent,
     FaultInjector,
@@ -38,14 +30,9 @@ __all__ = [
     "unweighted_average",
     "stack_updates",
     "BenignClient",
-    "DispatchDecision",
     "DispatchPolicy",
-    "ClientExecutor",
     "ClientTask",
     "ClientTaskResult",
-    "SerialExecutor",
-    "ThreadedExecutor",
-    "ParallelExecutor",
     "run_client_task",
     "FaultEvent",
     "FaultInjector",

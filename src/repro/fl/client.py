@@ -23,7 +23,7 @@ __all__ = ["BenignClient"]
 class BenignClient:
     """A protocol-following participant that trains on its own local shard.
 
-    ``shard_ref`` is set by the simulation when the round executor uses the
+    ``shard_ref`` is set by the simulation when its dispatch policy uses the
     once-per-simulation shared-memory shard store: tasks then reference the
     published ``(images, labels)`` arrays instead of carrying them inline,
     so a process-backend task pickles to a few hundred bytes.
@@ -54,9 +54,9 @@ class BenignClient:
     def make_task(self, global_params: np.ndarray, round_number: int) -> ClientTask:
         """Snapshot this round's local-training work as a picklable payload.
 
-        The task captures the client's current RNG *state*; the executor ships
-        the advanced state back in the result and :meth:`consume_result`
-        restores it, so any executor backend reproduces the serial RNG stream
+        The task captures the client's current RNG *state*; the task result
+        ships the advanced state back and :meth:`consume_result` restores
+        it, so any dispatch backend reproduces the serial RNG stream
         exactly.  When :attr:`shard_ref` is set, the task references the
         shard-store publication instead of inlining the arrays.
         """
@@ -79,7 +79,7 @@ class BenignClient:
         )
 
     def consume_result(self, result: ClientTaskResult) -> ModelUpdate:
-        """Adopt an executor result: advance the RNG and build the update."""
+        """Adopt a task result: advance the RNG and build the update."""
         if result.client_id != self.client_id:
             raise ValueError(
                 f"client {self.client_id} received a result for client {result.client_id}"

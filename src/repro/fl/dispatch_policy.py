@@ -1,91 +1,96 @@
-"""One fixed dispatch backend for every fan-out site of a run.
+"""One fixed dispatch backend, and the pool that runs it, for a whole run.
 
-The executors in :mod:`repro.fl.executor` are *mechanism* — they run client
-tasks and module-level work functions on a serial/thread/process backend
-with bit-identical results.  A :class:`DispatchPolicy` names the backend
-(and worker count) a run uses, builds the one executor that implements it,
-and records every routing decision in a trace (surfaced through
-``GridStats``/``--stats-json``).
+A :class:`DispatchPolicy` names the backend a run uses — ``serial``,
+``thread`` or ``process`` — and runs the work itself on at most one
+:mod:`concurrent.futures` pool, built on first use and reused until
+:meth:`DispatchPolicy.close`.  It serves three fan-outs:
 
-Call sites
-----------
-``"round"``
-    The per-round benign-client fan-out (``FederatedSimulation.run_round``).
-``"refd"``
-    REFD's per-update D-score inference (:mod:`repro.defenses.refd`), the
-    one in-round fan-out that was measured to win on two cores.
-``"grid"``
-    Grid cell dispatch (:class:`repro.experiments.grid.GridRunner`).
+* the round's benign local training (:meth:`~DispatchPolicy.map_tasks`, or
+  :meth:`~DispatchPolicy.map_detailed` under the fault-tolerant round loop
+  of :func:`repro.fl.faults.run_tasks_with_recovery`);
+* REFD's per-update D-score inference (:meth:`~DispatchPolicy.map_fn`, see
+  :mod:`repro.defenses.refd`), the one in-round fan-out that was measured
+  to win on two cores;
+* grid cells: :class:`repro.experiments.grid.GridRunner` reads
+  :attr:`~DispatchPolicy.backend` and :attr:`~DispatchPolicy.workers` to
+  size its own cell pool.
 
-A policy is built only from a spec — ``None`` (serial), a string such as
-``"process:4"`` or a :class:`DispatchPolicy` — and holds nothing but its
-decisions and the executor it built.  Whoever builds a policy closes it.
+A policy is built from a spec — ``None`` (serial), a string such as
+``"process:4"`` or a :class:`DispatchPolicy` — by
+:meth:`DispatchPolicy.coerce`.  Whoever builds a policy closes it.
+
+Determinism contract
+--------------------
+Client tasks carry their RNG *state* and work functions are pure functions
+of their payloads (:mod:`repro.fl.executor`), so every backend yields
+bit-identical results for a given seed.  The process backend publishes a
+round's common global parameter vector once through a
+:class:`~repro.fl.executor.SharedParamsLease` (when ``use_shared_memory``)
+and ships tasks that carry only its :class:`~repro.fl.executor.
+SharedParamsRef` — the same bytes as the inline path.  Every task field
+must pickle there, in particular ``model_factory``: use
+:class:`repro.models.ClassifierFactory` or another module-level callable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+import dataclasses
+import os
+import time
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import wait as futures_wait
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+
+import numpy as np
 
 from .executor import (
-    ClientExecutor,
-    ParallelExecutor,
-    SerialExecutor,
-    ThreadedExecutor,
-    default_worker_count,
+    ClientTask,
+    ClientTaskResult,
+    SharedParamsLease,
+    TaskOutcome,
+    run_client_task,
 )
 
-__all__ = [
-    "BACKENDS",
-    "SITES",
-    "DispatchDecision",
-    "DispatchPolicy",
-]
+__all__ = ["BACKENDS", "DispatchPolicy", "default_worker_count"]
 
-#: The call sites a policy decides for (see module docstring).
-SITES = ("round", "refd", "grid")
-
-#: The executor backends a policy may run on.
+#: The backends a policy may run on.
 BACKENDS = ("serial", "thread", "process")
 
 _SPEC_FORMS = "'serial', 'thread[:N]' or 'process[:N]'"
 
 
-@dataclass
-class DispatchDecision:
-    """One recorded routing decision (see ``DispatchPolicy.trace``)."""
+def default_worker_count() -> int:
+    """Worker count used when none is given: one per usable core, max 8.
 
-    site: str
-    backend: str
-    workers: int
-    use_shared_memory: bool
-    items: int
-    reason: str
-    count: int = 1
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "site": self.site,
-            "backend": self.backend,
-            "workers": self.workers,
-            "use_shared_memory": self.use_shared_memory,
-            "items": self.items,
-            "reason": self.reason,
-            "count": self.count,
-        }
+    Usable means the CPUs this process may run on (``sched_getaffinity``,
+    which honours taskset and cpuset limits), where the platform reports
+    them; otherwise every core ``os.cpu_count()`` sees.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - macOS / Windows
+        cores = os.cpu_count() or 1
+    return max(1, min(8, cores))
 
 
 class DispatchPolicy:
-    """The single public entry point for execution-backend selection.
+    """One backend and its pool: ``serial``, ``thread[:N]`` or ``process[:N]``.
 
-    ``DispatchPolicy.fixed("process", workers=4)`` runs every site on the
-    named backend; ``DispatchPolicy.serial()`` runs everything inline (the
-    default).  String specs are accepted anywhere a policy is:
-    ``"serial"``, ``"thread:2"``, ``"process:4"``.
+    ``workers`` is resolved at construction: 1 for ``serial``, otherwise the
+    given count or :func:`default_worker_count`.  The four pool counters
+    (:meth:`counter_snapshot`) accumulate over the policy's life and survive
+    :meth:`close`:
 
-    Every decision lands in :attr:`trace` (deduplicated with counts; JSON
-    via :meth:`trace_dicts`, surfaced in ``GridStats.dispatch_decisions``
-    and ``--stats-json``) and in :attr:`counters`.
+    ``shm_rounds``
+        task batches whose global parameters travelled by shared-memory lease;
+    ``shard_rounds``
+        task batches whose tasks carried shard-store refs instead of arrays;
+    ``fanout_calls``
+        work items :meth:`map_fn` ran on the pool;
+    ``pool_rebuilds``
+        times a broken or deadline-cut process pool was torn down.
     """
 
     def __init__(
@@ -99,43 +104,31 @@ class DispatchPolicy:
         if workers is not None and workers < 1:
             raise ValueError("workers must be at least 1")
         self.backend = backend
-        self.workers = workers
+        self.workers = 1 if backend == "serial" else workers or default_worker_count()
         self.use_shared_memory = bool(use_shared_memory)
-        self._executor: Optional[ClientExecutor] = None
-        self._trace: Dict[tuple, DispatchDecision] = {}
-        self.counters: Dict[str, int] = {
-            "decisions": 0,
-            "serial": 0,
-            "thread": 0,
-            "process": 0,
-        }
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def fixed(
-        cls,
-        backend: str,
-        workers: Optional[int] = None,
-        use_shared_memory: bool = True,
-    ) -> "DispatchPolicy":
-        """Pin every site to one backend."""
-        return cls(backend=backend, workers=workers, use_shared_memory=use_shared_memory)
+        self.shm_rounds = 0
+        self.shard_rounds = 0
+        self.fanout_calls = 0
+        self.pool_rebuilds = 0
+        self._pool: Optional[Executor] = None
 
     @classmethod
-    def serial(cls) -> "DispatchPolicy":
-        """Everything inline — the default."""
-        return cls.fixed("serial")
+    def coerce(cls, value: Any) -> "DispatchPolicy":
+        """``None`` -> serial, a policy as-is, a str spec parsed.
 
-    @classmethod
-    def parse(cls, spec: Any) -> "DispatchPolicy":
-        """Parse ``"serial" | "thread[:N]" | "process[:N]"``."""
-        if isinstance(spec, DispatchPolicy):
-            return spec
-        text = "" if spec is None else str(spec).strip()
+        A spec is ``"serial" | "thread[:N]" | "process[:N]"``; anything else
+        raises :class:`ValueError` (a bad string) or :class:`TypeError`.
+        """
+        if isinstance(value, DispatchPolicy):
+            return value
+        if value is not None and not isinstance(value, str):
+            raise TypeError(
+                "a dispatch policy must be None, a DispatchPolicy or a str spec, "
+                f"not {type(value).__name__}"
+            )
+        text = (value or "").strip()
         if not text:
-            return cls.serial()
+            return cls()
         name, sep, workers_text = text.partition(":")
         workers: Optional[int] = None
         if sep:
@@ -149,153 +142,218 @@ class DispatchPolicy:
             raise ValueError(
                 f"dispatch spec {text!r}: workers must be at least 1; expected {_SPEC_FORMS}"
             )
-        return cls.fixed(name, workers=workers)
-
-    @classmethod
-    def coerce(cls, value: Any) -> "DispatchPolicy":
-        """``None`` -> serial, a policy as-is, a string -> :meth:`parse`."""
-        if value is None:
-            return cls.serial()
-        if isinstance(value, DispatchPolicy):
-            return value
-        if isinstance(value, str):
-            return cls.parse(value)
-        raise TypeError(
-            "a dispatch policy must be None, a DispatchPolicy or a str spec, "
-            f"not {type(value).__name__}"
-        )
-
-    # ------------------------------------------------------------------
-    # Decisions
-    # ------------------------------------------------------------------
-    def decide(self, site: str, items: int) -> DispatchDecision:
-        """Route one call: returns the recorded :class:`DispatchDecision`."""
-        if site not in SITES:
-            raise ValueError(f"unknown site {site!r}; expected one of {SITES}")
-        decision = DispatchDecision(
-            site=site,
-            backend=self.backend,
-            workers=self._worker_count(),
-            use_shared_memory=self.use_shared_memory,
-            items=int(items),
-            reason=f"fixed policy {self.backend!r}",
-        )
-        self._record(decision)
-        return decision
-
-    def _worker_count(self) -> int:
-        if self.backend == "serial":
-            return 1
-        return self.workers if self.workers is not None else default_worker_count()
-
-    def _record(self, decision: DispatchDecision) -> None:
-        self.counters["decisions"] += 1
-        self.counters[decision.backend] += 1
-        key = (decision.site, decision.backend, decision.items, decision.reason)
-        existing = self._trace.get(key)
-        if existing is None:
-            self._trace[key] = decision
-        else:
-            existing.count += 1
+        return cls(name, workers=workers)
 
     @property
-    def trace(self) -> List[DispatchDecision]:
-        """Deduplicated decision records in first-seen order."""
-        return list(self._trace.values())
-
-    def trace_dicts(self) -> List[Dict[str, Any]]:
-        """JSON-ready decision trace (what ``--stats-json`` embeds)."""
-        return [decision.to_dict() for decision in self.trace]
+    def spec(self) -> str:
+        """The spec string this policy runs as, e.g. ``"process:4"``."""
+        return "serial" if self.backend == "serial" else f"{self.backend}:{self.workers}"
 
     # ------------------------------------------------------------------
-    # Execution
+    # Client tasks
     # ------------------------------------------------------------------
-    @property
-    def executor(self) -> ClientExecutor:
-        """The policy's one executor, built on first use and then reused."""
-        if self._executor is None:
-            if self.backend == "serial":
-                self._executor = SerialExecutor()
-            elif self.backend == "thread":
-                self._executor = ThreadedExecutor(workers=self._worker_count())
-            else:
-                self._executor = ParallelExecutor(
-                    workers=self._worker_count(),
-                    use_shared_memory=self.use_shared_memory,
-                )
-        return self._executor
+    def map_tasks(self, tasks: Sequence[ClientTask]) -> List[ClientTaskResult]:
+        """Run a round's client tasks, in order; a task's error propagates.
 
-    def executor_for_tasks(self, tasks: Sequence) -> ClientExecutor:
-        """Record the decision for one batch of client tasks; return the executor.
-
-        The decision half of :meth:`map_tasks`, exposed so the fault-tolerant
-        round loop (:func:`repro.fl.faults.run_tasks_with_recovery`) can
-        drive the executor's ``map_detailed`` with retries and deadlines
-        while recording exactly the same decision.
+        A process pool found broken (a worker died between rounds) is
+        rebuilt and the batch re-run once — bit-identical, since tasks are
+        pure functions of their payloads.  A second break propagates.
         """
-        self.decide("round", items=len(tasks))
-        return self.executor
-
-    def map_tasks(self, tasks: Sequence) -> List:
-        """Run the round's client tasks on the policy's backend."""
         tasks = list(tasks)
         if not tasks:
             return []
-        return self.executor_for_tasks(tasks).map(tasks)
+        if self.backend == "serial":
+            return [run_client_task(task) for task in tasks]
+        with self._published(tasks) as shipped:
+            try:
+                return list(self._ensure_pool().map(run_client_task, shipped))
+            except BrokenProcessPool:
+                self._discard_pool()
+                return list(self._ensure_pool().map(run_client_task, shipped))
 
-    def fanout(
-        self,
-        site: str,
-        fn: Callable,
-        payloads: Sequence,
-        *,
-        payload_by_ref: bool = True,
-    ) -> Optional[List]:
-        """Map the module-level ``fn`` over ``payloads`` on the policy's pool.
+    def map_detailed(
+        self, tasks: Sequence[ClientTask], deadline_at: Optional[float] = None
+    ) -> List[TaskOutcome]:
+        """Run tasks, capturing per-task success/error/cut instead of raising.
+
+        ``deadline_at`` is an absolute :func:`time.monotonic` instant; tasks
+        still unfinished when it passes are abandoned and marked ``cut``
+        (the serial backend checks it between tasks).  A process pool that
+        broke or holds cut stragglers is discarded, so retries start on a
+        fresh one.
+        """
+        tasks = list(tasks)
+        outcomes = [TaskOutcome(index=index) for index in range(len(tasks))]
+        if self.backend == "serial":
+            for outcome, task in zip(outcomes, tasks):
+                if deadline_at is not None and time.monotonic() >= deadline_at:
+                    outcome.cut = True
+                    continue
+                try:
+                    outcome.result = run_client_task(task)
+                except Exception as err:
+                    outcome.error = err
+            return outcomes
+        with self._published(tasks) as shipped:
+            futures: Dict[Future[ClientTaskResult], int] = {}
+            broken = False
+            try:
+                pool = self._ensure_pool()
+                for index, task in enumerate(shipped):
+                    futures[pool.submit(run_client_task, task)] = index
+            except BrokenProcessPool as submit_error:
+                broken = True
+                for outcome in outcomes[len(futures):]:
+                    outcome.error = submit_error
+            timeout = None
+            if deadline_at is not None:
+                timeout = max(0.0, deadline_at - time.monotonic())
+            done, not_done = futures_wait(futures, timeout=timeout)
+            for future in done:
+                outcome = outcomes[futures[future]]
+                try:
+                    outcome.result = future.result()
+                except Exception as err:
+                    outcome.error = err
+                    broken = broken or isinstance(err, BrokenProcessPool)
+            for future in not_done:
+                # A running thread cannot be killed: it is abandoned and its
+                # result discarded.  Process workers are terminated below.
+                future.cancel()
+                outcomes[futures[future]].cut = True
+            if self.backend == "process" and (not_done or broken):
+                self._discard_pool(terminate=bool(not_done))
+        return outcomes
+
+    @contextmanager
+    def _published(self, tasks: List[ClientTask]) -> Iterator[List[ClientTask]]:
+        """The tasks as the pool receives them, with the round's lease held.
+
+        On a shared-memory process pool, a batch whose tasks all broadcast
+        the same global parameters publishes them once and ships tasks that
+        carry only the lease's ref; the lease is released when the batch
+        returns.  The batch counters are bumped on success.
+        """
+        vector = self._broadcast_vector(tasks)
+        lease: Optional[SharedParamsLease] = None
+        if vector is not None:
+            try:
+                lease = SharedParamsLease(vector)
+            except (ImportError, OSError):  # pragma: no cover - no POSIX shm
+                lease = None
+        if lease is None:
+            yield tasks
+        else:
+            try:
+                yield [
+                    dataclasses.replace(task, global_params=None, params_ref=lease.ref)
+                    for task in tasks
+                ]
+            finally:
+                lease.release()
+            self.shm_rounds += 1
+        if any(task.shard_ref is not None for task in tasks):
+            self.shard_rounds += 1
+
+    def _broadcast_vector(self, tasks: Sequence[ClientTask]) -> Optional[np.ndarray]:
+        """The batch's common parameter vector, or ``None`` if not shareable.
+
+        Only shared-memory process pools share one.  Tasks usually broadcast
+        the *same object*, but equal-valued distinct vectors (e.g. defensive
+        per-task copies) are recognised too — via :func:`np.shares_memory`
+        first (cheap view check), then an exact ``array_equal`` fallback —
+        so the shm path is not silently skipped.
+        """
+        if self.backend != "process" or not self.use_shared_memory or len(tasks) < 2:
+            return None
+        first = tasks[0].global_params
+        if first is None:
+            return None
+        for task in tasks[1:]:
+            other = task.global_params
+            if other is first:
+                continue
+            if other is None:
+                return None
+            if not (np.shares_memory(other, first) or np.array_equal(other, first)):
+                return None
+        return first
+
+    # ------------------------------------------------------------------
+    # Generic fan-out
+    # ------------------------------------------------------------------
+    def map_fn(
+        self, fn: Callable[[Any], Any], payloads: Sequence[Any], *, by_ref: bool = True
+    ) -> Optional[List[Any]]:
+        """Map the module-level ``fn`` over ``payloads`` on the pool, in order.
 
         Returns ``None`` when the work should stay on the caller's own fused
         serial loop: a serial policy, a single payload, or a process pool
-        asked to ship payloads that do not travel by shared-memory
-        reference (``payload_by_ref=False``) — pickling a large shared array
-        into every work item costs more than the serial loop saves.
+        asked to ship payloads that do not travel by shared-memory reference
+        (``by_ref=False``) — pickling a large array into every work item
+        costs more than the serial loop saves.  The process pool pickles
+        ``fn`` by its qualified name, so closures and lambdas cannot run
+        there.
         """
         payloads = list(payloads)
-        if len(payloads) > 1 and (payload_by_ref or self.backend != "process"):
-            if self.decide(site, items=len(payloads)).backend == "serial":
-                return None
-            return self.executor.map_fn(fn, payloads)
-        reason = (
-            "single work item"
-            if len(payloads) <= 1
-            else "process pool without by-reference payloads"
-        )
-        self._record(
-            DispatchDecision(
-                site=site,
-                backend="serial",
-                workers=1,
-                use_shared_memory=self.use_shared_memory,
-                items=len(payloads),
-                reason=reason,
-            )
-        )
-        return None
+        if (
+            self.backend == "serial"
+            or len(payloads) <= 1
+            or (self.backend == "process" and not by_ref)
+        ):
+            return None
+        results = list(self._ensure_pool().map(fn, payloads))
+        self.fanout_calls += len(payloads)
+        return results
 
     # ------------------------------------------------------------------
-    # Lifecycle / introspection
+    # Pool lifecycle / introspection
     # ------------------------------------------------------------------
+    def _ensure_pool(self) -> Executor:
+        if self._pool is None:
+            if self.backend == "thread":
+                self._pool = ThreadPoolExecutor(max_workers=self.workers)
+            else:
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        return self._pool
+
+    def _discard_pool(self, terminate: bool = False) -> None:
+        """Tear down the current pool so the next use builds a fresh one.
+
+        ``terminate`` additionally kills the worker processes — needed when
+        a deadline-cut straggler would otherwise hold a pool slot (and its
+        CPU) indefinitely.  A pool that is merely *broken* has no live
+        workers left to kill.
+        """
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if terminate:
+            for process in list((getattr(pool, "_processes", None) or {}).values()):
+                try:
+                    process.terminate()
+                except Exception:  # pragma: no cover - already dead
+                    pass
+        try:
+            pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:  # pragma: no cover - broken pools may refuse
+            pass
+        self.pool_rebuilds += 1
+
     def counter_snapshot(self) -> Dict[str, int]:
-        """Decision counters plus the executor's, as ``<backend>_<counter>``."""
-        snapshot: Dict[str, int] = dict(self.counters)
-        if self._executor is not None:
-            for key, value in self._executor.counter_snapshot().items():
-                snapshot[f"{self._executor.name}_{key}"] = value
-        return snapshot
+        """The four pool counters (see the class docstring)."""
+        return {
+            "shm_rounds": self.shm_rounds,
+            "shard_rounds": self.shard_rounds,
+            "fanout_calls": self.fanout_calls,
+            "pool_rebuilds": self.pool_rebuilds,
+        }
 
     def close(self) -> None:
-        """Release the executor's workers (idempotent; counters survive)."""
-        if self._executor is not None:
-            self._executor.close()
+        """Shut the pool down (idempotent; the counters survive)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
     def __enter__(self) -> "DispatchPolicy":
         return self

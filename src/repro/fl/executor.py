@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the per-round benign-client fan-out.
+"""Client-task payloads and the shared-memory data plane of the dispatch.
 
 Each FL round trains ``clients_per_round`` independent local models; the
 work units are embarrassingly parallel because every client starts from the
@@ -6,9 +6,9 @@ same broadcast global parameters and touches only its own data shard and RNG
 stream.  :class:`ClientTask` captures one unit of that work as a fully
 picklable payload (plain numpy arrays *or* shared-memory handles, a
 :class:`LocalTrainingConfig`, and the client's RNG *state* rather than the
-generator object), so the same task can be executed in-process, on a thread
-pool, or in a worker process — and produce bit-identical results in all
-three cases.
+generator object), so :class:`~repro.fl.dispatch_policy.DispatchPolicy` can
+run the same task in-process, on a thread pool, or in a worker process — and
+get bit-identical results in all three cases.
 
 Shared-memory data plane
 ------------------------
@@ -16,7 +16,7 @@ Two kinds of payload are identical across tasks and rounds and therefore
 never need to be pickled per task:
 
 * the **global parameter vector** is identical for every task of a round;
-  :class:`ParallelExecutor` publishes it once per round through a
+  a shared-memory process policy publishes it once per round through a
   :class:`SharedParamsLease` and rewrites the tasks to carry only a
   :class:`SharedParamsRef` (segment name, dtype, length);
 * the **per-client data shards** (and the defense's reference arrays) are
@@ -30,18 +30,9 @@ Workers attach segments read-only through a per-process cache
 when the next round publishes under a new name, while *persistent* segments
 (the shard store) stay attached for the lifetime of the simulation.  The
 serial and thread backends keep inline arrays — they already share the
-parent's address space, so there is nothing to ship.
-
-Generic fan-out
----------------
-:meth:`ClientExecutor.map_fn` maps a module-level work function over a list
-of payloads, preserving order.  The process backend hands the function to
-its pool as is: pickle ships a module-level function by its qualified name,
-so a worker imports the defining module and calls the same code.  Closures
-and lambdas do not pickle and cannot run there.  REFD's per-update D-score
-inference (:func:`repro.defenses.refd.evaluate_update`) fans out this way,
-with the reference images read from the simulation's shard store instead of
-being pickled into every payload.
+parent's address space, so there is nothing to ship.  REFD's per-update
+D-score inference (:func:`repro.defenses.refd.evaluate_update`) reads the
+reference images from the shard store the same way.
 
 Determinism contract
 --------------------
@@ -49,41 +40,18 @@ A client owns one :class:`numpy.random.Generator` that advances across
 rounds.  :func:`run_client_task` reconstructs the generator from the
 serialized state, trains, and ships the *advanced* state back so the owning
 :class:`~repro.fl.client.BenignClient` can resume exactly where a serial run
-would have.  Given the same seed, :class:`SerialExecutor`,
-:class:`ThreadedExecutor` and :class:`ParallelExecutor` therefore yield
-bit-identical :class:`~repro.fl.types.ModelUpdate` sequences — the
-shared-memory paths ship the same bytes as the inline paths, and fan-out
-work functions are pure functions of their payloads.
-
-Picklability
-------------
-:class:`ParallelExecutor` submits tasks to a
-:class:`concurrent.futures.ProcessPoolExecutor`, so every field of the task
-must pickle — in particular ``model_factory``.  Closures do not pickle; use
+would have.  Every field of a task must pickle for the process backend — in
+particular ``model_factory``: closures do not pickle, so use
 :class:`repro.models.ClassifierFactory` (or any module-level callable /
-dataclass) when running with processes.  The experiment layer
-(:func:`repro.experiments.runner.build_simulation`) already does.
+dataclass), as :func:`repro.experiments.runner.build_simulation` does.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import wait as _futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -107,11 +75,6 @@ __all__ = [
     "attach_array_store",
     "resolve_shared_array",
     "run_client_task",
-    "ClientExecutor",
-    "SerialExecutor",
-    "ThreadedExecutor",
-    "ParallelExecutor",
-    "default_worker_count",
 ]
 
 
@@ -515,14 +478,10 @@ def run_client_task(task: ClientTask) -> ClientTaskResult:
     )
 
 
-def default_worker_count() -> int:
-    """Worker count used when none is given: one per available core, max 8."""
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 @dataclass
 class TaskOutcome:
-    """Per-task outcome of :meth:`ClientExecutor.map_detailed`.
+    """Per-task outcome of :meth:`DispatchPolicy.map_detailed
+    <repro.fl.dispatch_policy.DispatchPolicy.map_detailed>`.
 
     Exactly one of three states: ``result`` set (success), ``error`` set
     (the task raised or its worker died), or ``cut`` true (the task was
@@ -533,343 +492,3 @@ class TaskOutcome:
     result: Optional[ClientTaskResult] = None
     error: Optional[BaseException] = None
     cut: bool = False
-
-
-class ClientExecutor:
-    """Strategy interface: run a batch of client tasks, preserving order."""
-
-    name = "base"
-    supports_shard_store = False
-    """Whether the backend benefits from the once-per-simulation shard store
-    (only process pools do — threads already share the address space)."""
-
-    def map(self, tasks: Sequence[ClientTask]) -> List[ClientTaskResult]:
-        """Run every task and return results in the same order as ``tasks``."""
-        raise NotImplementedError
-
-    def map_detailed(
-        self, tasks: Sequence[ClientTask], deadline_at: Optional[float] = None
-    ) -> List[TaskOutcome]:
-        """Run tasks, capturing per-task success/error/cut instead of raising.
-
-        ``deadline_at`` is an absolute :func:`time.monotonic` instant; tasks
-        still unfinished when it passes are abandoned and marked ``cut``.
-        The fault-tolerant round loop (:func:`repro.fl.faults.
-        run_tasks_with_recovery`) drives this entry point; :meth:`map` stays
-        the exception-propagating hot path.  The base implementation runs
-        serially, checking the deadline between tasks.
-        """
-        outcomes: List[TaskOutcome] = []
-        for index, task in enumerate(tasks):
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                outcomes.append(TaskOutcome(index=index, cut=True))
-                continue
-            try:
-                outcomes.append(TaskOutcome(index=index, result=run_client_task(task)))
-            except Exception as err:
-                outcomes.append(TaskOutcome(index=index, error=err))
-        return outcomes
-
-    def map_fn(self, fn: Callable, items: Iterable) -> List:
-        """Generic order-preserving fan-out for non-task work.
-
-        ``fn`` must be a module-level function so the process backend can
-        pickle it by name.  Defense-side per-update work (REFD scoring) uses
-        this to reuse the round's worker pool.  The base implementation runs
-        serially; :class:`ThreadedExecutor` overlaps numpy-heavy calls on its
-        thread pool; :class:`ParallelExecutor` runs them on its process pool.
-        """
-        return [fn(item) for item in items]
-
-    def counter_snapshot(self) -> Dict[str, int]:
-        """This executor's observability counters (empty for stateless
-        backends).  :meth:`DispatchPolicy.counter_snapshot
-        <repro.fl.dispatch_policy.DispatchPolicy.counter_snapshot>` merges
-        these into the per-policy view surfaced by ``--stats-json``."""
-        return {}
-
-    def close(self) -> None:
-        """Release any pooled workers (idempotent)."""
-
-    def __enter__(self) -> "ClientExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class SerialExecutor(ClientExecutor):
-    """Run tasks one after another in the calling process (the default)."""
-
-    name = "serial"
-
-    def map(self, tasks: Sequence[ClientTask]) -> List[ClientTaskResult]:
-        return [run_client_task(task) for task in tasks]
-
-
-class ThreadedExecutor(ClientExecutor):
-    """Thread-pool fan-out.
-
-    numpy releases the GIL inside its kernels, so threads overlap the heavy
-    matmul/conv work without any pickling cost.  This is the fallback for
-    platforms where process pools are unavailable or fork is unsafe.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = workers or default_worker_count()
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def map(self, tasks: Sequence[ClientTask]) -> List[ClientTaskResult]:
-        return list(self._ensure_pool().map(run_client_task, tasks))
-
-    def map_detailed(
-        self, tasks: Sequence[ClientTask], deadline_at: Optional[float] = None
-    ) -> List[TaskOutcome]:
-        pool = self._ensure_pool()
-        futures = [pool.submit(run_client_task, task) for task in tasks]
-        timeout = None
-        if deadline_at is not None:
-            timeout = max(0.0, deadline_at - time.monotonic())
-        _done, not_done = _futures_wait(set(futures), timeout=timeout)
-        outcomes: List[TaskOutcome] = []
-        for index, future in enumerate(futures):
-            if future in not_done:
-                # A running thread cannot be killed; cancel what we can and
-                # abandon the rest (their results are discarded).
-                future.cancel()
-                outcomes.append(TaskOutcome(index=index, cut=True))
-                continue
-            try:
-                outcomes.append(TaskOutcome(index=index, result=future.result()))
-            except Exception as err:
-                outcomes.append(TaskOutcome(index=index, error=err))
-        return outcomes
-
-    def map_fn(self, fn: Callable, items: Iterable) -> List:
-        return list(self._ensure_pool().map(fn, items))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class ParallelExecutor(ClientExecutor):
-    """Process-pool fan-out: true multi-core execution of the client round.
-
-    Requires every task field to pickle (see the module docstring).  The pool
-    is created lazily on first use and reused across rounds, so the process
-    start-up cost is paid once per simulation rather than once per round.
-
-    When ``use_shared_memory`` is enabled (the default):
-
-    * a round whose tasks all broadcast the same global parameter vector
-      (identity *or* value equality) publishes that vector once per round
-      via :class:`SharedParamsLease` instead of pickling it into every task;
-    * the simulation publishes every client's round-invariant data shard
-      once per simulation in a :class:`SharedArrayStore` and tasks carry
-      only a :class:`ShardRef` (see
-      :attr:`~ClientExecutor.supports_shard_store`);
-    * :meth:`map_fn` runs module-level work functions on the same pool,
-      which is how REFD D-score inference runs across processes.
-
-    Set it to ``False`` to force inline payloads (e.g. on platforms without
-    POSIX shared memory).
-    """
-
-    name = "process"
-
-    def __init__(
-        self, workers: Optional[int] = None, use_shared_memory: bool = True
-    ) -> None:
-        self.workers = workers or default_worker_count()
-        self.use_shared_memory = use_shared_memory
-        self.shm_rounds = 0
-        """Number of rounds dispatched through the shared-memory params path."""
-        self.shard_rounds = 0
-        """Number of rounds whose tasks carried shard-store refs instead of
-        inline image/label arrays."""
-        self.fanout_calls = 0
-        """Number of work items shipped to the pool through :meth:`map_fn`."""
-        self.pool_rebuilds = 0
-        """Number of times a broken or deadline-cut pool was torn down and
-        replaced mid-simulation."""
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def supports_shard_store(self) -> bool:
-        return self.use_shared_memory
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def _discard_pool(self, terminate: bool = False) -> None:
-        """Tear down the current pool so the next use builds a fresh one.
-
-        ``terminate`` additionally kills the worker processes — needed when
-        a deadline-cut straggler would otherwise hold a pool slot (and its
-        CPU) indefinitely.  A pool that is merely *broken* has no live
-        workers left to kill.
-        """
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        if terminate:
-            for process in list((getattr(pool, "_processes", None) or {}).values()):
-                try:
-                    process.terminate()
-                except Exception:  # pragma: no cover - already dead
-                    pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - broken pools may refuse
-            pass
-        self.pool_rebuilds += 1
-
-    def _broadcast_vector(self, tasks: Sequence[ClientTask]) -> Optional[np.ndarray]:
-        """The round's common parameter vector, or ``None`` if not shareable.
-
-        Tasks usually broadcast the *same object*, but equal-valued distinct
-        vectors (e.g. defensive per-task copies) are recognised too — via
-        :func:`np.shares_memory` first (cheap view check), then an exact
-        ``array_equal`` fallback — so the shm path is not silently skipped.
-        """
-        if not self.use_shared_memory or len(tasks) < 2:
-            return None
-        first = tasks[0].global_params
-        if first is None:
-            return None
-        for task in tasks[1:]:
-            other = task.global_params
-            if other is first:
-                continue
-            if other is None:
-                return None
-            if not (np.shares_memory(other, first) or np.array_equal(other, first)):
-                return None
-        return first
-
-    def map(self, tasks: Sequence[ClientTask]) -> List[ClientTaskResult]:
-        tasks = list(tasks)
-        vector = self._broadcast_vector(tasks)
-        lease: Optional[SharedParamsLease] = None
-        if vector is not None:
-            try:
-                lease = SharedParamsLease(vector)
-            except (ImportError, OSError):  # pragma: no cover - no POSIX shm
-                lease = None
-        if lease is not None:
-            tasks = [
-                dataclasses.replace(task, global_params=None, params_ref=lease.ref)
-                for task in tasks
-            ]
-        try:
-            try:
-                results = list(self._ensure_pool().map(run_client_task, tasks))
-            except BrokenProcessPool:
-                # Workers can die *between* rounds of one simulation (OOM
-                # kill, spot preemption); tasks are pure functions of their
-                # payloads, so rebuilding the pool and re-running the whole
-                # batch once is bit-identical.  A second break propagates.
-                self._discard_pool()
-                results = list(self._ensure_pool().map(run_client_task, tasks))
-        finally:
-            if lease is not None:
-                lease.release()
-        if lease is not None:
-            self.shm_rounds += 1
-        if any(task.shard_ref is not None for task in tasks):
-            self.shard_rounds += 1
-        return results
-
-    def map_detailed(
-        self, tasks: Sequence[ClientTask], deadline_at: Optional[float] = None
-    ) -> List[TaskOutcome]:
-        tasks = list(tasks)
-        vector = self._broadcast_vector(tasks)
-        lease: Optional[SharedParamsLease] = None
-        if vector is not None:
-            try:
-                lease = SharedParamsLease(vector)
-            except (ImportError, OSError):  # pragma: no cover - no POSIX shm
-                lease = None
-        run_tasks = tasks
-        if lease is not None:
-            run_tasks = [
-                dataclasses.replace(task, global_params=None, params_ref=lease.ref)
-                for task in tasks
-            ]
-        outcomes = [TaskOutcome(index=index) for index in range(len(tasks))]
-        futures: Dict[object, int] = {}
-        try:
-            submit_error: Optional[BaseException] = None
-            try:
-                pool = self._ensure_pool()
-                for index, task in enumerate(run_tasks):
-                    futures[pool.submit(run_client_task, task)] = index
-            except BrokenProcessPool as err:
-                submit_error = err
-            timeout = None
-            if deadline_at is not None:
-                timeout = max(0.0, deadline_at - time.monotonic())
-            done, not_done = _futures_wait(set(futures), timeout=timeout)
-            broken = submit_error is not None
-            for future in done:
-                index = futures[future]
-                try:
-                    outcomes[index].result = future.result()
-                except Exception as err:
-                    outcomes[index].error = err
-                    if isinstance(err, BrokenProcessPool):
-                        broken = True
-            for future in not_done:
-                future.cancel()
-                outcomes[futures[future]].cut = True
-            submitted = set(futures.values())
-            for index in range(len(tasks)):
-                if index not in submitted:
-                    outcomes[index].error = submit_error or BrokenProcessPool(
-                        "task was never submitted"
-                    )
-            if not_done:
-                # Deadline-cut stragglers hold pool slots; kill the workers
-                # so retries start on a clean pool.
-                self._discard_pool(terminate=True)
-            elif broken:
-                self._discard_pool()
-        finally:
-            if lease is not None:
-                lease.release()
-        if lease is not None:
-            self.shm_rounds += 1
-        if any(task.shard_ref is not None for task in tasks):
-            self.shard_rounds += 1
-        return outcomes
-
-    def map_fn(self, fn: Callable, items: Iterable) -> List:
-        items = list(items)
-        results = list(self._ensure_pool().map(fn, items))
-        self.fanout_calls += len(items)
-        return results
-
-    def counter_snapshot(self) -> Dict[str, int]:
-        return {
-            "shm_rounds": self.shm_rounds,
-            "shard_rounds": self.shard_rounds,
-            "fanout_calls": self.fanout_calls,
-            "pool_rebuilds": self.pool_rebuilds,
-        }
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None

@@ -16,8 +16,8 @@ by the grid runner, see :meth:`FaultPlan.artifact_events`).
 coordinate, so the same plan replays bit-identically under a fixed seed.
 
 **Recovery** — :func:`run_tasks_with_recovery` drives
-:meth:`ClientExecutor.map_detailed
-<repro.fl.executor.ClientExecutor.map_detailed>` with a retry budget,
+:meth:`DispatchPolicy.map_detailed
+<repro.fl.dispatch_policy.DispatchPolicy.map_detailed>` with a retry budget,
 exponential backoff + seeded jitter, a per-attempt round deadline that cuts
 stragglers (cut clients are recorded in
 :attr:`RoundRecord.cut_client_ids <repro.fl.types.RoundRecord>` so defense
@@ -51,8 +51,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from .dispatch_policy import DispatchPolicy
 from .executor import (
-    ClientExecutor,
     ClientTask,
     ClientTaskResult,
     FaultDirective,
@@ -438,7 +438,7 @@ def _inline_task(task: ClientTask) -> ClientTask:
 
 
 def run_tasks_with_recovery(
-    executor: ClientExecutor,
+    policy: DispatchPolicy,
     tasks: Sequence[ClientTask],
     round_number: int,
     resilience: ResilienceConfig,
@@ -459,7 +459,7 @@ def run_tasks_with_recovery(
     if not tasks:
         return [], []
     if injector is not None:
-        hard = getattr(executor, "name", "") == "process"
+        hard = policy.backend == "process"
         tasks = injector.arm_tasks(tasks, round_number, hard_kill=hard)
     results: Dict[int, ClientTaskResult] = {}
     dropped: Dict[int, int] = {}
@@ -470,7 +470,7 @@ def run_tasks_with_recovery(
         deadline_at = None
         if resilience.round_deadline is not None:
             deadline_at = time.monotonic() + float(resilience.round_deadline)
-        outcomes = executor.map_detailed(
+        outcomes = policy.map_detailed(
             [tasks[i] for i in pending], deadline_at=deadline_at
         )
         retry: List[int] = []
@@ -508,9 +508,8 @@ def run_tasks_with_recovery(
             delay = resilience.backoff_delay(batch, rng)
             if delay > 0:
                 time.sleep(delay)
-    rebuilds = getattr(executor, "pool_rebuilds", 0)
-    if rebuilds > stats.pool_rebuilds:
-        stats.pool_rebuilds = rebuilds
+    if policy.pool_rebuilds > stats.pool_rebuilds:
+        stats.pool_rebuilds = policy.pool_rebuilds
     ordered = [results[i] for i in sorted(results)]
     cut_ids = sorted(dropped.values())
     return ordered, cut_ids

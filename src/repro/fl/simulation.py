@@ -20,7 +20,7 @@ from ..defenses.base import Defense, NoDefense
 from ..nn.modules import Module
 from .client import BenignClient
 from .dispatch_policy import DispatchPolicy
-from .executor import ClientExecutor, ShardRef, SharedArrayStore
+from .executor import ShardRef, SharedArrayStore
 from .faults import (
     FaultInjector,
     FaultStats,
@@ -89,8 +89,7 @@ class FederatedSimulation:
         The :class:`~repro.fl.dispatch_policy.DispatchPolicy` routing the
         round's client fan-out and REFD's per-update inference —
         ``None`` (serial, the default), a spec string like ``"process:4"``,
-        or a policy object such as ``DispatchPolicy.fixed("process",
-        workers=4)``.  A policy built here from ``None`` or a string is
+        or a policy object such as ``DispatchPolicy("process", workers=4)``.  A policy built here from ``None`` or a string is
         closed by :meth:`close`; a policy object stays owned by the caller,
         who may share it (and its worker pool) across simulations and
         closes it when done.  All backends are bit-identical for a given
@@ -101,7 +100,7 @@ class FederatedSimulation:
         defense's reference arrays) in a once-per-simulation shared-memory
         :class:`~repro.fl.executor.SharedArrayStore`, so per-round task
         payloads stay tiny; the global parameters travel through the
-        executor's per-round parameter lease.
+        policy's per-round parameter lease.
     resilience:
         Optional :class:`~repro.fl.faults.ResilienceConfig` enabling the
         fault-tolerant round loop: per-task retries with backoff, a round
@@ -149,7 +148,6 @@ class FederatedSimulation:
         self.eval_batch_size = eval_batch_size
         self._owns_dispatch = not isinstance(policy, DispatchPolicy)
         self.dispatch: DispatchPolicy = DispatchPolicy.coerce(policy)
-        self.executor: ClientExecutor = self.dispatch.executor
         self._rng = np.random.default_rng(seed)
         self.resilience = resilience
         self.fault_stats = FaultStats()
@@ -240,8 +238,8 @@ class FederatedSimulation:
         process-backend tasks carry only a tiny
         :class:`~repro.fl.executor.ShardRef` instead of re-pickling their
         image tensors every round.  Backends that share the parent's address
-        space (serial/thread), executors with shared memory disabled, and
-        platforms without POSIX shm all skip the store and keep inline
+        space (serial/thread), process policies with shared memory disabled,
+        and platforms without POSIX shm all skip the store and keep inline
         arrays.  Returns the reference-array ref for the server, if any.
         """
         self._shard_store: Optional[SharedArrayStore] = None
@@ -251,7 +249,7 @@ class FederatedSimulation:
         per-dataset store) are attached upstream and never counted here; the
         per-simulation store only re-packs the fancy-indexed client shards
         and reference arrays, which cannot alias the dataset segment."""
-        if not getattr(self.executor, "supports_shard_store", False):
+        if self.dispatch.backend != "process" or not self.dispatch.use_shared_memory:
             return None
         arrays: Dict[str, np.ndarray] = {}
         for client_id, client in self.benign_clients.items():
@@ -323,7 +321,7 @@ class FederatedSimulation:
             results = self.dispatch.map_tasks(tasks)
         elif tasks:
             results, cut_client_ids = run_tasks_with_recovery(
-                self.dispatch.executor_for_tasks(tasks),
+                self.dispatch,
                 tasks,
                 round_number=round_number,
                 resilience=self.resilience,

@@ -123,7 +123,7 @@ class DefenseContext:
     ``dispatch`` is the simulation's
     :class:`~repro.fl.dispatch_policy.DispatchPolicy` (``None`` runs
     everything inline).  REFD hands its per-update D-score inference to
-    :meth:`~repro.fl.dispatch_policy.DispatchPolicy.fanout`, which runs it
+    :meth:`~repro.fl.dispatch_policy.DispatchPolicy.map_fn`, which runs it
     on the policy's pool or declines so REFD runs its fused serial loop.
     The Krum/Bulyan/FoolsGold distance plane
     (:mod:`repro.defenses.distances`) always runs inline.
@@ -131,7 +131,7 @@ class DefenseContext:
     ``reference_ref`` is the shared-memory publication of the reference
     dataset's ``(images, labels)`` arrays (a
     :class:`~repro.fl.executor.ShardRef`), available when the simulation
-    runs a process executor with its shard store enabled: fan-out payloads
+    runs a shared-memory process policy: fan-out payloads
     then reference the segment instead of pickling the images per update.
     """
 

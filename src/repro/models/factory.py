@@ -73,7 +73,7 @@ def build_classifier(
 class ClassifierFactory:
     """Picklable zero-argument model factory.
 
-    The parallel client executor ships the factory to worker processes, where
+    The process dispatch backend ships the factory to worker processes, where
     closures over a task object cannot be pickled; this dataclass carries the
     same information as plain fields.  Calling it is equivalent to
     :func:`build_classifier` with the stored arguments, so repeated calls

@@ -28,9 +28,9 @@ DEFAULT_DTYPE = np.float32
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-#: Per-thread autograd switch.  Thread-local because executor thread pools
+#: Per-thread autograd switch.  Thread-local because dispatch thread pools
 #: run inference (``no_grad`` blocks) concurrently with the main thread —
-#: REFD scoring fans out ``predict_proba`` across a ThreadedExecutor while
+#: REFD scoring fans out ``predict_proba`` across a thread pool while
 #: the round loop may keep recording gradients — and a process-global flag
 #: with per-instance save/restore would race (one interleaving leaves
 #: gradient recording permanently disabled, the other builds stray graphs
@@ -42,7 +42,7 @@ _GRAD_STATE = threading.local()
 #: carry a ``(name, kwargs)`` descriptor when they are replayable and pass
 #: ``op=None`` otherwise, which poisons the recording and pins that step
 #: signature to eager execution.  Thread-local for the same reason as
-#: ``_GRAD_STATE``: pooled executor threads record independently.
+#: ``_GRAD_STATE``: pooled dispatch threads record independently.
 _TRACE_STATE = threading.local()
 
 

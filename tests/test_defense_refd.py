@@ -170,7 +170,7 @@ class TestBatchedScoring:
         serial = defense.score_updates(
             updates, images, self._context(tiny_task, mlp_factory)
         )
-        with DispatchPolicy.fixed("thread", workers=2) as policy:
+        with DispatchPolicy("thread", workers=2) as policy:
             threaded = defense.score_updates(
                 updates, images, self._context(tiny_task, mlp_factory, dispatch=policy)
             )
@@ -217,7 +217,7 @@ class TestBatchedScoring:
                 images=store.refs["reference/images"],
                 labels=store.refs["reference/labels"],
             )
-            with DispatchPolicy.fixed("process", workers=2) as policy:
+            with DispatchPolicy("process", workers=2) as policy:
                 process = defense.score_updates(
                     updates,
                     images,
@@ -225,7 +225,7 @@ class TestBatchedScoring:
                         tiny_task, factory, dispatch=policy, reference_ref=reference_ref
                     ),
                 )
-                assert policy.counter_snapshot()["process_fanout_calls"] == len(updates)
+                assert policy.counter_snapshot()["fanout_calls"] == len(updates)
         assert [(r.balance, r.confidence, r.score) for r in serial] == [
             (r.balance, r.confidence, r.score) for r in process
         ]
@@ -243,13 +243,12 @@ class TestBatchedScoring:
         updates = self._updates(tiny_task, factory)
         images, _ = tiny_task.test.arrays()
         serial = defense.score_updates(updates, images, self._context(tiny_task, factory))
-        with DispatchPolicy.fixed("process", workers=2) as policy:
+        with DispatchPolicy("process", workers=2) as policy:
             fused = defense.score_updates(
                 updates, images, self._context(tiny_task, factory, dispatch=policy)
             )
-            counters = policy.counter_snapshot()
-            assert counters.get("process_fanout_calls", 0) == 0
-            assert counters["serial"] == 1 and counters["process"] == 0
+            assert policy.counter_snapshot()["fanout_calls"] == 0
+            assert policy._pool is None  # declined before building a pool
         assert [(r.balance, r.confidence, r.score) for r in serial] == [
             (r.balance, r.confidence, r.score) for r in fused
         ]

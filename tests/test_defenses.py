@@ -480,12 +480,13 @@ class TestDefenseBackendParity:
     def test_backends_bit_identical(self, defense_factory):
         updates = self._updates()
         serial = defense_factory().aggregate(updates, self._context_with(None))
-        with DispatchPolicy.fixed("thread", workers=3) as policy:
+        with DispatchPolicy("thread", workers=3) as policy:
             threaded = defense_factory().aggregate(updates, self._context_with(policy))
-        with DispatchPolicy.fixed("process", workers=2) as policy:
+        with DispatchPolicy("process", workers=2) as policy:
             pooled = defense_factory().aggregate(updates, self._context_with(policy))
-            # The distance plane runs inline: the policy is never consulted.
-            assert policy.counter_snapshot()["decisions"] == 0
+            # The distance plane runs inline: nothing reaches the pool.
+            assert policy.counter_snapshot()["fanout_calls"] == 0
+            assert policy._pool is None
         for other in (threaded, pooled):
             np.testing.assert_array_equal(serial.new_params, other.new_params)
             assert serial.accepted_client_ids == other.accepted_client_ids

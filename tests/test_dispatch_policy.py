@@ -1,100 +1,124 @@
-"""Tests for the dispatch policy: specs, decisions, executor ownership, parity."""
+"""Tests for the dispatch policy: specs, its one pool, ownership, counters."""
 
 from __future__ import annotations
 
 import json
+import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.defenses import Bulyan, Krum, Refd
-from repro.defenses.krum import krum_scores_from_distances
-from repro.defenses.distances import pairwise_cosine_similarities, pairwise_sq_distances
+from repro.defenses import Refd
 from repro.experiments import ExperimentRunner, GridRunner, smoke_scale
 from repro.experiments.runner import build_simulation
-from repro.fl.dispatch_policy import DispatchPolicy
-from repro.fl.executor import ParallelExecutor, SerialExecutor, ThreadedExecutor
+from repro.fl.dispatch_policy import DispatchPolicy, default_worker_count
 from repro.fl.types import DefenseContext, ModelUpdate
+
+
+def _square(x):
+    return x * x
 
 
 class TestParseAndCoerce:
     def test_parse_specs(self):
-        assert DispatchPolicy.parse("serial").backend == "serial"
-        policy = DispatchPolicy.parse("process:4")
+        assert DispatchPolicy.coerce("serial").backend == "serial"
+        policy = DispatchPolicy.coerce("process:4")
         assert policy.backend == "process" and policy.workers == 4
-        policy = DispatchPolicy.parse(" thread:2 ")
+        assert policy.spec == "process:4"
+        policy = DispatchPolicy.coerce(" thread:2 ")
         assert policy.backend == "thread" and policy.workers == 2
-        assert DispatchPolicy.parse("process").workers is None
-        assert DispatchPolicy.parse(None).backend == "serial"
-        assert DispatchPolicy.parse("").backend == "serial"
-        existing = DispatchPolicy.serial()
-        assert DispatchPolicy.parse(existing) is existing
+        assert DispatchPolicy.coerce("process").workers == default_worker_count()
+        assert DispatchPolicy.coerce("serial").workers == 1
+        assert DispatchPolicy.coerce("serial").spec == "serial"
+        assert DispatchPolicy.coerce("").backend == "serial"
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
-            DispatchPolicy.parse("bogus")
+            DispatchPolicy.coerce("bogus")
         with pytest.raises(ValueError):
-            DispatchPolicy.parse("process:x")
+            DispatchPolicy.coerce("process:x")
         with pytest.raises(ValueError, match="at least 1"):
-            DispatchPolicy.parse("process:0")
+            DispatchPolicy.coerce("process:0")
+        with pytest.raises(ValueError, match="at least 1"):
+            DispatchPolicy("thread", workers=0)
+        with pytest.raises(ValueError, match="unknown backend"):
+            DispatchPolicy("gpu")
 
     @pytest.mark.parametrize("spec", ["adaptive", "process:2,distance=serial"])
     def test_parse_rejects_removed_forms(self, spec):
         """The cost-model mode and per-site suffixes are gone; the error
         names the forms that remain."""
         with pytest.raises(ValueError, match=r"'serial', 'thread\[:N\]' or 'process\[:N\]'"):
-            DispatchPolicy.parse(spec)
+            DispatchPolicy.coerce(spec)
 
     @pytest.mark.parametrize("spec", ["adaptive", "process:0", "thread:x"])
     @pytest.mark.parametrize(
-        "command",
+        "command, flag",
         [
-            ["run", "--scale", "smoke", "--rounds", "1"],
-            ["scenario", "random-weights", "--scale", "smoke"],
-            ["grid", "--scale", "smoke"],
+            (["run", "--scale", "smoke", "--rounds", "1"], "--dispatch"),
+            (["scenario", "random-weights", "--scale", "smoke"], "--dispatch"),
+            (["grid", "--scale", "smoke"], "--dispatch"),
+            (["grid", "--scale", "smoke"], "--cell-dispatch"),
         ],
-        ids=["run", "scenario", "grid"],
+        ids=["run", "scenario", "grid", "grid-cell-dispatch"],
     )
-    def test_cli_rejects_bad_spec_as_usage_error(self, command, spec, capsys):
+    def test_cli_rejects_bad_spec_as_usage_error(self, command, flag, spec, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            cli_main([*command, "--dispatch", spec])
+            cli_main([*command, flag, spec])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --dispatch" in err
+        assert f"argument {flag}" in err
         assert "'serial', 'thread[:N]' or 'process[:N]'" in err
 
     def test_coerce(self):
         assert DispatchPolicy.coerce(None).backend == "serial"
-        existing = DispatchPolicy.fixed("thread", workers=2)
+        existing = DispatchPolicy("thread", workers=2)
         assert DispatchPolicy.coerce(existing) is existing
         assert DispatchPolicy.coerce("thread:2").backend == "thread"
 
-    @pytest.mark.parametrize("value", [SerialExecutor(), 4], ids=["executor", "int"])
+    @pytest.mark.parametrize(
+        "value", [ThreadPoolExecutor(max_workers=1), 4], ids=["executor", "int"]
+    )
     def test_coerce_rejects_non_specs(self, value):
         with pytest.raises(TypeError, match="None, a DispatchPolicy or a str"):
             DispatchPolicy.coerce(value)
 
+    def test_default_worker_count_honours_cpu_affinity(self, monkeypatch):
+        """taskset/cpuset limits show in the affinity mask, not cpu_count()."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert default_worker_count() == 1
+        assert DispatchPolicy("process").workers == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert default_worker_count() == 3
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(32)), raising=False
+        )
+        assert default_worker_count() == 8  # the cap
+
 
 class TestPinningAndOverrides:
-    """Per-site overrides are gone: a policy pins every site to its one
-    backend and hands every decision the one executor it built."""
+    """A policy runs every fan-out on its one backend and builds at most one
+    pool, reused until it is closed."""
 
     def test_for_executor_is_cached_per_instance(self):
-        """A policy builds one executor and hands that same instance back
-        for every later decision."""
-        with DispatchPolicy.fixed("thread", workers=2) as policy:
-            assert policy.decide("refd", items=4).backend == "thread"
-            executor = policy.executor
-            assert isinstance(executor, ThreadedExecutor) and executor.workers == 2
-            policy.decide("round", items=8)
-            assert policy.executor is executor
-            assert DispatchPolicy.coerce(policy).executor is executor
+        """The first pooled call builds the pool; later calls reuse it."""
+        with DispatchPolicy("thread", workers=2) as policy:
+            assert policy._pool is None
+            assert policy.map_fn(_square, [1, 2]) == [1, 4]
+            pool = policy._pool
+            assert isinstance(pool, ThreadPoolExecutor) and pool._max_workers == 2
+            assert policy.map_fn(_square, [3, 4]) == [9, 16]
+            assert policy._pool is pool
+            assert DispatchPolicy.coerce(policy) is policy
+        assert policy._pool is None
 
     def test_dispatch_for_prefers_context_dispatch(self, tiny_task, mlp_factory):
         """REFD hands its per-update inference to ``context.dispatch``;
-        without one it runs the fused loop and records nothing."""
+        without one it runs the fused loop."""
         from repro.nn.serialization import get_flat_params
 
         params = get_flat_params(mlp_factory())
@@ -119,93 +143,74 @@ class TestPinningAndOverrides:
                 dispatch=dispatch,
             )
 
-        with DispatchPolicy.fixed("thread", workers=2) as policy:
+        with DispatchPolicy("thread", workers=2) as policy:
             routed = Refd(num_rejected=1).aggregate(list(updates), context(policy))
-            assert [d.site for d in policy.trace] == ["refd"]
-            assert policy.trace[0].backend == "thread"
+            assert policy.counter_snapshot()["fanout_calls"] == len(updates)
         bare = Refd(num_rejected=1).aggregate(list(updates), context(None))
         assert routed.accepted_client_ids == bare.accepted_client_ids
         assert routed.scores == bare.scores
         assert np.array_equal(routed.new_params, bare.new_params)
 
     def test_fanout_declines_single_items_and_unshared_process_payloads(self):
-        with DispatchPolicy.fixed("process", workers=2) as policy:
-            assert policy.fanout("refd", abs, [-1]) is None
-            assert policy.fanout("refd", abs, [-1, -2], payload_by_ref=False) is None
-            reasons = [(d.backend, d.reason) for d in policy.trace]
-            assert reasons == [
-                ("serial", "single work item"),
-                ("serial", "process pool without by-reference payloads"),
-            ]
-            assert policy.counter_snapshot()["process"] == 0
-            assert policy.fanout("refd", abs, [-1, -2]) == [1, 2]
-            assert policy.counter_snapshot()["process_fanout_calls"] == 2
-        with DispatchPolicy.serial() as policy:
-            assert policy.fanout("refd", abs, [-1, -2]) is None
-
-    def test_trace_deduplicates_with_counts(self):
-        policy = DispatchPolicy.serial()
-        policy.decide("round", items=4)
-        policy.decide("round", items=4)
-        policy.decide("refd", items=4)
-        assert len(policy.trace) == 2
-        round_entry = next(d for d in policy.trace if d.site == "round")
-        assert round_entry.count == 2
-        snapshot = policy.counter_snapshot()
-        assert snapshot["decisions"] == 3
-        assert snapshot["serial"] == 3
-        dicts = policy.trace_dicts()
-        assert all({"site", "backend", "reason", "count"} <= set(d) for d in dicts)
-        with pytest.raises(ValueError, match="distance"):
-            policy.decide("distance", items=4)
+        with DispatchPolicy("process", workers=2) as policy:
+            assert policy.map_fn(abs, [-1]) is None
+            assert policy.map_fn(abs, [-1, -2], by_ref=False) is None
+            assert policy._pool is None  # declining builds no pool
+            assert policy.counter_snapshot()["fanout_calls"] == 0
+            assert policy.map_fn(abs, [-1, -2]) == [1, 2]
+            assert policy.counter_snapshot()["fanout_calls"] == 2
+        with DispatchPolicy("thread", workers=2) as policy:
+            # Threads share the caller's memory: nothing is shipped by value.
+            assert policy.map_fn(abs, [-1, -2], by_ref=False) == [1, 2]
+        with DispatchPolicy() as policy:
+            assert policy.map_fn(abs, [-1, -2]) is None
+            assert policy.counter_snapshot()["fanout_calls"] == 0
 
 
 class TestPolicyOwnership:
     """A simulation closes only a policy it built; a caller's policy (and
-    its one executor) outlives the simulations it serves."""
+    its one pool) outlives the simulations it serves."""
 
     def test_simulations_share_the_callers_executor(self):
         config = smoke_scale("fashion-mnist", attack="lie", defense="refd", num_rounds=1)
-        with DispatchPolicy.fixed("process", workers=2) as policy:
+        with DispatchPolicy("process", workers=2) as policy:
             with build_simulation(config, policy=policy) as first:
                 first.run(1)
+            pool = policy._pool
+            assert isinstance(pool, ProcessPoolExecutor)
             with build_simulation(config, policy=policy) as second:
                 second.run(1)
-            assert first.executor is second.executor is policy.executor
-            assert isinstance(policy.executor, ParallelExecutor)
+            assert first.dispatch is second.dispatch is policy
+            assert policy._pool is pool
             counters = policy.counter_snapshot()
         # Counters survive both simulations and the policy's own close.
         assert counters == policy.counter_snapshot()
-        assert counters["process_shm_rounds"] == 2
-        assert counters["process_fanout_calls"] > 0
+        assert counters["shm_rounds"] == 2
+        assert counters["fanout_calls"] > 0
 
     def test_counter_keys_come_from_the_one_executor(self):
-        """One executor per policy: its ``process_*`` keys cannot be
-        overwritten by a second executor of the same backend."""
+        """The snapshot is the policy's four pool counters, nothing else."""
         config = smoke_scale("fashion-mnist", attack="lie", defense="refd", num_rounds=1)
-        with DispatchPolicy.fixed("process", workers=2) as policy:
+        with DispatchPolicy("process", workers=2) as policy:
             with build_simulation(config, policy=policy) as simulation:
                 simulation.run(1)
-            executor_counters = policy.executor.counter_snapshot()
-            prefixed = {
-                key[len("process_"):]: value
-                for key, value in policy.counter_snapshot().items()
-                if key.startswith("process_")
-            }
-        assert prefixed == executor_counters
-        assert executor_counters["shm_rounds"] == 1
+            counters = policy.counter_snapshot()
+        assert set(counters) == {"shm_rounds", "shard_rounds", "fanout_calls", "pool_rebuilds"}
+        assert counters["shm_rounds"] == 1
+        assert counters["shard_rounds"] == 1
+        assert counters["pool_rebuilds"] == 0
 
     def test_spec_built_policy_is_closed_with_the_simulation(self):
         config = smoke_scale("fashion-mnist", defense="fedavg", num_rounds=1)
         with build_simulation(config, policy="thread:2") as simulation:
             simulation.run(1)
-            assert simulation.executor._pool is not None
-        assert simulation.executor._pool is None
-        with DispatchPolicy.fixed("thread", workers=2) as policy:
+            assert simulation.dispatch._pool is not None
+        assert simulation.dispatch._pool is None
+        with DispatchPolicy("thread", workers=2) as policy:
             with build_simulation(config, policy=policy) as simulation:
                 simulation.run(1)
-            assert policy.executor._pool is not None  # still the caller's
-        assert policy.executor._pool is None
+            assert policy._pool is not None  # still the caller's
+        assert policy._pool is None
 
     def test_cli_stats_json_carries_executor_counters(self, tmp_path, capsys):
         path = tmp_path / "stats.json"
@@ -218,9 +223,11 @@ class TestPolicyOwnership:
         )
         capsys.readouterr()
         assert code == 0
-        counters = json.loads(path.read_text())["counters"]
-        assert counters["process_shm_rounds"] > 0
-        assert counters["process_fanout_calls"] > 0
+        payload = json.loads(path.read_text())
+        assert payload["dispatch"] == "process:2"
+        counters = payload["counters"]
+        assert counters["shm_rounds"] > 0
+        assert counters["fanout_calls"] > 0
 
 
 class TestDeprecationShims:
@@ -256,7 +263,7 @@ class TestDeprecationShims:
             warnings.simplefilter("error", DeprecationWarning)
             simulation = build_simulation(config, policy="serial")
         try:
-            assert isinstance(simulation.executor, SerialExecutor)
+            assert simulation.dispatch.backend == "serial"
         finally:
             simulation.close()
 
@@ -266,101 +273,33 @@ class TestDeprecationShims:
         assert tuned.to_dict() == config.to_dict()
         simulation = build_simulation(tuned)
         try:
-            assert isinstance(simulation.executor, ThreadedExecutor)
+            assert simulation.dispatch.backend == "thread"
+            assert simulation.dispatch.workers == 2
         finally:
             simulation.close()
 
 
-class TestDistanceCache:
-    """Repeated distance-plane calls.
-
-    Nothing is carried between calls any more (the cross-round cache never
-    hit in practice and was removed), so every call must equal a bare
-    recomputation.  These tests keep the contracts such a cache had to
-    honour: exact repeats, row-local changes, per-epsilon separation.
-    """
-
-    def test_repeat_call_hits_every_pair(self):
-        rng = np.random.default_rng(1)
-        matrix = rng.normal(size=(6, 64)).astype(np.float32)
-        first = pairwise_sq_distances(matrix)
-        second = pairwise_sq_distances(matrix)
-        assert first.shape == (6, 6)
-        assert np.array_equal(first, second)
-        assert np.array_equal(first, pairwise_sq_distances(matrix))
-
-    def test_mutation_invalidates_exactly_affected_pairs(self):
-        rng = np.random.default_rng(2)
-        matrix = rng.normal(size=(6, 64)).astype(np.float32)
-        before = pairwise_sq_distances(matrix)
-
-        mutated = matrix.copy()
-        mutated[3] += 1.0
-        after = pairwise_sq_distances(mutated)
-        assert np.array_equal(after, pairwise_sq_distances(mutated))
-        # Row 3 participates in 6 of the 21 unordered pairs (incl. (3,3)):
-        # off-diagonal pairs through row 3 change, every other pair is
-        # bitwise what the previous call returned.
-        touched = np.zeros((6, 6), dtype=bool)
-        touched[3, :] = touched[:, 3] = True
-        assert np.array_equal(after[~touched], before[~touched])
-        off_diagonal = touched & ~np.eye(6, dtype=bool)
-        assert np.all(after[off_diagonal] != before[off_diagonal])
-
-    def test_krum_bulyan_selections_bitwise_stable_across_cache_hits(self):
-        rng = np.random.default_rng(3)
-        updates = [
-            ModelUpdate(client_id=i, parameters=rng.normal(size=256).astype(np.float32), num_samples=10)
-            for i in range(8)
-        ]
-        policy = DispatchPolicy.serial()
-
-        def context():
-            return DefenseContext(
-                round_number=0,
-                global_params=np.zeros(256, dtype=np.float32),
-                expected_num_malicious=2,
-                rng=np.random.default_rng(0),
-                dispatch=policy,
-            )
-
-        matrix = np.stack([update.parameters for update in updates])
-        scores = krum_scores_from_distances(pairwise_sq_distances(matrix), 2)
-        for defense in (Krum(), Bulyan()):
-            cold = defense.aggregate(list(updates), context())
-            warm = defense.aggregate(list(updates), context())
-            assert cold.accepted_client_ids == warm.accepted_client_ids
-            assert np.array_equal(cold.new_params, warm.new_params)
-        krum = Krum().aggregate(list(updates), context())
-        assert krum.scores == {i: float(score) for i, score in enumerate(scores)}
-        assert krum.accepted_client_ids == [int(np.argmin(scores))]
-
-    def test_cosine_epsilon_namespaces_do_not_cross_hit(self):
-        rng = np.random.default_rng(4)
-        matrix = rng.normal(size=(5, 64)).astype(np.float64)
-        base = pairwise_cosine_similarities(matrix, epsilon=0.0)
-        other = pairwise_cosine_similarities(matrix, epsilon=1e-3)
-        # A different epsilon renormalizes the rows: the values genuinely
-        # differ, and neither result leaks into the other.
-        assert not np.array_equal(base, other)
-        assert np.array_equal(base, pairwise_cosine_similarities(matrix, epsilon=0.0))
-        assert np.array_equal(other, pairwise_cosine_similarities(matrix, epsilon=1e-3))
-        repeat = pairwise_cosine_similarities(matrix, epsilon=1e-3)
-        assert np.array_equal(other, repeat)
-
-
 class TestGridPolicy:
-    def test_grid_stats_carry_dispatch_trace(self, tmp_path):
-        grid = [
-            (
-                "cell/0",
-                smoke_scale("fashion-mnist", attack=None, defense="fedavg"),
-            )
-        ]
-        runner = GridRunner(policy="serial", cache_dir=tmp_path)
-        runner.run(grid)
-        decisions = runner.last_stats.dispatch_decisions
-        assert decisions and any(d["site"] == "grid" for d in decisions)
+    def test_grid_stats_json_carries_dispatch_spec(self, tmp_path, capsys):
+        """The banner and ``--stats-json`` name the sweep's dispatch spec."""
+        path = tmp_path / "stats.json"
+        code = cli_main(
+            [
+                "grid", "--attacks", "lie", "--defenses", "median", "--betas", "0.5",
+                "--scale", "smoke", "--rounds", "1", "--dispatch", "process:2",
+                "--stats-json", str(path),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "grid: 1 scenarios, dispatch=process:2," in out
+        payload = json.loads(path.read_text())
+        assert payload["dispatch"] == "process:2"
+        assert set(payload["counters"]) == {
+            "shm_rounds", "shard_rounds", "fanout_calls", "pool_rebuilds"
+        }
+        assert payload["executed"] == 1 and payload["failed"] == 0
+        assert "dispatch_decisions" not in payload
 
     def test_run_many_policy_serial_matches_run(self):
         configs = [smoke_scale("fashion-mnist", attack=None, defense="fedavg")]

@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.defenses import Bulyan, Krum
 from repro.defenses.distances import (
     pairwise_cosine_similarities,
     pairwise_sq_distances,
 )
-from repro.fl.executor import ParallelExecutor, ThreadedExecutor
+from repro.defenses.krum import krum_scores_from_distances
+from repro.fl.dispatch_policy import DispatchPolicy
+from repro.fl.types import DefenseContext, ModelUpdate
 
 
 def _random_matrix(n=8, dim=192, dtype=np.float32, seed=0):
@@ -130,8 +133,8 @@ class TestFanoutParity:
     def test_thread_fanout_bit_identical(self):
         matrix = _random_matrix(seed=5)
         serial = pairwise_sq_distances(matrix)
-        with ThreadedExecutor(workers=3) as executor:
-            threaded = executor.map_fn(pairwise_sq_distances, [matrix] * 3)
+        with DispatchPolicy("thread", workers=3) as policy:
+            threaded = policy.map_fn(pairwise_sq_distances, [matrix] * 3)
         for result in threaded:
             np.testing.assert_array_equal(serial, result)
 
@@ -139,11 +142,85 @@ class TestFanoutParity:
         matrix = _random_matrix(seed=6)
         serial = pairwise_sq_distances(matrix)
         serial_cos = pairwise_cosine_similarities(matrix)
-        with ParallelExecutor(workers=2) as executor:
-            pooled = executor.map_fn(pairwise_sq_distances, [matrix, matrix])
-            pooled_cos = executor.map_fn(pairwise_cosine_similarities, [matrix, matrix])
-            assert executor.fanout_calls == 4  # every call ran in a worker
+        with DispatchPolicy("process", workers=2) as policy:
+            pooled = policy.map_fn(pairwise_sq_distances, [matrix, matrix])
+            pooled_cos = policy.map_fn(pairwise_cosine_similarities, [matrix, matrix])
+            assert policy.fanout_calls == 4  # every call ran in a worker
         for result in pooled:
             np.testing.assert_array_equal(serial, result)
         for result in pooled_cos:
             np.testing.assert_array_equal(serial_cos, result)
+
+
+class TestRepeatedCalls:
+    """Repeated distance-plane calls carry nothing between them: every call
+    equals a bare recomputation, a changed row moves only its own pairs,
+    and each cosine epsilon gives its own stable result."""
+
+    def test_repeat_calls_are_bitwise_identical(self):
+        rng = np.random.default_rng(1)
+        matrix = rng.normal(size=(6, 64)).astype(np.float32)
+        first = pairwise_sq_distances(matrix)
+        second = pairwise_sq_distances(matrix)
+        assert first.shape == (6, 6)
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, pairwise_sq_distances(matrix))
+
+    def test_changed_row_moves_only_its_own_pairs(self):
+        rng = np.random.default_rng(2)
+        matrix = rng.normal(size=(6, 64)).astype(np.float32)
+        before = pairwise_sq_distances(matrix)
+
+        mutated = matrix.copy()
+        mutated[3] += 1.0
+        after = pairwise_sq_distances(mutated)
+        assert np.array_equal(after, pairwise_sq_distances(mutated))
+        # Row 3 participates in 6 of the 21 unordered pairs (incl. (3,3)):
+        # off-diagonal pairs through row 3 change, every other pair is
+        # bitwise what the previous call returned.
+        touched = np.zeros((6, 6), dtype=bool)
+        touched[3, :] = touched[:, 3] = True
+        assert np.array_equal(after[~touched], before[~touched])
+        off_diagonal = touched & ~np.eye(6, dtype=bool)
+        assert np.all(after[off_diagonal] != before[off_diagonal])
+
+    def test_krum_bulyan_selections_stable_across_repeat_calls(self):
+        rng = np.random.default_rng(3)
+        updates = [
+            ModelUpdate(client_id=i, parameters=rng.normal(size=256).astype(np.float32), num_samples=10)
+            for i in range(8)
+        ]
+        policy = DispatchPolicy()
+
+        def context():
+            return DefenseContext(
+                round_number=0,
+                global_params=np.zeros(256, dtype=np.float32),
+                expected_num_malicious=2,
+                rng=np.random.default_rng(0),
+                dispatch=policy,
+            )
+
+        matrix = np.stack([update.parameters for update in updates])
+        scores = krum_scores_from_distances(pairwise_sq_distances(matrix), 2)
+        for defense in (Krum(), Bulyan()):
+            first = defense.aggregate(list(updates), context())
+            second = defense.aggregate(list(updates), context())
+            assert first.accepted_client_ids == second.accepted_client_ids
+            assert np.array_equal(first.new_params, second.new_params)
+        krum = Krum().aggregate(list(updates), context())
+        assert krum.scores == {i: float(score) for i, score in enumerate(scores)}
+        assert krum.accepted_client_ids == [int(np.argmin(scores))]
+
+    def test_cosine_epsilon_results_differ_and_repeat_exactly(self):
+        rng = np.random.default_rng(4)
+        matrix = rng.normal(size=(5, 64)).astype(np.float64)
+        base = pairwise_cosine_similarities(matrix, epsilon=0.0)
+        other = pairwise_cosine_similarities(matrix, epsilon=1e-3)
+        # A different epsilon renormalizes the rows: the values genuinely
+        # differ, and neither result leaks into the other.
+        assert not np.array_equal(base, other)
+        assert np.array_equal(base, pairwise_cosine_similarities(matrix, epsilon=0.0))
+        assert np.array_equal(other, pairwise_cosine_similarities(matrix, epsilon=1e-3))
+        repeat = pairwise_cosine_similarities(matrix, epsilon=1e-3)
+        assert np.array_equal(other, repeat)

@@ -135,7 +135,7 @@ class TestRecoveryBitIdentical:
             resilience=ResilienceConfig(
                 max_retries=2, backoff_base=0.0, fault_plan=plan
             ),
-            policy=DispatchPolicy.fixed("process", workers=2),
+            policy=DispatchPolicy("process", workers=2),
         )
         assert stats.crashes_injected == 1
         assert stats.pool_rebuilds >= 1
@@ -155,7 +155,7 @@ class TestStragglerCutoff:
                 round_deadline=0.4,
                 fault_plan=plan,
             ),
-            policy=DispatchPolicy.fixed("thread", workers=4),
+            policy=DispatchPolicy("thread", workers=4),
         )
         assert stats.hangs_injected == 1
         assert stats.tasks_cut >= 1
@@ -167,7 +167,7 @@ class TestStragglerCutoff:
     def test_hang_with_retry_budget_stays_bit_identical(self):
         """A per-attempt deadline window means the retry (without the
         injected hang) completes and nothing is cut."""
-        clean, clean_params, _ = _run(policy=DispatchPolicy.fixed("thread", workers=4))
+        clean, clean_params, _ = _run(policy=DispatchPolicy("thread", workers=4))
         plan = FaultPlan(events=(FaultEvent(kind="hang", round=0, slot=0, seconds=5.0),))
         chaos, chaos_params, stats = _run(
             ResilienceConfig(
@@ -176,7 +176,7 @@ class TestStragglerCutoff:
                 round_deadline=0.4,
                 fault_plan=plan,
             ),
-            policy=DispatchPolicy.fixed("thread", workers=4),
+            policy=DispatchPolicy("thread", workers=4),
         )
         assert stats.tasks_cut == 1
         assert stats.clients_cut == 0
@@ -258,19 +258,18 @@ class TestArtifactQuarantine:
 class TestPoolRebuildBetweenRounds:
     @pytest.mark.slow
     def test_plain_map_survives_a_worker_killed_between_rounds(self):
-        """Satellite contract: ParallelExecutor.map() detects a pool broken
-        while idle and transparently rebuilds it once."""
+        """DispatchPolicy.map_tasks() detects a process pool broken while
+        idle and transparently rebuilds it once."""
         config = smoke_scale(attack=None, defense="fedavg", num_rounds=1)
-        policy = DispatchPolicy.fixed("process", workers=2)
-        with build_simulation(config, policy=policy) as simulation:
-            executor = simulation.executor
-            simulation.run(1)
-            # Kill one idle worker; the *next* map() sees a broken pool.
-            processes = dict(executor._pool._processes)
-            os.kill(next(iter(processes)), signal.SIGKILL)
-            time.sleep(0.2)
-            simulation.run(1)
-        assert executor.pool_rebuilds == 1
+        with DispatchPolicy("process", workers=2) as policy:
+            with build_simulation(config, policy=policy) as simulation:
+                simulation.run(1)
+                # Kill one idle worker; the *next* map_tasks() sees a broken pool.
+                processes = dict(policy._pool._processes)
+                os.kill(next(iter(processes)), signal.SIGKILL)
+                time.sleep(0.2)
+                simulation.run(1)
+        assert policy.pool_rebuilds == 1
 
 
 class TestLeaseStealUnderKill:
@@ -318,6 +317,7 @@ class TestLeaseStealUnderKill:
             if child.poll() is None:
                 child.kill()
             child.wait()
+            child.stdout.close()
 
 
 class TestFaultStats:

@@ -1,22 +1,20 @@
-"""Tests for the pluggable client executor: determinism and API contract."""
+"""Tests for client-task dispatch: payloads, shm data plane, determinism."""
 
 from __future__ import annotations
 
 import pickle
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.experiments import build_simulation, smoke_scale
 from repro.fl.executor import (
-    ParallelExecutor,
-    SerialExecutor,
     ShardRef,
     SharedArrayRef,
     SharedArrayStore,
     SharedParamsLease,
     SharedParamsRef,
-    ThreadedExecutor,
     resolve_shared_array,
     run_client_task,
 )
@@ -45,49 +43,58 @@ def _records_signature(result):
 
 
 def _run_with(policy, num_rounds=2, **config_overrides):
-    """Run a smoke config; returns the result and the policy's counters."""
+    """Run a smoke config; returns the result and the policy's counters.
+
+    ``counters["pooled"]`` records whether the run built a worker pool.
+    """
     config_overrides = {"attack": "lie", "defense": "mkrum", **config_overrides}
     config = smoke_scale(num_rounds=num_rounds, **config_overrides)
     with DispatchPolicy.coerce(policy) as policy:
         with build_simulation(config, policy=policy) as simulation:
             result = simulation.run(num_rounds)
-        return result, policy.counter_snapshot()
+        return result, {**policy.counter_snapshot(), "pooled": policy._pool is not None}
+
+
+def _square(x):
+    return x * x
 
 
 class TestBuildExecutor:
-    """A policy spec builds the executor each backend runs on."""
+    """A policy spec names the backend; a pooled backend builds its one pool
+    on first use."""
 
     @staticmethod
-    def _round_executor(spec):
+    def _pool_of(spec):
         policy = DispatchPolicy.coerce(spec)
-        policy.decide("round", items=4)
-        return policy, policy.executor
+        policy.map_fn(_square, [1, 2])
+        return policy, policy._pool
 
     def test_none_gives_serial(self):
-        policy, executor = self._round_executor(None)
-        assert isinstance(executor, SerialExecutor)
+        policy, pool = self._pool_of(None)
+        assert policy.backend == "serial" and pool is None
         policy.close()
 
     def test_names_resolve(self):
-        policy, executor = self._round_executor("serial")
-        assert isinstance(executor, SerialExecutor)
-        for spec, kind in (("thread:2", ThreadedExecutor), ("process:2", ParallelExecutor)):
-            policy, executor = self._round_executor(spec)
+        policy, pool = self._pool_of("serial")
+        assert pool is None
+        kinds = (("thread:2", ThreadPoolExecutor), ("process:2", ProcessPoolExecutor))
+        for spec, kind in kinds:
+            policy, pool = self._pool_of(spec)
             try:
-                assert isinstance(executor, kind)
-                assert executor.workers == 2
+                assert isinstance(pool, kind)
+                assert policy.workers == 2 and pool._max_workers == 2
             finally:
                 policy.close()
 
     def test_instance_passthrough(self):
-        with DispatchPolicy.fixed("thread", workers=1) as policy:
-            same, executor = self._round_executor(policy)
+        with DispatchPolicy("thread", workers=1) as policy:
+            same, pool = self._pool_of(policy)
             assert same is policy
-            assert self._round_executor(policy)[1] is executor
+            assert self._pool_of(policy)[1] is pool
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="gpu-cluster"):
-            DispatchPolicy.parse("gpu-cluster")
+            DispatchPolicy.coerce("gpu-cluster")
 
 
 class TestTaskPayload:
@@ -172,22 +179,25 @@ class TestSharedMemoryBroadcast:
         clients = list(simulation.benign_clients.values())[:2]
         params = simulation.server.distribute()
         tasks = [client.make_task(params, 0) for client in clients]
-        executor = ParallelExecutor(workers=1)
-        assert executor._broadcast_vector(tasks) is params
+        policy = DispatchPolicy("process", workers=1)
+        assert policy._broadcast_vector(tasks) is params
         # An equal-valued copy must not silently disable the shm fast path ...
         tasks[1].global_params = params.copy()
-        assert executor._broadcast_vector(tasks) is params
+        assert policy._broadcast_vector(tasks) is params
         # ... nor must a view into the same buffer ...
         tasks[1].global_params = params[:]
-        assert executor._broadcast_vector(tasks) is params
+        assert policy._broadcast_vector(tasks) is params
         # ... but genuinely different vectors cannot be broadcast,
         different = params.copy()
         different[0] += 1.0
         tasks[1].global_params = different
-        assert executor._broadcast_vector(tasks) is None
+        assert policy._broadcast_vector(tasks) is None
         # and opting out of shared memory always wins.
         tasks[1].global_params = params
-        assert ParallelExecutor(workers=1, use_shared_memory=False)._broadcast_vector(tasks) is None
+        unshared = DispatchPolicy("process", workers=1, use_shared_memory=False)
+        assert unshared._broadcast_vector(tasks) is None
+        # Threads share the parent's memory: there is nothing to publish.
+        assert DispatchPolicy("thread", workers=1)._broadcast_vector(tasks) is None
 
 
 class TestSharedArrayStore:
@@ -276,31 +286,28 @@ class TestSharedArrayStore:
             assert np.shares_memory(first, again)
 
 
-def _square(x):
-    return x * x
-
-
 class TestMapFn:
-    """ClientExecutor.map_fn: order-preserving fan-out of module-level fns."""
+    """DispatchPolicy.map_fn: order-preserving fan-out of module-level fns."""
 
     def test_serial_and_thread_map_fn_run_module_level_fns(self):
-        assert SerialExecutor().map_fn(_square, [1, 2, 3]) == [1, 4, 9]
-        with ThreadedExecutor(workers=2) as executor:
-            assert executor.map_fn(_square, [1, 2, 3]) == [1, 4, 9]
+        # Serial declines: the caller runs its own loop.
+        assert DispatchPolicy().map_fn(_square, [1, 2, 3]) is None
+        with DispatchPolicy("thread", workers=2) as policy:
+            assert policy.map_fn(_square, [1, 2, 3]) == [1, 4, 9]
 
     def test_process_map_fn_runs_module_level_fns_on_the_pool(self):
-        with ParallelExecutor(workers=2) as executor:
-            assert executor.map_fn(_square, list(range(6))) == [x * x for x in range(6)]
-            assert executor.fanout_calls == 6
+        with DispatchPolicy("process", workers=2) as policy:
+            assert policy.map_fn(_square, list(range(6))) == [x * x for x in range(6)]
+            assert policy.fanout_calls == 6
 
     def test_process_map_fn_rejects_closures(self):
         """A closure cannot be pickled by name; the pool survives the error."""
         captured = 3
-        with ParallelExecutor(workers=2) as executor:
+        with DispatchPolicy("process", workers=2) as policy:
             with pytest.raises((pickle.PicklingError, AttributeError)):
-                executor.map_fn(lambda x: x + captured, [1, 2])
-            assert executor.fanout_calls == 0
-            assert executor.map_fn(_square, [4]) == [16]
+                policy.map_fn(lambda x: x + captured, [1, 2])
+            assert policy.fanout_calls == 0
+            assert policy.map_fn(_square, [4, 5]) == [16, 25]
 
 
 class TestShardStoreWiring:
@@ -364,10 +371,10 @@ class TestShardStoreWiring:
 
     def test_shared_memory_opt_out_keeps_inline_arrays(self):
         config = smoke_scale(num_rounds=1)
-        policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=False)
+        policy = DispatchPolicy("process", workers=2, use_shared_memory=False)
         simulation = build_simulation(config, policy=policy)
         try:
-            assert not simulation.executor.supports_shard_store
+            assert simulation._shard_store is None
             client = next(iter(simulation.benign_clients.values()))
             assert client.shard_ref is None
         finally:
@@ -406,16 +413,16 @@ class TestDeterminism:
 
     def test_threaded_matches_serial(self):
         serial, _ = _run_with(None)
-        threaded, counters = _run_with(DispatchPolicy.fixed("thread", workers=3))
-        assert counters["thread"] > 0
+        threaded, counters = _run_with(DispatchPolicy("thread", workers=3))
+        assert counters["pooled"]  # the thread pool ran the rounds
         assert _records_signature(serial) == _records_signature(threaded)
         np.testing.assert_array_equal(serial.final_params, threaded.final_params)
 
     @pytest.mark.slow
     def test_process_pool_matches_serial_via_shared_memory(self):
         serial, _ = _run_with(None)
-        parallel, counters = _run_with(DispatchPolicy.fixed("process", workers=4))
-        assert counters["process_shm_rounds"] > 0  # the shm fast path actually ran
+        parallel, counters = _run_with(DispatchPolicy("process", workers=4))
+        assert counters["shm_rounds"] > 0  # the shm fast path actually ran
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
@@ -428,7 +435,7 @@ class TestDeterminism:
                 (r.client_id, r.balance, r.confidence, r.score)
                 for r in simulation.server.defense.last_reports
             ]
-        with DispatchPolicy.fixed("process", workers=2) as policy:
+        with DispatchPolicy("process", workers=2) as policy:
             with build_simulation(config, policy=policy) as simulation:
                 parallel = simulation.run(2)
                 parallel_reports = [
@@ -436,9 +443,9 @@ class TestDeterminism:
                     for r in simulation.server.defense.last_reports
                 ]
             counters = policy.counter_snapshot()
-        assert counters["process_shm_rounds"] > 0
-        assert counters["process_shard_rounds"] > 0
-        assert counters["process_fanout_calls"] > 0  # D-scores went through the pool
+        assert counters["shm_rounds"] > 0
+        assert counters["shard_rounds"] > 0
+        assert counters["fanout_calls"] > 0  # D-scores went through the pool
         assert serial_reports == parallel_reports
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
@@ -447,27 +454,27 @@ class TestDeterminism:
         """Krum rounds on a process pool are bit-identical to serial; the
         distance plane itself always runs inline in the parent."""
         serial, _ = _run_with(None, defense="krum")
-        parallel, counters = _run_with(DispatchPolicy.fixed("process", workers=2), defense="krum")
-        assert counters["process_shm_rounds"] > 0  # client rounds used the pool
-        assert counters["process_fanout_calls"] == 0  # the distance plane did not
+        parallel, counters = _run_with(DispatchPolicy("process", workers=2), defense="krum")
+        assert counters["shm_rounds"] > 0  # client rounds used the pool
+        assert counters["fanout_calls"] == 0  # the distance plane did not
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
     @pytest.mark.slow
     def test_process_bulyan_distance_fanout_matches_serial(self):
         serial, _ = _run_with(None, defense="bulyan")
-        parallel, counters = _run_with(DispatchPolicy.fixed("process", workers=2), defense="bulyan")
-        assert counters["process_shm_rounds"] > 0
-        assert counters["process_fanout_calls"] == 0
+        parallel, counters = _run_with(DispatchPolicy("process", workers=2), defense="bulyan")
+        assert counters["shm_rounds"] > 0
+        assert counters["fanout_calls"] == 0
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
     @pytest.mark.slow
     def test_process_pool_matches_serial_with_inline_params(self):
         serial, _ = _run_with(None)
-        policy = DispatchPolicy.fixed("process", workers=4, use_shared_memory=False)
+        policy = DispatchPolicy("process", workers=4, use_shared_memory=False)
         parallel, counters = _run_with(policy)
-        assert counters["process_shm_rounds"] == 0
+        assert counters["shm_rounds"] == 0
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
@@ -486,7 +493,7 @@ class TestSimulationWiring:
             training_config=LocalTrainingConfig(local_epochs=1, batch_size=16, learning_rate=0.1),
             policy="thread:2",
         )
-        assert isinstance(simulation.executor, ThreadedExecutor)
+        assert simulation.dispatch.backend == "thread"
         result = simulation.run(1)
         simulation.close()
         assert len(result.records) == 1

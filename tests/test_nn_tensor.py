@@ -104,7 +104,7 @@ class TestBackwardBasics:
         assert is_grad_enabled()
 
     def test_no_grad_is_thread_local(self):
-        # Pooled inference threads (REFD fan-out over a ThreadedExecutor)
+        # Pooled inference threads (REFD fan-out over a thread pool)
         # enter no_grad concurrently with the main thread; the switch must
         # not leak across threads — a process-global flag with save/restore
         # could leave gradient recording permanently disabled after a race.

@@ -217,7 +217,6 @@ class TestAutoModeResolution:
             training_config=LocalTrainingConfig(local_epochs=2, batch_size=8),
         )
         assert simulation.training_config.trace == "replay"
-        assert "train" not in {d.site for d in simulation.dispatch.trace}
 
     def test_config_field_pins_eager_where_auto_would_replay(self, tiny_task, mlp_factory):
         simulation = FederatedSimulation(
@@ -240,7 +239,6 @@ class TestAutoModeResolution:
             training_config=LocalTrainingConfig(trace="eager"),
         )
         assert simulation.training_config.trace == "eager"
-        assert not [d for d in simulation.dispatch.trace if d.site == "train"]
 
     @pytest.mark.parametrize(
         "batch_size, local_epochs, expected",
@@ -265,12 +263,9 @@ class TestAutoModeResolution:
         assert simulation.training_config.trace == expected
 
     def test_train_site_rejects_executor_api(self):
-        """The autograd engine is no dispatch site: the config field picks it."""
-        policy = DispatchPolicy.serial()
-        with pytest.raises(ValueError, match="train"):
-            policy.decide("train", items=4)
+        """The autograd engine is no dispatch option: the config field picks it."""
         with pytest.raises(ValueError, match="process"):
-            DispatchPolicy.parse("serial,train=eager")
+            DispatchPolicy.coerce("serial,train=eager")
 
     def test_config_validates_trace_value(self):
         with pytest.raises(ValueError, match="trace"):
