@@ -20,9 +20,11 @@ Metric notes
 ------------
 ``conv_bwd_params`` is the backward pass as the training loop actually runs
 it for an input layer: the images tensor does not require grad, so the new
-kernels skip the ``grad_x`` column scatter entirely (the legacy kernels
+kernels skip the ``grad_x`` data gradient entirely (the legacy kernels
 always computed it).  ``conv_step_all_grads`` is a full forward+backward with
-every gradient required — the mid-layer profile.
+every gradient required — the mid-layer profile.  Its data gradient adds
+each kernel tap's GEMM straight into the image, where the legacy kernels
+built a column matrix and scattered it back.
 """
 
 from __future__ import annotations
@@ -286,7 +288,7 @@ def bench_conv_backward_params(repeats: int) -> Dict[str, Dict[str, float]]:
 
     This is what every training step runs for the first conv layer: the
     images tensor never requires grad, so the current kernels skip the
-    column scatter back to the input.  The legacy kernels computed it
+    data gradient back to the input.  The legacy kernels computed it
     unconditionally — that waste is exactly what this metric exposes.
     """
     results = {}

@@ -16,7 +16,6 @@ result cache, which should skip every completed cell.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from repro.data.synthetic import SyntheticImageSpec, make_synthetic_task
 from repro.defenses import Bulyan, NoDefense, Refd
 from repro.experiments import GridRunner, expand_grid, smoke_scale
+from repro.fl.dispatch_policy import usable_cpu_count
 from repro.fl.training import train_local_model
 from repro.fl.types import DefenseContext, LocalTrainingConfig, ModelUpdate
 from repro.models import SmallCNN
@@ -147,12 +147,8 @@ def test_grid_sweep_parallel_speedup_and_cache(benchmark, report, tmp_path):
         }
 
     outcome = benchmark.pedantic(measure, rounds=1, iterations=1)
-    # sched_getaffinity sees cgroup/taskset limits that cpu_count() ignores,
-    # so quota-limited CI containers take the lenient branch below.
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cores = os.cpu_count() or 1
+    # Affinity-limited CI containers take the lenient branch below.
+    cores = usable_cpu_count()
     speedup = outcome["serial_seconds"] / max(outcome["parallel_seconds"], 1e-9)
 
     rows = [

@@ -12,7 +12,7 @@ Environment knobs
 -----------------
 ``REPRO_BENCH_WORKERS``
     Scenario-level worker processes for the grid runner (default: one per
-    core, capped at 4).
+    usable core, capped at 4; taskset and cpuset limits count).
 ``REPRO_BENCH_CACHE``
     Directory for per-scenario result artifacts; unset disables the cache
     so every benchmark session measures real executions.
@@ -30,6 +30,7 @@ import os
 import pytest
 
 from repro.experiments import ExperimentRunner, GridRunner
+from repro.fl.dispatch_policy import usable_cpu_count
 
 
 def bench_workers() -> int:
@@ -37,7 +38,7 @@ def bench_workers() -> int:
     raw = os.environ.get("REPRO_BENCH_WORKERS", "").strip()
     if raw:
         return max(1, int(raw))
-    return max(1, min(4, os.cpu_count() or 1))
+    return min(4, usable_cpu_count())
 
 
 @pytest.fixture(scope="session")

@@ -539,7 +539,14 @@ def _run_grid(args: argparse.Namespace) -> int:
     if chaos:
         summary += "\n" + chaos
     print(summary)
-    _write_policy_stats(policy, args.stats_json, extra=dataclasses.asdict(stats))
+    # The sweep policy only sizes the cell pool; the cells' own policies
+    # run the rounds, so their counters are added in.
+    counters = policy.counter_snapshot()
+    for name, value in stats.counters.items():
+        counters[name] += value
+    _write_policy_stats(
+        policy, args.stats_json, extra={**dataclasses.asdict(stats), "counters": counters}
+    )
     _save_if_requested(results, args.output)
     return exit_code
 

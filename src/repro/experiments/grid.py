@@ -219,6 +219,11 @@ class GridStats:
     cell *executed* this run (cache hits do not re-count their stored
     stats), plus artifacts corrupted/quarantined at grid level.  Empty when
     nothing fired."""
+    counters: Dict[str, int] = field(default_factory=dict)
+    """Summed pool counters (:meth:`DispatchPolicy.counter_snapshot
+    <repro.fl.dispatch_policy.DispatchPolicy.counter_snapshot>`) of the
+    cells *executed* this run: each cell runs its rounds on its own policy.
+    Empty when no cell executed."""
 
 
 class GridExecutionError(RuntimeError):
@@ -407,6 +412,7 @@ class GridRunner:
         self._broker: Optional[DatasetBroker] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._run_fault_stats = FaultStats()
+        self._run_counters: Dict[str, int] = {}
         self._artifact_faults_fired: set = set()
 
     # ------------------------------------------------------------------
@@ -495,6 +501,8 @@ class GridRunner:
     ) -> None:
         self._cache_store(label, result)
         self._run_fault_stats.merge(result.fault_stats)
+        for name, value in result.dispatch_counters.items():
+            self._run_counters[name] = self._run_counters.get(name, 0) + value
         self._maybe_corrupt_artifact(label, config)
         checkpoint = self._checkpoint_path(config)
         if checkpoint is not None:
@@ -846,6 +854,7 @@ class GridRunner:
         stats = GridStats(total=len(scenario_list))
         failures: Dict[str, str] = {}
         self._run_fault_stats = FaultStats()
+        self._run_counters = {}
         quarantine_start = quarantine_count()
         ledger: Optional[ClaimLedger] = None
         if self.claim_ttl is not None:
@@ -935,6 +944,7 @@ class GridRunner:
                 if self._run_fault_stats.any()
                 else {}
             )
+            stats.counters = dict(self._run_counters)
             stats.wall_seconds = time.perf_counter() - started
             self.last_stats = stats
             self.last_failures = dict(failures)

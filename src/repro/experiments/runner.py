@@ -36,6 +36,11 @@ class ExperimentResult:
     fault_stats: Dict[str, int] = field(default_factory=dict)
     """Nonzero :class:`~repro.fl.faults.FaultStats` counters of the run
     (empty for fault-free runs, keeping legacy artifacts comparable)."""
+    dispatch_counters: Dict[str, int] = field(default_factory=dict, compare=False)
+    """What the run added to its policy's pool counters
+    (:meth:`~repro.fl.dispatch_policy.DispatchPolicy.counter_snapshot`).
+    How a run was dispatched is not part of its result, so artifacts do
+    not store it and a cached result carries none."""
 
     @property
     def accuracies(self) -> List[float]:
@@ -139,9 +144,11 @@ def run_experiment(
     with build_simulation(
         config, task=task, policy=policy, resilience=resilience
     ) as simulation:
+        counters_before = simulation.dispatch.counter_snapshot()
         result = simulation.run(
             config.num_rounds, checkpoint_path=checkpoint_path, resume=resume
         )
+    counters = simulation.dispatch.counter_snapshot()
     synthesis_losses: List[List[float]] = []
     if simulation.attack is not None:
         synthesis_losses = list(getattr(simulation.attack, "synthesis_loss_history", []))
@@ -156,6 +163,9 @@ def run_experiment(
         fault_stats=(
             simulation.fault_stats.to_dict() if simulation.fault_stats.any() else {}
         ),
+        dispatch_counters={
+            name: value - counters_before[name] for name, value in counters.items()
+        },
     )
     if baseline_accuracy is not None and baseline_accuracy > 0:
         experiment.asr = attack_success_rate(baseline_accuracy, experiment.max_accuracy)

@@ -53,7 +53,7 @@ from .executor import (
     run_client_task,
 )
 
-__all__ = ["BACKENDS", "DispatchPolicy", "default_worker_count"]
+__all__ = ["BACKENDS", "DispatchPolicy", "default_worker_count", "usable_cpu_count"]
 
 #: The backends a policy may run on.
 BACKENDS = ("serial", "thread", "process")
@@ -61,18 +61,21 @@ BACKENDS = ("serial", "thread", "process")
 _SPEC_FORMS = "'serial', 'thread[:N]' or 'process[:N]'"
 
 
-def default_worker_count() -> int:
-    """Worker count used when none is given: one per usable core, max 8.
+def usable_cpu_count() -> int:
+    """The CPUs this process may run on.
 
-    Usable means the CPUs this process may run on (``sched_getaffinity``,
-    which honours taskset and cpuset limits), where the platform reports
-    them; otherwise every core ``os.cpu_count()`` sees.
+    That is ``sched_getaffinity``, which honours taskset and cpuset limits,
+    where the platform reports it; otherwise every core ``os.cpu_count()``
+    sees.
     """
     if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:  # pragma: no cover - macOS / Windows
-        cores = os.cpu_count() or 1
-    return max(1, min(8, cores))
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1  # pragma: no cover - macOS / Windows
+
+
+def default_worker_count() -> int:
+    """Worker count used when none is given: one per usable core, max 8."""
+    return min(8, usable_cpu_count())
 
 
 class DispatchPolicy:

@@ -54,7 +54,9 @@ def _window_view(
             f"kernel {kernel}, stride {stride}, padding {padding}"
         )
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding:-padding, padding:-padding] = x
+        x = padded
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     if stride > 1:
         windows = windows[:, :, ::stride, ::stride]
@@ -100,6 +102,8 @@ def _col2im(
 
     The scatter-add runs over a preallocated padded buffer with one strided
     accumulation per kernel tap (``kh * kw`` bulk adds, no per-pixel Python).
+    Pooling uses it; convolutions add their taps with
+    :func:`_add_tap_products` and never build the column matrix.
     """
     n, c, h, w = input_shape
     kh, kw = kernel
@@ -115,6 +119,79 @@ def _col2im(
     if padding == 0:
         return padded
     return padded[:, :, padding:-padding, padding:-padding]
+
+
+def _tap_range(offset: int, stride: int, padding: int, out_size: int, size: int):
+    """Output slice and image slice of one kernel tap offset along one axis.
+
+    The tap at ``offset`` reads output position ``o`` into image position
+    ``offset + stride * o - padding``; positions that land in the padding
+    border are cut from both slices.
+    """
+    first = max(0, -(-(padding - offset) // stride))
+    last = min(out_size, (size + padding - offset - 1) // stride + 1)
+    start = offset + stride * first - padding
+    return slice(first, last), slice(start, start + stride * (last - first), stride)
+
+
+def _add_tap_products(
+    image: np.ndarray,
+    weight: np.ndarray,
+    grad: np.ndarray,
+    stride: int,
+    padding: int,
+    taps: Optional[np.ndarray] = None,
+    product: Optional[np.ndarray] = None,
+) -> None:
+    """Add ``_col2im(w_mat.T @ grad)`` into ``image`` without the column matrix.
+
+    ``weight`` is ``(K, C, kh, kw)``, ``grad`` is ``(N, K, out_h, out_w)``
+    and ``image`` is ``(N, C, H, W)``, zero-filled by the caller.  For each
+    kernel tap, in the row-major order of :func:`_col2im`, the ``(N, C, L)``
+    product ``taps[i, j].T @ grad`` is added into the tap's strided window,
+    so every pixel sums the same terms in the same order as the column
+    path.  ``taps[i, j].T`` hands BLAS a transposed operand, as ``w_mat.T``
+    does, so each product has the bits of the matching column rows.  With
+    ``padding`` the image is the unpadded one and the border terms are
+    dropped; a caller that wants the padded image passes it with
+    ``padding=0``.  ``taps`` (``(kh, kw, K, C)``) and ``product``
+    (``(N, C, L)``) are optional preallocated scratch.
+
+    A single contracted channel (``K == 1``) is an outer product:
+    ``np.multiply`` gives the bits of the one-term GEMM (up to the sign of
+    a zero, which adding into the zero-filled image erases) at a third of
+    the cost.  numpy hands a one-row (``C == 1``) or one-column (``L == 1``)
+    product to GEMV, which sums in another order than GEMM, so those
+    geometries keep one GEMM over all taps; their columns are small.
+    """
+    n, c, h, w = image.shape
+    k, _, kh, kw = weight.shape
+    out_h, out_w = grad.shape[2], grad.shape[3]
+    length = out_h * out_w
+    grad3 = grad.reshape(n, k, length)
+    columns = None
+    if k > 1 and (c == 1 or length == 1):
+        columns = np.matmul(weight.reshape(k, -1).T, grad3)
+        columns = columns.reshape(n, c, kh, kw, out_h, out_w)
+    elif taps is None:
+        taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
+    else:
+        np.copyto(taps, weight.transpose(2, 3, 0, 1))
+    if product is None:
+        product = np.empty((n, c, length), dtype=np.result_type(weight, grad))
+    rows = [_tap_range(i, stride, padding, out_h, h) for i in range(kh)]
+    cols = [_tap_range(j, stride, padding, out_w, w) for j in range(kw)]
+    for i, (row_src, row_dst) in enumerate(rows):
+        for j, (col_src, col_dst) in enumerate(cols):
+            if columns is not None:
+                tap = columns[:, :, i, j]
+            elif k == 1:
+                tap = np.multiply(taps[i, j].T, grad3, out=product)
+            else:
+                tap = np.matmul(taps[i, j].T, grad3, out=product)
+            window = image[:, :, row_dst, col_dst]
+            tap = tap.reshape(n, c, out_h, out_w)
+            np.add(window, tap[:, :, row_src, col_src], out=window)
 
 
 def conv_output_size(size: int, kernel: int, stride: int = 1, padding: int = 0) -> int:
@@ -169,34 +246,27 @@ def conv2d(
     if bias is not None:
         out = out + bias.data.reshape(1, out_channels, 1, 1)
 
-    input_shape = x_data.shape
+    n, c, h, w = x_data.shape
     needs_grad_x = x.requires_grad
     needs_grad_w = weight.requires_grad
+    # Only the weight gradient reads the columns; a frozen weight (the DFA
+    # synthesis path) lets them go with the forward.
+    saved_cols = cols if needs_grad_w else None
 
     def backward(grad: np.ndarray):
-        grad_mat = grad.reshape(grad.shape[0], out_channels, -1)
         grad_w = None
         if needs_grad_w:
-            grad_w = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0)
+            grad_mat = grad.reshape(n, out_channels, -1)
+            grad_w = np.matmul(grad_mat, saved_cols.transpose(0, 2, 1)).sum(axis=0)
             grad_w = grad_w.reshape(w_data.shape)
         grad_x = None
         if needs_grad_x:
-            # grad_cols has the same shape as the forward's column buffer.
-            # When the weight is frozen (the DFA synthesis path) nothing ever
-            # reads cols, so grad_cols can reuse its storage — but only then:
-            # a graph may run backward() more than once, and a consumed cols
-            # would silently corrupt the next grad_w.  The reuse also needs a
-            # materialised, dtype-matching buffer (1×1 kernels leave cols as
-            # a read-only stride-trick view of the input).
-            if (
-                not needs_grad_w
-                and cols.flags.writeable
-                and cols.dtype == np.result_type(w_mat, grad_mat)
-            ):
-                grad_cols = np.matmul(w_mat.T, grad_mat, out=cols)
-            else:
-                grad_cols = np.matmul(w_mat.T, grad_mat)
-            grad_x = _col2im(grad_cols, input_shape, (kh, kw), stride, padding)
+            grad_x = np.zeros(
+                (n, c, h + 2 * padding, w + 2 * padding), dtype=np.result_type(w_data, grad)
+            )
+            _add_tap_products(grad_x, w_data, grad, stride, 0)
+            if padding:
+                grad_x = grad_x[:, :, padding:-padding, padding:-padding]
         if bias is not None:
             grad_b = grad.sum(axis=(0, 2, 3)) if bias.requires_grad else None
             return (grad_x, grad_w, grad_b)
@@ -236,8 +306,13 @@ def conv_transpose2d(
 
     w_mat = w_data.reshape(in_channels, out_channels * kh * kw)
     x_mat = x_data.reshape(n, in_channels, h * w)
-    cols = np.matmul(w_mat.T, x_mat)  # (F, I) @ (N, I, L) -> (N, F, L)
-    out = _col2im(cols, (n, out_channels, out_h, out_w), (kh, kw), stride, padding)
+    out = np.zeros(
+        (n, out_channels, out_h + 2 * padding, out_w + 2 * padding),
+        dtype=np.result_type(w_data, x_data),
+    )
+    _add_tap_products(out, w_data, x_data, stride, 0)
+    if padding:
+        out = out[:, :, padding:-padding, padding:-padding]
     if bias is not None:
         out = out + bias.data.reshape(1, out_channels, 1, 1)
 

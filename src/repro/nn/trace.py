@@ -540,7 +540,8 @@ class OpContext:
         """Per-node saved/scratch buffer (shared between forward and VJP).
 
         It lives in the thread's arena and holds nothing from one step to
-        the next.
+        the next.  Each ``(node, name)`` gets storage of its own: no two
+        entries of the plan's saved map overlap.
         """
         return self._plan._scratch(self.node_index, name, shape, dtype)
 
@@ -551,17 +552,6 @@ class OpContext:
     def saved_output(self) -> np.ndarray:
         """The stable output buffer this node's forward kernel allocated."""
         return self._plan.buffers[self.out]
-
-    def alias_saved(self, name: str, array: np.ndarray) -> np.ndarray:
-        """Explicitly alias ``name`` to an existing plan buffer.
-
-        Aliasing is never implicit: a kernel that wants to reuse another
-        buffer's storage (the conv ``grad_cols``-over-``cols`` trick) must
-        declare it here, with its own liveness argument, so the plan's
-        saved map stays a complete record of who owns what.
-        """
-        self._plan.saved[(self.node_index, name)] = array
-        return array
 
     # -- gradients (backward compile only) -----------------------------
     def grad_in(self) -> np.ndarray:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .functional import _add_tap_products
 from .tensor import _unbroadcast
 from .trace import TraceUnsupported, register_trace_op
 
@@ -519,7 +520,8 @@ def _vjp_log(ctx):
 
 
 # ----------------------------------------------------------------------
-# Convolution (batched-GEMM im2col, mirroring functional.conv2d)
+# Convolution (mirroring functional.conv2d: im2col GEMM forward, tap-by-tap
+# data gradient)
 # ----------------------------------------------------------------------
 def _forward_conv2d(ctx):
     stride = ctx.kwargs["stride"]
@@ -545,9 +547,10 @@ def _forward_conv2d(ctx):
         padded = ctx.scratch(
             "padded", (n, c, h + 2 * padding, w + 2 * padding), ctx.dtype(x_slot)
         )
-        # np.pad's zero borders.  Another plan may have used this arena
-        # storage since the last step, so they are re-zeroed every step;
-        # the interior needs no zeroing because every step overwrites it.
+        # The eager padding's zero borders.  Another plan may have used
+        # this arena storage since the last step, so they are re-zeroed
+        # every step; the interior needs no zeroing because every step
+        # overwrites it.
         borders = (
             padded[:, :, :padding, :],
             padded[:, :, -padding:, :],
@@ -592,42 +595,25 @@ def _vjp_conv2d(ctx):
     padding = ctx.kwargs["padding"]
     x_slot, w_slot = ctx.parents[0], ctx.parents[1]
     b_slot = ctx.parents[2] if len(ctx.parents) > 2 else None
-    n, c, h, w = ctx.shape(x_slot)
+    n, c, _, _ = ctx.shape(x_slot)
     out_channels, _, kh, kw = ctx.shape(w_slot)
     _, _, out_h, out_w = ctx.out_shape
-    length = out_h * out_w
     features = c * kh * kw
     dtype = ctx.out_dtype
     g = ctx.grad_in()
-    g3 = g.reshape(n, out_channels, length)
-    cols = ctx.saved("cols")
+    g3 = g.reshape(n, out_channels, out_h * out_w)
     x_sink = ctx.sink(0)
     w_sink = ctx.sink(1)
     b_sink = ctx.sink(2) if b_slot is not None else None
 
-    gw_stack = None
+    cols = gw_stack = None
     if w_sink is not None:
+        cols = ctx.saved("cols")
         gw_stack = ctx.scratch("gw_stack", (n, out_channels, features), dtype)
-
-    grad_cols = None
-    pad_buf = None
-    interior = None
+    taps = product = None
     if x_sink is not None:
-        if w_sink is None:
-            # Same liveness rule as the eager closure: nothing reads cols
-            # after this node's backward when the weight is frozen, so
-            # grad_cols may reuse its storage.  The alias is declared in
-            # the plan's saved map, not hidden in a closure cell.
-            grad_cols = ctx.alias_saved("grad_cols", cols)
-        else:
-            grad_cols = ctx.scratch("grad_cols", (n, features, length), dtype)
-        pad_buf = ctx.scratch(
-            "gx_padded", (n, c, h + 2 * padding, w + 2 * padding), ctx.dtype(x_slot)
-        )
-        interior = (
-            pad_buf[:, :, padding:-padding, padding:-padding] if padding else pad_buf
-        )
-    gc6 = grad_cols.reshape(n, c, kh, kw, out_h, out_w) if grad_cols is not None else None
+        taps = ctx.scratch("taps", (kh, kw, out_channels, c), ctx.dtype(w_slot))
+        product = ctx.scratch("product", (n, c, out_h * out_w), dtype)
 
     def run(vals):
         if w_sink is not None:
@@ -635,16 +621,11 @@ def _vjp_conv2d(ctx):
             np.sum(gw_stack, axis=0, out=w_sink.out.reshape(out_channels, features))
             w_sink.commit()
         if x_sink is not None:
-            w_mat = vals[w_slot].reshape(out_channels, features)
-            np.matmul(w_mat.T, g3, out=grad_cols)
-            np.copyto(pad_buf, 0.0)
-            for i in range(kh):
-                i_end = i + stride * out_h
-                for j in range(kw):
-                    j_end = j + stride * out_w
-                    tap = pad_buf[:, :, i:i_end:stride, j:j_end:stride]
-                    np.add(tap, gc6[:, :, i, j, :, :], out=tap)
-            x_sink.write(interior)
+            # The taps land straight in the unpadded gradient: the eager
+            # closure's padded image differs from it only in the border.
+            np.copyto(x_sink.out, 0.0)
+            _add_tap_products(x_sink.out, vals[w_slot], g, stride, padding, taps, product)
+            x_sink.commit()
         if b_sink is not None:
             np.sum(g, axis=(0, 2, 3), out=b_sink.out)
             b_sink.commit()

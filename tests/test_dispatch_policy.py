@@ -14,7 +14,7 @@ from repro.cli import main as cli_main
 from repro.defenses import Refd
 from repro.experiments import ExperimentRunner, GridRunner, smoke_scale
 from repro.experiments.runner import build_simulation
-from repro.fl.dispatch_policy import DispatchPolicy, default_worker_count
+from repro.fl.dispatch_policy import DispatchPolicy, default_worker_count, usable_cpu_count
 from repro.fl.types import DefenseContext, ModelUpdate
 
 
@@ -98,6 +98,7 @@ class TestParseAndCoerce:
             os, "sched_getaffinity", lambda pid: set(range(32)), raising=False
         )
         assert default_worker_count() == 8  # the cap
+        assert usable_cpu_count() == 32
 
 
 class TestPinningAndOverrides:

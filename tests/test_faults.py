@@ -255,6 +255,33 @@ class TestArtifactQuarantine:
         assert quarantine_count() == before
 
 
+class TestGridChaosCounters:
+    def test_stats_json_counts_the_cells_pool_rebuilds(self, tmp_path, capsys):
+        """Each cell runs its rounds on its own policy; ``--stats-json``
+        sums those policies' pool counters, so the pool a worker kill broke
+        shows in ``counters`` as it does in ``fault_stats``."""
+        from repro.cli import main as cli_main
+
+        plan_path = tmp_path / "plan.json"
+        FaultPlan(events=(FaultEvent(kind="crash", round=1, slot=0),)).save(plan_path)
+        stats_path = tmp_path / "stats.json"
+        code = cli_main(
+            [
+                "grid", "--attacks", "lie", "--defenses", "mkrum", "--betas", "0.5",
+                "--scale", "smoke", "--rounds", "2", "--cell-dispatch", "process:2",
+                "--fault-plan", str(plan_path), "--max-retries", "2",
+                "--stats-json", str(stats_path),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        payload = json.loads(stats_path.read_text())
+        assert payload["fault_stats"]["crashes_injected"] == 1
+        rebuilds = payload["counters"]["pool_rebuilds"]
+        assert rebuilds == payload["fault_stats"]["pool_rebuilds"]
+        assert rebuilds > 0
+
+
 class TestPoolRebuildBetweenRounds:
     @pytest.mark.slow
     def test_plain_map_survives_a_worker_killed_between_rounds(self):

@@ -139,6 +139,56 @@ class TestIm2colGoldenValues:
         assert windows[0, 0, 0, 0, 0, 0] == 123.0
 
 
+class TestTapKernelBitwise:
+    """The tap kernel has the bits of ``_col2im`` over the column GEMM.
+
+    Both engines' convolution data gradients and the transposed
+    convolution's forward run on :func:`F._add_tap_products`, so the
+    science stays bit-identical to the column path it replaced.  ``C == 1``
+    takes the kernel's all-taps GEMM (numpy would send a one-row product to
+    GEMV) and ``K == 1`` its ``np.multiply``.  The models train in float32;
+    in float64, OpenBLAS picks its GEMM kernel by size, and some larger
+    per-tap products (e.g. 16 channels contracted over 32, on a 14×14
+    output) differ from the column rows in the last bit, so float64 is
+    pinned at these small sizes only.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("contracted", [1, 3, 16, 32])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 4])
+    def test_matches_col2im_of_column_gemm(
+        self, kernel, stride, padding, channels, contracted, dtype, rng
+    ):
+        n, h, w = 2, 7, 8
+        out_h = F.conv_output_size(h, kernel, stride, padding)
+        out_w = F.conv_output_size(w, kernel, stride, padding)
+        weight = rng.standard_normal((contracted, channels, kernel, kernel)).astype(dtype)
+        grad = rng.standard_normal((n, contracted, out_h, out_w)).astype(dtype)
+        grad.reshape(-1)[::5] = -0.0
+        w_mat = weight.reshape(contracted, -1)
+        expected = F._col2im(
+            np.matmul(w_mat.T, grad.reshape(n, contracted, -1)),
+            (n, channels, h, w),
+            (kernel, kernel),
+            stride,
+            padding,
+        )
+
+        padded = np.zeros((n, channels, h + 2 * padding, w + 2 * padding), dtype=dtype)
+        F._add_tap_products(padded, weight, grad, stride, 0)
+        cropped = padded[:, :, padding : padding + h, padding : padding + w]
+        clipped = np.zeros((n, channels, h, w), dtype=dtype)
+        F._add_tap_products(clipped, weight, grad, stride, padding)
+
+        uint = np.uint32 if dtype == np.float32 else np.uint64
+        expected_bits = np.ascontiguousarray(expected).view(uint)
+        assert np.array_equal(np.ascontiguousarray(cropped).view(uint), expected_bits)
+        assert np.array_equal(clipped.view(uint), expected_bits)
+
+
 class TestConvGradientSkipping:
     """Backward closures must not spend work on gradients nobody needs."""
 
@@ -162,8 +212,8 @@ class TestConvGradientSkipping:
 
     def test_conv2d_1x1_kernel_gradients(self, rng):
         # 1×1 kernels make the im2col reshape view-compatible: the column
-        # buffer is a read-only stride-trick view of the input, so the
-        # backward must not try to reuse it as scratch storage.
+        # buffer is a read-only stride-trick view of the input, which the
+        # backward must leave untouched.
         x = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 3, 1, 1)), requires_grad=True)
         snapshot = x.data.copy()
@@ -185,9 +235,9 @@ class TestConvGradientSkipping:
         assert w.grad is None
 
     def test_conv2d_repeated_backward_keeps_grads_correct(self, rng):
-        # The column-buffer reuse must never clobber data a later backward
-        # pass still needs: two backward() calls accumulate exactly 2x the
-        # single-pass gradients.
+        # A backward pass must not consume what a later one still needs:
+        # two backward() calls accumulate exactly 2x the single-pass
+        # gradients.
         x = Tensor(rng.standard_normal((2, 2, 6, 6)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
         out = F.conv2d(x, w, padding=1)

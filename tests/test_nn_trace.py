@@ -4,7 +4,7 @@ The engine's contract is *bit-identity*: replaying a recorded tape must
 produce exactly the floats the eager per-op closure engine produces, for
 every model architecture, across seeds, and under every dispatch backend.
 These tests pin that contract, the fallback semantics (shape changes,
-untraceable ops), the buffer-plan aliasing rules, the per-thread buffer
+untraceable ops), the buffer-plan layout, the per-thread buffer
 arena every plan draws from, and the numerical correctness of the traced
 VJP kernels.
 """
@@ -368,7 +368,7 @@ class TestFallbacks:
 
 
 class _TwoConv(nn.Module):
-    """Two convolutions with identical geometry (the aliasing fixture)."""
+    """Two convolutions with identical geometry (the buffer-plan fixture)."""
 
     def __init__(self, freeze_second: bool = False) -> None:
         super().__init__()
@@ -412,28 +412,28 @@ class TestBufferPlanAliasing:
         assert cols[0].shape == cols[1].shape
         assert not np.shares_memory(cols[0], cols[1])
 
-    def test_grad_cols_is_separate_when_weight_needs_grad(self):
-        plan, conv_nodes = _conv_plan(_TwoConv())
-        first, second = conv_nodes
-        # The first conv reads the (gradient-free) input, so it never
-        # produces a data gradient and allocates no grad_cols at all.
-        assert (first, "grad_cols") not in plan.saved
-        # The second conv needs both gradients: grad_w reads cols after
-        # grad_cols is written, so the two must not share storage.
-        assert not np.shares_memory(
-            plan.saved[(second, "grad_cols")], plan.saved[(second, "cols")]
-        )
+    def test_data_gradient_saves_no_column_matrix(self):
+        """The conv VJP adds each tap's product straight into the gradient:
+        the only column-shaped buffers in the plan are the forward's cols,
+        whether or not the weight needs a gradient."""
+        for freeze_second in (False, True):
+            plan, conv_nodes = _conv_plan(_TwoConv(freeze_second))
+            cols_shape = plan.saved[(conv_nodes[1], "cols")].shape
+            column_shaped = {
+                key for key, buf in plan.saved.items() if buf.shape == cols_shape
+            }
+            assert column_shaped == {(node, "cols") for node in conv_nodes}
 
-    def test_grad_cols_aliases_cols_when_weight_grad_unneeded(self):
-        """With no weight gradient the saved activations are dead by the
-        time the data gradient forms, so the plan declares the alias —
-        the same liveness rule the eager engine applies dynamically."""
-        plan, conv_nodes = _conv_plan(_TwoConv(freeze_second=True))
-        # conv2's weight is frozen but its input still needs a gradient:
-        # cols is dead once the weight gradient is skipped, so grad_cols
-        # reuses its storage.
-        second = conv_nodes[1]
-        assert plan.saved[(second, "grad_cols")] is plan.saved[(second, "cols")]
+    def test_plan_shrinks_by_at_least_the_column_gradient(self):
+        """With a column-matrix data gradient the plan measured 52,480 bytes,
+        10,368 of them conv2's ``(4, 18, 36)`` float32 gradient columns.  The
+        plan must fall by at least those columns: the tap kernel's ``taps``
+        and ``product`` scratch fit in the padded image the columns were
+        scattered into, which is gone too."""
+        column_path_plan_bytes = 52_480
+        grad_cols_bytes = 4 * (2 * 3 * 3) * (6 * 6) * 4
+        plan, _ = _conv_plan(_TwoConv())
+        assert trace.plan_bytes(plan.trace) <= column_path_plan_bytes - grad_cols_bytes
 
     def test_replay_buffers_are_stable_across_steps(self):
         model = _build_model("small-cnn", 0)
