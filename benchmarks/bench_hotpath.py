@@ -873,7 +873,7 @@ def bench_trace_plan_memory() -> Dict[str, object]:
     """Arena bytes against the per-plan sum over eight batch sizes.
 
     One FashionCNN records and replays eight batch sizes, as the tail
-    batches of a Dirichlet federation do.  Every plan on a thread draws
+    batches of a Dirichlet federation do.  Every plan in a process draws
     its buffers from one arena, so the arena holds the largest plan rather
     than the sum.  Bytes, not time: the result is deterministic.
     """

@@ -1,7 +1,7 @@
 """AST-walking lint engine enforcing the reproduction's standing contracts.
 
 The determinism, dtype and fan-out guarantees this repository rests on
-(bit-identical serial/thread/process execution, float64 defense geometry
+(bit-identical serial/process execution, float64 defense geometry
 over float32 payloads, seeded-``Generator``-only randomness, picklable
 module-level fan-out functions) are invariants of the *source*, not of any
 single test run — a stray ``np.random.shuffle`` or a float32 accumulation

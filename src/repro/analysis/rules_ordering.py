@@ -4,7 +4,7 @@ Grid cache keys, client schedules and aggregation orders must not depend
 on orderings Python does not define: directory listings come back in
 filesystem order (differs across hosts sharing one grid cache, PR 5), and
 ``set`` iteration order is salted per process (``PYTHONHASHSEED``), which
-breaks bit-identical serial/thread/process execution (PRs 1, 7) the moment
+breaks bit-identical serial/process execution (PRs 1, 7) the moment
 a set's contents flow into results in iteration order.
 
 * ``ORD001``: ``os.listdir``/``os.scandir``/``glob``/``iterdir``/``rglob``

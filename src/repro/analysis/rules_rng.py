@@ -6,7 +6,7 @@ value to come from an explicitly seeded, explicitly threaded
 one ``SeedSequence`` seam in :mod:`repro.utils.rng`.  Global-state RNG
 (``np.random.seed``/``np.random.shuffle``, the stdlib :mod:`random`
 module) and entropy sources (wall clock, ``os.urandom``) silently break
-bit-identical serial/thread/process execution and cross-run replays.
+bit-identical serial/process execution and cross-run replays.
 """
 
 from __future__ import annotations

@@ -105,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         type=_dispatch_spec,
         metavar="SPEC",
-        help="where local training and REFD scoring run: 'serial' (default), "
-        "'thread[:N]' or 'process[:N]'",
+        help="where local training and REFD scoring run: 'serial' (default) "
+        "or 'process[:N]'",
     )
     run.add_argument(
         "--stats-json",

@@ -32,7 +32,7 @@ Determinism contract
 --------------------
 The per-pair reduction runs over fixed ``_DIM_CHUNK`` column chunks in a
 fixed order, independent of the row-block partition, so any ``block_rows``
-override — and any thread or process the call runs in — produces bitwise
+override — and any process the call runs in — produces bitwise
 identical matrices for the same input.
 """
 

@@ -17,16 +17,17 @@ updates with the lowest D-scores are removed before FedAvg aggregation.
 Scoring is *batched*: one fused loop drives all candidate models through the
 reference set, reusing a single model instance and one preallocated
 probability buffer, and the balance/confidence/D-score statistics are then
-computed vectorized over the update axis.  When the round's dispatch policy runs
-a pool, the per-update inference fans out across it instead: the
-module-level :func:`evaluate_update` is mapped over the updates, so thread
-pools call it directly and *process* pools pickle it by name — with the
-reference images read from the simulation's shared-memory shard store
-rather than pickled per update (see :meth:`Refd.score_updates`).  On two
-cores this fan-out ran 1.6–2.0× faster than the fused loop at the paper's
-CIFAR-10 geometry.  :class:`AdaptiveRefd` rides the same path: it scores
-through :meth:`Refd.score_updates` and only recombines the observed
-statistics after adapting α.
+computed vectorized over the update axis.  When the round's dispatch
+policy runs a process pool and the simulation published the reference
+images in shared memory, the per-update inference fans out across the pool
+instead: the module-level :func:`evaluate_update` is pickled by name and
+mapped over the updates, each reading the reference images from the shard
+store rather than unpickling them per update (see
+:meth:`Refd.score_updates`).  On two cores this fan-out ran 1.6–2.0×
+faster than the fused loop at the paper's CIFAR-10 geometry.
+:class:`AdaptiveRefd` rides the same path: it scores through
+:meth:`Refd.score_updates` and only recombines the observed statistics
+after adapting α.
 """
 
 from __future__ import annotations
@@ -219,39 +220,32 @@ class Refd(Defense):
         Returns ``(predicted, max_probs, num_classes)`` where ``predicted``
         is the ``(num_updates, num_samples)`` argmax matrix and ``max_probs``
         the matching maximum-probability matrix.  One model instance and one
-        probability buffer are reused across all updates; when the context's
-        dispatch policy runs on a pooled backend, the per-update inference
-        maps :func:`evaluate_update` over that pool instead — threads call
-        it directly, the process backend pickles payloads whose ``images``
-        element is the shared-memory reference ref when the simulation
-        published one (``context.reference_ref``, used only when its shape
-        matches ``images``, i.e. no ``max_reference_samples`` truncation
-        happened), so each work item pickles just one parameter vector.
-        Without that by-reference hand-off :meth:`DispatchPolicy.map_fn
-        <repro.fl.dispatch_policy.DispatchPolicy.map_fn>` declines a process
-        pool (``rows is None``) and the fused serial loop runs — inlining
-        the reference tensor into every payload would re-ship it
-        ``num_updates`` times per round, which the serial loop beats.
+        probability buffer are reused across all updates.  When the
+        simulation published the reference images in shared memory
+        (``context.reference_ref``, used only when its shape matches
+        ``images``, i.e. no ``max_reference_samples`` truncation happened),
+        the per-update inference maps :func:`evaluate_update` over the
+        context's dispatch pool instead, and each work item pickles just one
+        parameter vector plus that ref.  Without the ref the fused loop
+        runs: inlining the reference tensor into every payload would
+        re-ship it ``num_updates`` times per round, which the serial loop
+        beats.
         """
         from ..fl.training import predict_proba  # local import to avoid cycles
 
         dispatch = context.dispatch
-        if dispatch is not None and len(updates) > 1:
-            images_payload: object = images
-            reference_ref = getattr(context, "reference_ref", None)
-            if (
-                reference_ref is not None
-                and tuple(reference_ref.images.shape) == images.shape
-            ):
-                images_payload = reference_ref.images
-            payloads = [
-                (context.model_factory, update.parameters, images_payload)
-                for update in updates
-            ]
+        reference_ref = getattr(context, "reference_ref", None)
+        if (
+            dispatch is not None
+            and reference_ref is not None
+            and tuple(reference_ref.images.shape) == images.shape
+        ):
             rows = dispatch.map_fn(
                 evaluate_update,
-                payloads,
-                by_ref=isinstance(images_payload, SharedArrayRef),
+                [
+                    (context.model_factory, update.parameters, reference_ref.images)
+                    for update in updates
+                ],
             )
             if rows is not None:
                 predicted = np.stack([row[0] for row in rows], axis=0)

@@ -69,8 +69,7 @@ class ExperimentConfig:
 
     # Execution plane (not science) -----------------------------------------
     dispatch: Optional[str] = None
-    """Dispatch-policy spec string (``"serial"``, ``"thread:2"``,
-    ``"process:4"``) parsed by
+    """Dispatch-policy spec string (``"serial"``, ``"process:4"``) parsed by
     :meth:`repro.fl.dispatch_policy.DispatchPolicy.coerce`.  Pure execution
     mechanics: it changes how work is scheduled, never the result, and is
     therefore excluded from :meth:`to_dict` (so result caches and grid

@@ -304,9 +304,9 @@ class GridRunner:
     policy:
         A :class:`~repro.fl.dispatch_policy.DispatchPolicy` (or spec string
         such as ``"process:4"``) sizing the cell fan-out: a ``process``
-        policy runs pending cells on a pool of its ``workers`` processes;
-        any other backend runs everything in the calling process (no pool,
-        no pickling requirements beyond the cache files).
+        policy runs pending cells on a pool of its ``workers`` processes; a
+        serial one runs everything in the calling process (no pool, no
+        pickling requirements beyond the cache files).
     cache_dir:
         Directory of per-scenario JSON artifacts; ``None`` disables caching.
         Artifacts are keyed by :func:`config_hash`, so re-running a grid after
@@ -329,10 +329,6 @@ class GridRunner:
         hash maps to shard ``i`` of ``n`` are considered at all; the rest are
         counted in :attr:`GridStats.cells_skipped_shard` and omitted from the
         returned results.  Composable with ``claim_ttl``.
-    share_datasets:
-        Publish every distinct dataset of the sweep once at grid level (a
-        shared-memory store for process workers, an in-process memo
-        otherwise) instead of regenerating it per cell.  On by default.
     resilience:
         Optional :class:`~repro.fl.faults.ResilienceConfig` forwarded to
         every cell's simulation (fault-tolerant round loop; the embedded
@@ -386,7 +382,6 @@ class GridRunner:
         runner_id: Optional[str] = None,
         claim_ttl: Optional[float] = None,
         shard: Optional[Union[str, Tuple[int, int]]] = None,
-        share_datasets: bool = True,
         wait_for_peers: bool = True,
         policy=None,
         resilience: Optional[ResilienceConfig] = None,
@@ -403,7 +398,6 @@ class GridRunner:
         self.shard = parse_shard(shard) if isinstance(shard, str) else shard
         if self.shard is not None:
             parse_shard(f"{self.shard[0]}/{self.shard[1]}")  # validate tuples too
-        self.share_datasets = share_datasets
         self.wait_for_peers = wait_for_peers
         self.resilience = resilience
         self.resume = resume
@@ -883,7 +877,7 @@ class GridRunner:
                     remaining.append((label, config))
 
             # A process policy runs the pending cells on a pool of its
-            # worker count; every other backend runs them in-process.
+            # worker count; a serial one runs them in-process.
             self.workers = (
                 self.dispatch.workers if self.dispatch.backend == "process" else 1
             )
@@ -892,7 +886,7 @@ class GridRunner:
             # worker-pool initializer (or the in-process memo for workers=1)
             # makes cells attach instead of regenerating.  Clean baselines
             # share their cells' dataset fields, so they are covered too.
-            if self.share_datasets and remaining:
+            if remaining:
                 self._broker = DatasetBroker(use_shared_memory=self.workers > 1)
                 self._broker.publish([config for _, config in remaining])
                 stats.dataset_publications = self._broker.publications

@@ -258,8 +258,10 @@ class ExperimentRunner:
         more workers routes the batch
         through :class:`~repro.experiments.grid.GridRunner` (scenario-level
         parallelism); anything else runs the batch serially through
-        :meth:`run`.  Results come back in input order
-        and are merged into this runner's in-memory cache afterwards.
+        :meth:`run`.  Both paths apply this runner's ``resilience``, but
+        the pooled path writes no round checkpoints: ``checkpoint_dir`` and
+        ``resume`` serve the serial path only.  Results come back in input
+        order and are merged into this runner's in-memory cache afterwards.
         """
         policy = DispatchPolicy.coerce(policy)
         if policy.backend != "process" or policy.workers <= 1:
@@ -274,7 +276,10 @@ class ExperimentRunner:
             if self._config_key(config) not in self._result_cache
         ]
         executed = {
-            label: result for label, result in GridRunner(policy=policy).run(pending)
+            label: result
+            for label, result in GridRunner(
+                policy=policy, resilience=self._resilience
+            ).run(pending)
         }
         results: List[ExperimentResult] = []
         for index, config in enumerate(configs):

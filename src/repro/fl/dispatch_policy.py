@@ -1,9 +1,9 @@
 """One fixed dispatch backend, and the pool that runs it, for a whole run.
 
-A :class:`DispatchPolicy` names the backend a run uses — ``serial``,
-``thread`` or ``process`` — and runs the work itself on at most one
-:mod:`concurrent.futures` pool, built on first use and reused until
-:meth:`DispatchPolicy.close`.  It serves three fan-outs:
+A :class:`DispatchPolicy` names the backend a run uses — ``serial`` or
+``process`` — and runs the work itself on at most one
+:class:`~concurrent.futures.ProcessPoolExecutor`, built on first use and
+reused until :meth:`DispatchPolicy.close`.  It serves three fan-outs:
 
 * the round's benign local training (:meth:`~DispatchPolicy.map_tasks`, or
   :meth:`~DispatchPolicy.map_detailed` under the fault-tolerant round loop
@@ -37,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -56,9 +56,9 @@ from .executor import (
 __all__ = ["BACKENDS", "DispatchPolicy", "default_worker_count", "usable_cpu_count"]
 
 #: The backends a policy may run on.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
-_SPEC_FORMS = "'serial', 'thread[:N]' or 'process[:N]'"
+_SPEC_FORMS = "'serial' or 'process[:N]'"
 
 
 def usable_cpu_count() -> int:
@@ -79,7 +79,7 @@ def default_worker_count() -> int:
 
 
 class DispatchPolicy:
-    """One backend and its pool: ``serial``, ``thread[:N]`` or ``process[:N]``.
+    """One backend and its pool: ``serial`` or ``process[:N]``.
 
     ``workers`` is resolved at construction: 1 for ``serial``, otherwise the
     given count or :func:`default_worker_count`.  The four pool counters
@@ -113,13 +113,13 @@ class DispatchPolicy:
         self.shard_rounds = 0
         self.fanout_calls = 0
         self.pool_rebuilds = 0
-        self._pool: Optional[Executor] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
 
     @classmethod
     def coerce(cls, value: Any) -> "DispatchPolicy":
         """``None`` -> serial, a policy as-is, a str spec parsed.
 
-        A spec is ``"serial" | "thread[:N]" | "process[:N]"``; anything else
+        A spec is ``"serial" | "process[:N]"``; anything else
         raises :class:`ValueError` (a bad string) or :class:`TypeError`.
         """
         if isinstance(value, DispatchPolicy):
@@ -180,10 +180,10 @@ class DispatchPolicy:
         """Run tasks, capturing per-task success/error/cut instead of raising.
 
         ``deadline_at`` is an absolute :func:`time.monotonic` instant; tasks
-        still unfinished when it passes are abandoned and marked ``cut``
-        (the serial backend checks it between tasks).  A process pool that
-        broke or holds cut stragglers is discarded, so retries start on a
-        fresh one.
+        still unfinished when it passes are marked ``cut`` (the serial
+        backend checks it between tasks).  A pool that broke or holds cut
+        stragglers is discarded — its workers terminated in the latter
+        case — so retries start on a fresh one.
         """
         tasks = list(tasks)
         outcomes = [TaskOutcome(index=index) for index in range(len(tasks))]
@@ -220,11 +220,9 @@ class DispatchPolicy:
                     outcome.error = err
                     broken = broken or isinstance(err, BrokenProcessPool)
             for future in not_done:
-                # A running thread cannot be killed: it is abandoned and its
-                # result discarded.  Process workers are terminated below.
                 future.cancel()
                 outcomes[futures[future]].cut = True
-            if self.backend == "process" and (not_done or broken):
+            if not_done or broken:
                 self._discard_pool(terminate=bool(not_done))
         return outcomes
 
@@ -261,13 +259,13 @@ class DispatchPolicy:
     def _broadcast_vector(self, tasks: Sequence[ClientTask]) -> Optional[np.ndarray]:
         """The batch's common parameter vector, or ``None`` if not shareable.
 
-        Only shared-memory process pools share one.  Tasks usually broadcast
+        Only a shared-memory pool shares one.  Tasks usually broadcast
         the *same object*, but equal-valued distinct vectors (e.g. defensive
         per-task copies) are recognised too — via :func:`np.shares_memory`
         first (cheap view check), then an exact ``array_equal`` fallback —
         so the shm path is not silently skipped.
         """
-        if self.backend != "process" or not self.use_shared_memory or len(tasks) < 2:
+        if not self.use_shared_memory or len(tasks) < 2:
             return None
         first = tasks[0].global_params
         if first is None:
@@ -285,25 +283,17 @@ class DispatchPolicy:
     # ------------------------------------------------------------------
     # Generic fan-out
     # ------------------------------------------------------------------
-    def map_fn(
-        self, fn: Callable[[Any], Any], payloads: Sequence[Any], *, by_ref: bool = True
-    ) -> Optional[List[Any]]:
+    def map_fn(self, fn: Callable[[Any], Any], payloads: Sequence[Any]) -> Optional[List[Any]]:
         """Map the module-level ``fn`` over ``payloads`` on the pool, in order.
 
         Returns ``None`` when the work should stay on the caller's own fused
-        serial loop: a serial policy, a single payload, or a process pool
-        asked to ship payloads that do not travel by shared-memory reference
-        (``by_ref=False``) — pickling a large array into every work item
-        costs more than the serial loop saves.  The process pool pickles
+        serial loop: a serial policy or a single payload.  The pool pickles
         ``fn`` by its qualified name, so closures and lambdas cannot run
-        there.
+        there, and every payload is pickled too — a caller ships large
+        arrays by shared-memory reference, not by value.
         """
         payloads = list(payloads)
-        if (
-            self.backend == "serial"
-            or len(payloads) <= 1
-            or (self.backend == "process" and not by_ref)
-        ):
+        if self.backend == "serial" or len(payloads) <= 1:
             return None
         results = list(self._ensure_pool().map(fn, payloads))
         self.fanout_calls += len(payloads)
@@ -312,12 +302,9 @@ class DispatchPolicy:
     # ------------------------------------------------------------------
     # Pool lifecycle / introspection
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> Executor:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            if self.backend == "thread":
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
-            else:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def _discard_pool(self, terminate: bool = False) -> None:

@@ -7,8 +7,8 @@ stream.  :class:`ClientTask` captures one unit of that work as a fully
 picklable payload (plain numpy arrays *or* shared-memory handles, a
 :class:`LocalTrainingConfig`, and the client's RNG *state* rather than the
 generator object), so :class:`~repro.fl.dispatch_policy.DispatchPolicy` can
-run the same task in-process, on a thread pool, or in a worker process — and
-get bit-identical results in all three cases.
+run the same task in-process or in a worker process — and get bit-identical
+results in both cases.
 
 Shared-memory data plane
 ------------------------
@@ -29,8 +29,8 @@ Workers attach segments read-only through a per-process cache
 (:func:`resolve_shared_array`): per-round parameter segments are evicted
 when the next round publishes under a new name, while *persistent* segments
 (the shard store) stay attached for the lifetime of the simulation.  The
-serial and thread backends keep inline arrays — they already share the
-parent's address space, so there is nothing to ship.  REFD's per-update
+serial backend keeps inline arrays — it runs in the parent's address
+space, so there is nothing to ship.  REFD's per-update
 D-score inference (:func:`repro.defenses.refd.evaluate_update`) reads the
 reference images from the shard store the same way.
 
@@ -412,8 +412,8 @@ def _apply_fault_directive(directive: FaultDirective) -> None:
 class ClientTask:
     """One benign client's local-training work for one round (picklable).
 
-    Exactly one of ``global_params`` (inline vector, serial/thread backends)
-    and ``params_ref`` (shared-memory handle, process backend) is set, and
+    Exactly one of ``global_params`` (inline vector) and ``params_ref``
+    (shared-memory handle, process backend with shared memory) is set, and
     likewise exactly one of the inline ``images``/``labels`` arrays and
     ``shard_ref`` (the once-per-simulation shard store publication).
     """
@@ -484,8 +484,8 @@ class TaskOutcome:
     <repro.fl.dispatch_policy.DispatchPolicy.map_detailed>`.
 
     Exactly one of three states: ``result`` set (success), ``error`` set
-    (the task raised or its worker died), or ``cut`` true (the task was
-    still running when the deadline expired and was abandoned).
+    (the task raised or its worker died), or ``cut`` true (the task had
+    not finished when the deadline expired).
     """
 
     index: int

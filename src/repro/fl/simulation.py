@@ -237,8 +237,8 @@ class FederatedSimulation:
         :class:`~repro.fl.executor.SharedArrayStore` segment, so
         process-backend tasks carry only a tiny
         :class:`~repro.fl.executor.ShardRef` instead of re-pickling their
-        image tensors every round.  Backends that share the parent's address
-        space (serial/thread), process policies with shared memory disabled,
+        image tensors every round.  The serial backend, which shares the
+        parent's address space, process policies with shared memory disabled,
         and platforms without POSIX shm all skip the store and keep inline
         arrays.  Returns the reference-array ref for the server, if any.
         """

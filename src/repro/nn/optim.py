@@ -27,9 +27,10 @@ class Optimizer:
 
         The default drops the reference (``param.grad = None``) instead of
         zeroing storage: under trace replay ``param.grad`` is a view into
-        the thread's trace arena, valid until the next traced step on this
-        thread, which overwrites it wholesale, so zeroing it would be
-        wasted work (and would mutate storage shared with the plan).  Pass ``set_to_none=False`` to zero in place for
+        the process's trace arena, valid until the next traced step, which
+        overwrites it wholesale, so zeroing it would be wasted work (and
+        would mutate storage shared with the plan).  Pass
+        ``set_to_none=False`` to zero in place for
         callers that accumulate gradients across micro-batches.
         """
         for param in self.parameters:

@@ -16,7 +16,7 @@ in :mod:`repro.models`.  Convolution and loss primitives live in
 
 from __future__ import annotations
 
-import threading
+from types import SimpleNamespace
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,22 +28,17 @@ DEFAULT_DTYPE = np.float32
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-#: Per-thread autograd switch.  Thread-local because dispatch thread pools
-#: run inference (``no_grad`` blocks) concurrently with the main thread —
-#: REFD scoring fans out ``predict_proba`` across a thread pool while
-#: the round loop may keep recording gradients — and a process-global flag
-#: with per-instance save/restore would race (one interleaving leaves
-#: gradient recording permanently disabled, the other builds stray graphs
-#: mid-inference).
-_GRAD_STATE = threading.local()
+#: The autograd switch that :class:`no_grad` flips.  Plain module state:
+#: nn code runs on one thread per process (dispatch pools are process
+#: pools), and so does the recorder hook below.
+_GRAD_STATE = SimpleNamespace(enabled=True)
 
-#: Per-thread trace recorder hook.  While :mod:`repro.nn.trace` records a
-#: step, ``_TRACE_STATE.recorder`` observes every ``_from_op`` call; ops
-#: carry a ``(name, kwargs)`` descriptor when they are replayable and pass
+#: Trace recorder hook.  While :mod:`repro.nn.trace` records a step,
+#: ``_TRACE_STATE.recorder`` observes every ``_from_op`` call; ops carry a
+#: ``(name, kwargs)`` descriptor when they are replayable and pass
 #: ``op=None`` otherwise, which poisons the recording and pins that step
-#: signature to eager execution.  Thread-local for the same reason as
-#: ``_GRAD_STATE``: pooled dispatch threads record independently.
-_TRACE_STATE = threading.local()
+#: signature to eager execution.
+_TRACE_STATE = SimpleNamespace(recorder=None)
 
 
 def trace_fallback(reason: str) -> None:
@@ -54,19 +49,18 @@ def trace_fallback(reason: str) -> None:
     (BatchNorm running stats) or data-dependent indexing (integer
     embedding lookups).  A no-op when nothing is recording.
     """
-    recorder = getattr(_TRACE_STATE, "recorder", None)
+    recorder = _TRACE_STATE.recorder
     if recorder is not None:
         recorder.fail(reason)
 
 
 class no_grad:
-    """Context manager that disables graph construction (per thread).
+    """Context manager that disables graph construction.
 
     Inside a ``with no_grad():`` block all tensor operations produce
     results with ``requires_grad=False`` and no backward closures, which
     keeps inference (e.g. defense-side evaluation of client updates on
-    the reference dataset) cheap.  The switch is thread-local, so pooled
-    inference threads never disable recording for anyone else.
+    the reference dataset) cheap.
     """
 
     def __enter__(self) -> "no_grad":
@@ -80,7 +74,7 @@ class no_grad:
 
 def is_grad_enabled() -> bool:
     """Return whether new operations will be recorded for autograd."""
-    return getattr(_GRAD_STATE, "enabled", True)
+    return _GRAD_STATE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -162,7 +156,7 @@ class Tensor:
         if requires_grad:
             out._parents = parents
             out._backward = backward
-        recorder = getattr(_TRACE_STATE, "recorder", None)
+        recorder = _TRACE_STATE.recorder
         if recorder is not None:
             recorder.record_op(out, parents, op)
         return out

@@ -24,14 +24,14 @@ Lifecycle
 
 Memory
 ------
-Plans run one at a time per thread and no plan reads a buffer across
-steps, so every plan on a thread draws its buffers from one
-:class:`BufferArena`, each plan laying its buffers out from offset 0.
-Trace memory is therefore the largest plan, not the sum over every batch
-shape a federation produces.  Buffers whose contents must survive from
-one step to the next are the exception: the root-gradient seed is
-plan-owned memory, and a kernel re-establishes any other such contents
-on every step.
+Plans run one at a time (nn code runs on one thread per process) and no
+plan reads a buffer across steps, so every plan in a process draws its
+buffers from one :class:`BufferArena`, each plan laying its buffers out
+from offset 0.  Trace memory is therefore the largest plan, not the sum
+over every batch shape a federation produces.  Buffers whose contents
+must survive from one step to the next are the exception: the
+root-gradient seed is plan-owned memory, and a kernel re-establishes any
+other such contents on every step.
 
 The backward schedule replicates ``Tensor.backward``'s DFS topological
 order and gradient-accumulation order exactly: "store" vs "add" per edge
@@ -42,8 +42,6 @@ same float order as eager.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -180,7 +178,7 @@ class Trace:
         self.forward_indices = self._needed_forward()
         self.backward_steps, self.grad_param_slots = self._build_schedule()
         # Arena bytes a plan of this tape lays out; set by the first
-        # compile's sizing pass (deterministic, so shared across threads).
+        # compile's sizing pass.
         self.plan_bytes: Optional[int] = None
 
     # -- schedule ------------------------------------------------------
@@ -417,7 +415,7 @@ def _aligned(nbytes: int) -> int:
 
 
 class BufferArena:
-    """One thread's backing store for the buffers of every plan.
+    """The process's backing store for the buffers of every plan.
 
     Each plan lays its buffers out from offset 0, so plans overlap one
     another and the arena holds as many bytes as the largest plan.  Views
@@ -427,8 +425,6 @@ class BufferArena:
     def __init__(self) -> None:
         self.nbytes = 0
         self._store: Optional[np.ndarray] = None
-        with _CACHE_LOCK:
-            _ARENAS.add(self)
 
     def grow(self, nbytes: int) -> None:
         """Replace the store with one of ``nbytes``; old views go stale.
@@ -539,7 +535,7 @@ class OpContext:
     def scratch(self, name: str, shape, dtype) -> np.ndarray:
         """Per-node saved/scratch buffer (shared between forward and VJP).
 
-        It lives in the thread's arena and holds nothing from one step to
+        It lives in the process's arena and holds nothing from one step to
         the next.  Each ``(node, name)`` gets storage of its own: no two
         entries of the plan's saved map overlap.
         """
@@ -664,7 +660,7 @@ class CompiledPlan:
         """Replay one training step; leaves gradients on ``params``.
 
         The gradients are arena views: they stay valid until the next
-        traced step on this thread.
+        traced step.
         """
         vals = self._vals
         trace = self.trace
@@ -697,65 +693,37 @@ def plan_bytes(trace: Trace) -> int:
 # ----------------------------------------------------------------------
 # Session + process-wide cache
 # ----------------------------------------------------------------------
-_CACHE_LOCK = threading.Lock()
 _TRACES: Dict[tuple, Union[Trace, str]] = {}
 _COUNTERS = {"records": 0, "replays": 0, "fallbacks": 0}
-_ARENAS: "weakref.WeakSet[BufferArena]" = weakref.WeakSet()
-_THREAD = threading.local()
+_ARENA = BufferArena()
+_PLANS: Dict[tuple, CompiledPlan] = {}
 
 
-class _ThreadPlans:
-    """One thread's arena and the compiled plans bound to it."""
-
-    def __init__(self) -> None:
-        self.arena = BufferArena()
-        self.plans: Dict[tuple, CompiledPlan] = {}
-
-    def bind(self, key: tuple, trace: Trace) -> CompiledPlan:
-        """Compile ``trace`` into the arena, growing the arena first if needed."""
-        needed = plan_bytes(trace)
-        if needed > self.arena.nbytes:
-            # Growth stales every bound plan.  Dropping them first frees the
-            # old store before the new one is allocated; they rebind lazily
-            # from their cached tapes.
-            self.plans.clear()
-            self.arena.grow(needed)
-        plan = CompiledPlan(trace, self.arena)
-        self.plans[key] = plan
-        return plan
-
-
-def _thread_plans() -> _ThreadPlans:
-    state = getattr(_THREAD, "plans", None)
-    if state is None:
-        state = _THREAD.plans = _ThreadPlans()
-    return state
+def _bind(key: tuple, trace: Trace) -> CompiledPlan:
+    """Compile ``trace`` into the arena, growing the arena first if needed."""
+    needed = plan_bytes(trace)
+    if needed > _ARENA.nbytes:
+        # Growth stales every bound plan.  Dropping them first frees the old
+        # store before the new one is allocated; they rebind lazily from
+        # their cached tapes.
+        _PLANS.clear()
+        _ARENA.grow(needed)
+    plan = _PLANS[key] = CompiledPlan(trace, _ARENA)
+    return plan
 
 
 def trace_counters() -> Dict[str, int]:
-    """Record/replay/fallback counts plus the bytes held by live arenas."""
-    with _CACHE_LOCK:
-        counters = dict(_COUNTERS)
-        counters["arena_bytes"] = sum(arena.nbytes for arena in _ARENAS)
-    return counters
+    """Record/replay/fallback counts plus the bytes the arena holds."""
+    return {**_COUNTERS, "arena_bytes": _ARENA.nbytes}
 
 
 def reset_trace_cache() -> None:
-    """Drop every cached tape and counter, and this thread's plans and arena."""
-    with _CACHE_LOCK:
-        _TRACES.clear()
-        for key in _COUNTERS:
-            _COUNTERS[key] = 0
-    state = getattr(_THREAD, "plans", None)
-    if state is not None:
-        state.plans.clear()
-        state.arena.release()
-        del _THREAD.plans
-
-
-def _bump(counter: str) -> None:
-    with _CACHE_LOCK:
-        _COUNTERS[counter] += 1
+    """Drop every cached tape, counter and plan, and release the arena."""
+    _TRACES.clear()
+    for key in _COUNTERS:
+        _COUNTERS[key] = 0
+    _PLANS.clear()
+    _ARENA.release()
 
 
 def session_for(model) -> Optional["TraceSession"]:
@@ -775,8 +743,8 @@ class TraceSession:
     """Per-model-instance handle onto the process-wide trace cache.
 
     Tapes are cached by ``(model signature, input/target shape+dtype)``
-    and shared across model instances and threads; compiled plans (bound
-    to the thread's arena) are per-thread.  Binding a cached tape to this
+    and shared across model instances, as are the compiled plans bound to
+    the process's arena.  Binding a cached tape to this
     session's model only requires the parameter list to match in shape
     and dtype — parameter *values* are read live from ``param.data`` on
     every step, so ``set_flat_params`` swaps between rounds just work.
@@ -802,8 +770,7 @@ class TraceSession:
         as ``loss.backward()`` would leave them.
         """
         key = self._key(x, y)
-        with _CACHE_LOCK:
-            entry = _TRACES.get(key)
+        entry = _TRACES.get(key)
         if entry is None:
             return self._record(key, x, y)
         if isinstance(entry, str):
@@ -811,7 +778,7 @@ class TraceSession:
         plan = self._plan(key, entry)
         if plan is None:
             return None
-        _bump("replays")
+        _COUNTERS["replays"] += 1
         return plan.run({"x": x, "y": y}, self._params)
 
     # -- record --------------------------------------------------------
@@ -834,13 +801,11 @@ class TraceSession:
             # for the first replay.
             plan_bytes(trace)
         except TraceUnsupported as exc:
-            with _CACHE_LOCK:
-                _TRACES[key] = str(exc)
-                _COUNTERS["fallbacks"] += 1
+            _TRACES[key] = str(exc)
+            _COUNTERS["fallbacks"] += 1
             return loss_value
-        with _CACHE_LOCK:
-            _TRACES[key] = trace
-            _COUNTERS["records"] += 1
+        _TRACES[key] = trace
+        _COUNTERS["records"] += 1
         self._validated.add(key)
         return loss_value
 
@@ -850,10 +815,9 @@ class TraceSession:
             if not self._binds(trace):
                 return None
             self._validated.add(key)
-        state = _thread_plans()
-        plan = state.plans.get(key)
+        plan = _PLANS.get(key)
         if plan is None:
-            plan = state.bind(key, trace)
+            plan = _bind(key, trace)
         return plan
 
     def _binds(self, trace: Trace) -> bool:
@@ -868,18 +832,16 @@ class TraceSession:
 
     # -- introspection (tests, benchmarks) -----------------------------
     def plan_for(self, x: np.ndarray, y: np.ndarray) -> Optional[CompiledPlan]:
-        """The thread-local compiled plan for this input signature, if any."""
+        """The compiled plan for this input signature, if any."""
         key = self._key(x, y)
-        with _CACHE_LOCK:
-            entry = _TRACES.get(key)
+        entry = _TRACES.get(key)
         if entry is None or isinstance(entry, str):
             return None
         return self._plan(key, entry)
 
     def fallback_reason(self, x: np.ndarray, y: np.ndarray) -> Optional[str]:
         """Why this signature is pinned to eager execution, if it is."""
-        with _CACHE_LOCK:
-            entry = _TRACES.get(self._key(x, y))
+        entry = _TRACES.get(self._key(x, y))
         return entry if isinstance(entry, str) else None
 
 

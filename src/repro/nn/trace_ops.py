@@ -6,7 +6,7 @@ ufuncs, same operand order, same accumulation order — so replaying a
 tape is bit-identical to the eager step it recorded.  The only
 difference is storage: outputs, saved activations and gradients live in
 buffers laid out once per plan instead of per-step allocations.  Those
-buffers share the thread's arena with every other plan, so their
+buffers share the process's arena with every other plan, so their
 contents last one step: a kernel writes every buffer it reads within the
 same step.  Builders only take views of their buffers at
 compile time; they never read or write them there.

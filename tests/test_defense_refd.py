@@ -163,21 +163,6 @@ class TestBatchedScoring:
             assert single.confidence == report.confidence
             assert single.score == report.score
 
-    def test_thread_executor_fanout_matches_serial(self, tiny_task, mlp_factory):
-        defense = Refd(num_rejected=1)
-        updates = self._updates(tiny_task, mlp_factory)
-        images, _ = tiny_task.test.arrays()
-        serial = defense.score_updates(
-            updates, images, self._context(tiny_task, mlp_factory)
-        )
-        with DispatchPolicy("thread", workers=2) as policy:
-            threaded = defense.score_updates(
-                updates, images, self._context(tiny_task, mlp_factory, dispatch=policy)
-            )
-        assert [(r.balance, r.confidence, r.score) for r in serial] == [
-            (r.balance, r.confidence, r.score) for r in threaded
-        ]
-
     def test_score_updates_empty_list(self, tiny_task, mlp_factory):
         defense = Refd(num_rejected=1)
         images, _ = tiny_task.test.arrays()

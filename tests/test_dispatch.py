@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import GridRunner, config_hash, expand_grid, smoke_scale
+from repro.experiments import GridRunner, config_hash, expand_grid, run_experiment, smoke_scale
 from repro.experiments.dispatch import (
     ClaimLedger,
     DatasetBroker,
@@ -436,20 +436,17 @@ class TestDatasetBroker:
         assert dataset_key(config) == dataset_key(config.with_overrides(defense="median"))
         assert dataset_key(config) != dataset_key(config.with_overrides(dataset_seed=1))
 
-    def test_share_datasets_off_publishes_nothing(self, tmp_path):
-        runner = GridRunner(cache_dir=tmp_path, share_datasets=False)
-        runner.run(_tiny_grid()[:1])
-        assert runner.last_stats.dataset_publications == 0
-
     def test_shared_dataset_results_bit_identical(self, tmp_path):
+        """Cells on the grid's published dataset match runs that load their
+        own."""
         grid = _tiny_grid()
         with_store = GridRunner().run(grid)
-        without = GridRunner(share_datasets=False).run(grid)
-        for (label_a, result_a), (label_b, result_b) in zip(with_store, without):
-            assert label_a == label_b
-            assert result_a.max_accuracy == result_b.max_accuracy
-            assert [r.accuracy for r in result_a.records] == [
-                r.accuracy for r in result_b.records
+        assert [label for label, _ in with_store] == [label for label, _ in grid]
+        for (_, shared), (_, config) in zip(with_store, grid):
+            direct = run_experiment(config)
+            assert shared.max_accuracy == direct.max_accuracy
+            assert [r.accuracy for r in shared.records] == [
+                r.accuracy for r in direct.records
             ]
 
 

@@ -28,8 +28,8 @@ class TestParseAndCoerce:
         policy = DispatchPolicy.coerce("process:4")
         assert policy.backend == "process" and policy.workers == 4
         assert policy.spec == "process:4"
-        policy = DispatchPolicy.coerce(" thread:2 ")
-        assert policy.backend == "thread" and policy.workers == 2
+        policy = DispatchPolicy.coerce(" process:2 ")
+        assert policy.backend == "process" and policy.workers == 2
         assert DispatchPolicy.coerce("process").workers == default_worker_count()
         assert DispatchPolicy.coerce("serial").workers == 1
         assert DispatchPolicy.coerce("serial").spec == "serial"
@@ -43,18 +43,22 @@ class TestParseAndCoerce:
         with pytest.raises(ValueError, match="at least 1"):
             DispatchPolicy.coerce("process:0")
         with pytest.raises(ValueError, match="at least 1"):
-            DispatchPolicy("thread", workers=0)
+            DispatchPolicy("process", workers=0)
         with pytest.raises(ValueError, match="unknown backend"):
             DispatchPolicy("gpu")
+        with pytest.raises(ValueError, match="unknown backend"):
+            DispatchPolicy("thread", workers=2)
 
-    @pytest.mark.parametrize("spec", ["adaptive", "process:2,distance=serial"])
+    @pytest.mark.parametrize(
+        "spec", ["adaptive", "process:2,distance=serial", "thread", "thread:2"]
+    )
     def test_parse_rejects_removed_forms(self, spec):
-        """The cost-model mode and per-site suffixes are gone; the error
-        names the forms that remain."""
-        with pytest.raises(ValueError, match=r"'serial', 'thread\[:N\]' or 'process\[:N\]'"):
+        """The cost-model mode, per-site suffixes and the thread backend are
+        gone; the error names the forms that remain."""
+        with pytest.raises(ValueError, match=r"'serial' or 'process\[:N\]'"):
             DispatchPolicy.coerce(spec)
 
-    @pytest.mark.parametrize("spec", ["adaptive", "process:0", "thread:x"])
+    @pytest.mark.parametrize("spec", ["adaptive", "process:0", "thread:x", "thread:2"])
     @pytest.mark.parametrize(
         "command, flag",
         [
@@ -71,13 +75,13 @@ class TestParseAndCoerce:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}" in err
-        assert "'serial', 'thread[:N]' or 'process[:N]'" in err
+        assert "'serial' or 'process[:N]'" in err
 
     def test_coerce(self):
         assert DispatchPolicy.coerce(None).backend == "serial"
-        existing = DispatchPolicy("thread", workers=2)
+        existing = DispatchPolicy("process", workers=2)
         assert DispatchPolicy.coerce(existing) is existing
-        assert DispatchPolicy.coerce("thread:2").backend == "thread"
+        assert DispatchPolicy.coerce("process:2").backend == "process"
 
     @pytest.mark.parametrize(
         "value", [ThreadPoolExecutor(max_workers=1), 4], ids=["executor", "int"]
@@ -107,22 +111,28 @@ class TestPinningAndOverrides:
 
     def test_for_executor_is_cached_per_instance(self):
         """The first pooled call builds the pool; later calls reuse it."""
-        with DispatchPolicy("thread", workers=2) as policy:
+        with DispatchPolicy("process", workers=2) as policy:
             assert policy._pool is None
             assert policy.map_fn(_square, [1, 2]) == [1, 4]
             pool = policy._pool
-            assert isinstance(pool, ThreadPoolExecutor) and pool._max_workers == 2
+            assert isinstance(pool, ProcessPoolExecutor) and pool._max_workers == 2
             assert policy.map_fn(_square, [3, 4]) == [9, 16]
             assert policy._pool is pool
             assert DispatchPolicy.coerce(policy) is policy
         assert policy._pool is None
 
-    def test_dispatch_for_prefers_context_dispatch(self, tiny_task, mlp_factory):
-        """REFD hands its per-update inference to ``context.dispatch``;
-        without one it runs the fused loop."""
+    def test_dispatch_for_prefers_context_dispatch(self, tiny_task):
+        """REFD hands its per-update inference to ``context.dispatch`` when
+        the reference images are in shared memory; without a policy it runs
+        the fused loop."""
+        from repro.fl.executor import SharedArrayStore, ShardRef
+        from repro.models import ClassifierFactory
         from repro.nn.serialization import get_flat_params
 
-        params = get_flat_params(mlp_factory())
+        factory = ClassifierFactory(
+            architecture="mlp", in_channels=1, image_size=12, num_classes=10, seed=0
+        )
+        params = get_flat_params(factory())
         rng = np.random.default_rng(5)
         updates = [
             ModelUpdate(
@@ -133,36 +143,59 @@ class TestPinningAndOverrides:
             for i in range(4)
         ]
 
-        def context(dispatch):
+        def context(dispatch, reference_ref=None):
             return DefenseContext(
+                round_number=0,
+                global_params=params,
+                expected_num_malicious=1,
+                rng=np.random.default_rng(0),
+                model_factory=factory,
+                reference_dataset=tiny_task.test,
+                reference_ref=reference_ref,
+                dispatch=dispatch,
+            )
+
+        images, labels = tiny_task.test.arrays()
+        with SharedArrayStore({"images": images, "labels": labels}) as store:
+            reference_ref = ShardRef(images=store.refs["images"], labels=store.refs["labels"])
+            with DispatchPolicy("process", workers=2) as policy:
+                routed = Refd(num_rejected=1).aggregate(
+                    list(updates), context(policy, reference_ref)
+                )
+                assert policy.counter_snapshot()["fanout_calls"] == len(updates)
+        bare = Refd(num_rejected=1).aggregate(list(updates), context(None))
+        assert routed.accepted_client_ids == bare.accepted_client_ids
+        assert routed.scores == bare.scores
+        assert np.array_equal(routed.new_params, bare.new_params)
+
+    def test_fanout_declines_single_items_and_unshared_process_payloads(
+        self, tiny_task, mlp_factory
+    ):
+        from repro.nn.serialization import get_flat_params
+
+        with DispatchPolicy("process", workers=2) as policy:
+            assert policy.map_fn(abs, [-1]) is None
+            # REFD ships nothing by value: without shared-memory reference
+            # images it keeps its fused loop.
+            params = get_flat_params(mlp_factory())
+            context = DefenseContext(
                 round_number=0,
                 global_params=params,
                 expected_num_malicious=1,
                 rng=np.random.default_rng(0),
                 model_factory=mlp_factory,
                 reference_dataset=tiny_task.test,
-                dispatch=dispatch,
+                dispatch=policy,
             )
-
-        with DispatchPolicy("thread", workers=2) as policy:
-            routed = Refd(num_rejected=1).aggregate(list(updates), context(policy))
-            assert policy.counter_snapshot()["fanout_calls"] == len(updates)
-        bare = Refd(num_rejected=1).aggregate(list(updates), context(None))
-        assert routed.accepted_client_ids == bare.accepted_client_ids
-        assert routed.scores == bare.scores
-        assert np.array_equal(routed.new_params, bare.new_params)
-
-    def test_fanout_declines_single_items_and_unshared_process_payloads(self):
-        with DispatchPolicy("process", workers=2) as policy:
-            assert policy.map_fn(abs, [-1]) is None
-            assert policy.map_fn(abs, [-1, -2], by_ref=False) is None
+            updates = [
+                ModelUpdate(client_id=i, parameters=params + i, num_samples=10)
+                for i in range(3)
+            ]
+            Refd(num_rejected=1).aggregate(updates, context)
             assert policy._pool is None  # declining builds no pool
             assert policy.counter_snapshot()["fanout_calls"] == 0
             assert policy.map_fn(abs, [-1, -2]) == [1, 2]
             assert policy.counter_snapshot()["fanout_calls"] == 2
-        with DispatchPolicy("thread", workers=2) as policy:
-            # Threads share the caller's memory: nothing is shipped by value.
-            assert policy.map_fn(abs, [-1, -2], by_ref=False) == [1, 2]
         with DispatchPolicy() as policy:
             assert policy.map_fn(abs, [-1, -2]) is None
             assert policy.counter_snapshot()["fanout_calls"] == 0
@@ -203,11 +236,11 @@ class TestPolicyOwnership:
 
     def test_spec_built_policy_is_closed_with_the_simulation(self):
         config = smoke_scale("fashion-mnist", defense="fedavg", num_rounds=1)
-        with build_simulation(config, policy="thread:2") as simulation:
+        with build_simulation(config, policy="process:2") as simulation:
             simulation.run(1)
             assert simulation.dispatch._pool is not None
         assert simulation.dispatch._pool is None
-        with DispatchPolicy("thread", workers=2) as policy:
+        with DispatchPolicy("process", workers=2) as policy:
             with build_simulation(config, policy=policy) as simulation:
                 simulation.run(1)
             assert policy._pool is not None  # still the caller's
@@ -236,7 +269,7 @@ class TestDeprecationShims:
     entry point, and the old keyword arguments are rejected outright."""
 
     @pytest.mark.parametrize(
-        "legacy", [{"executor": "thread"}, {"workers": 2}], ids=["executor", "workers"]
+        "legacy", [{"executor": "process"}, {"workers": 2}], ids=["executor", "workers"]
     )
     def test_build_simulation_rejects_executor_kwargs(self, legacy):
         config = smoke_scale("fashion-mnist", defense="fedavg")
@@ -254,7 +287,7 @@ class TestDeprecationShims:
     def test_policy_and_legacy_kwargs_conflict(self):
         config = smoke_scale("fashion-mnist", defense="fedavg")
         with pytest.raises(TypeError):
-            build_simulation(config, executor="thread", policy="serial")
+            build_simulation(config, executor="process", policy="serial")
         with pytest.raises(TypeError):
             GridRunner(workers=2, policy="serial")
 
@@ -270,11 +303,11 @@ class TestDeprecationShims:
 
     def test_config_dispatch_field_sets_policy_but_not_identity(self):
         config = smoke_scale("fashion-mnist", defense="fedavg")
-        tuned = config.with_overrides(dispatch="thread:2")
+        tuned = config.with_overrides(dispatch="process:2")
         assert tuned.to_dict() == config.to_dict()
         simulation = build_simulation(tuned)
         try:
-            assert simulation.dispatch.backend == "thread"
+            assert simulation.dispatch.backend == "process"
             assert simulation.dispatch.workers == 2
         finally:
             simulation.close()

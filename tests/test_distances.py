@@ -128,14 +128,20 @@ class TestPairwiseCosineSimilarities:
 
 
 class TestFanoutParity:
-    """The kernels give bitwise identical matrices in any thread or process."""
+    """The kernels give bitwise identical matrices in any process."""
 
     def test_thread_fanout_bit_identical(self):
+        """The thread backend is refused; its three-way fan-out now runs on
+        three worker processes fed inline (no shared memory) and stays
+        bitwise equal to serial."""
+        with pytest.raises(ValueError, match="unknown backend 'thread'"):
+            DispatchPolicy("thread", workers=3)
         matrix = _random_matrix(seed=5)
         serial = pairwise_sq_distances(matrix)
-        with DispatchPolicy("thread", workers=3) as policy:
-            threaded = policy.map_fn(pairwise_sq_distances, [matrix] * 3)
-        for result in threaded:
+        with DispatchPolicy("process", workers=3, use_shared_memory=False) as policy:
+            pooled = policy.map_fn(pairwise_sq_distances, [matrix] * 3)
+            assert policy.fanout_calls == 3
+        for result in pooled:
             np.testing.assert_array_equal(serial, result)
 
     def test_process_fanout_bit_identical_and_counts(self):

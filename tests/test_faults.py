@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.experiments import build_simulation, smoke_scale
+from repro.experiments import ExperimentRunner, build_simulation, smoke_scale
 from repro.experiments.dispatch import ClaimLedger
 from repro.experiments.io import atomic_write_json, quarantine_count, read_json
 from repro.fl.dispatch_policy import DispatchPolicy
@@ -155,7 +155,7 @@ class TestStragglerCutoff:
                 round_deadline=0.4,
                 fault_plan=plan,
             ),
-            policy=DispatchPolicy("thread", workers=4),
+            policy=DispatchPolicy("process", workers=2),
         )
         assert stats.hangs_injected == 1
         assert stats.tasks_cut >= 1
@@ -167,7 +167,7 @@ class TestStragglerCutoff:
     def test_hang_with_retry_budget_stays_bit_identical(self):
         """A per-attempt deadline window means the retry (without the
         injected hang) completes and nothing is cut."""
-        clean, clean_params, _ = _run(policy=DispatchPolicy("thread", workers=4))
+        clean, clean_params, _ = _run(policy=DispatchPolicy("process", workers=2))
         plan = FaultPlan(events=(FaultEvent(kind="hang", round=0, slot=0, seconds=5.0),))
         chaos, chaos_params, stats = _run(
             ResilienceConfig(
@@ -176,7 +176,7 @@ class TestStragglerCutoff:
                 round_deadline=0.4,
                 fault_plan=plan,
             ),
-            policy=DispatchPolicy("thread", workers=4),
+            policy=DispatchPolicy("process", workers=2),
         )
         assert stats.tasks_cut == 1
         assert stats.clients_cut == 0
@@ -280,6 +280,21 @@ class TestGridChaosCounters:
         rebuilds = payload["counters"]["pool_rebuilds"]
         assert rebuilds == payload["fault_stats"]["pool_rebuilds"]
         assert rebuilds > 0
+
+
+class TestRunManyResilience:
+    @pytest.mark.parametrize("policy", ["serial", "process:2"])
+    def test_both_paths_report_the_injected_crash(self, policy):
+        """``run_many`` applies the runner's resilience whether it runs the
+        batch itself or hands it to a grid runner's process pool."""
+        plan = FaultPlan(events=(FaultEvent(kind="crash", round=0, slot=0),))
+        runner = ExperimentRunner(
+            resilience=ResilienceConfig(max_retries=1, backoff_base=0.0, fault_plan=plan)
+        )
+        config = smoke_scale(attack="lie", defense="mkrum", num_rounds=2)
+        (result,) = runner.run_many([config], policy=policy)
+        assert result.fault_stats["crashes_injected"] == 1
+        assert result.fault_stats["retries"] == 1
 
 
 class TestPoolRebuildBetweenRounds:

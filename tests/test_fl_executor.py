@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -77,17 +77,15 @@ class TestBuildExecutor:
     def test_names_resolve(self):
         policy, pool = self._pool_of("serial")
         assert pool is None
-        kinds = (("thread:2", ThreadPoolExecutor), ("process:2", ProcessPoolExecutor))
-        for spec, kind in kinds:
-            policy, pool = self._pool_of(spec)
-            try:
-                assert isinstance(pool, kind)
-                assert policy.workers == 2 and pool._max_workers == 2
-            finally:
-                policy.close()
+        policy, pool = self._pool_of("process:2")
+        try:
+            assert isinstance(pool, ProcessPoolExecutor)
+            assert policy.workers == 2 and pool._max_workers == 2
+        finally:
+            policy.close()
 
     def test_instance_passthrough(self):
-        with DispatchPolicy("thread", workers=1) as policy:
+        with DispatchPolicy("process", workers=1) as policy:
             same, pool = self._pool_of(policy)
             assert same is policy
             assert self._pool_of(policy)[1] is pool
@@ -196,8 +194,6 @@ class TestSharedMemoryBroadcast:
         tasks[1].global_params = params
         unshared = DispatchPolicy("process", workers=1, use_shared_memory=False)
         assert unshared._broadcast_vector(tasks) is None
-        # Threads share the parent's memory: there is nothing to publish.
-        assert DispatchPolicy("thread", workers=1)._broadcast_vector(tasks) is None
 
 
 class TestSharedArrayStore:
@@ -292,7 +288,10 @@ class TestMapFn:
     def test_serial_and_thread_map_fn_run_module_level_fns(self):
         # Serial declines: the caller runs its own loop.
         assert DispatchPolicy().map_fn(_square, [1, 2, 3]) is None
-        with DispatchPolicy("thread", workers=2) as policy:
+        # The thread backend is gone; a one-worker process pool takes its place.
+        with pytest.raises(ValueError, match="expected 'serial' or 'process"):
+            DispatchPolicy.coerce("thread:2")
+        with DispatchPolicy("process", workers=1) as policy:
             assert policy.map_fn(_square, [1, 2, 3]) == [1, 4, 9]
 
     def test_process_map_fn_runs_module_level_fns_on_the_pool(self):
@@ -412,11 +411,15 @@ class TestDeterminism:
         np.testing.assert_array_equal(first.final_params, second.final_params)
 
     def test_threaded_matches_serial(self):
+        """The thread backend is refused; the three-worker pooled round it
+        ran now runs on three worker processes, bit-identical to serial."""
+        with pytest.raises(ValueError, match="expected 'serial' or 'process"):
+            DispatchPolicy.coerce("thread:3")
         serial, _ = _run_with(None)
-        threaded, counters = _run_with(DispatchPolicy("thread", workers=3))
-        assert counters["pooled"]  # the thread pool ran the rounds
-        assert _records_signature(serial) == _records_signature(threaded)
-        np.testing.assert_array_equal(serial.final_params, threaded.final_params)
+        pooled, counters = _run_with(DispatchPolicy("process", workers=3))
+        assert counters["pooled"]  # the process pool ran the rounds
+        assert _records_signature(serial) == _records_signature(pooled)
+        np.testing.assert_array_equal(serial.final_params, pooled.final_params)
 
     @pytest.mark.slow
     def test_process_pool_matches_serial_via_shared_memory(self):
@@ -449,6 +452,31 @@ class TestDeterminism:
         assert serial_reports == parallel_reports
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
+
+    def test_process_refd_without_shared_memory_runs_the_fused_loop(self):
+        """With no shared-memory reference images REFD scores in its fused
+        serial loop (inlining the images into every payload costs more than
+        the pool saves) and the rounds stay bit-identical to serial."""
+        config = smoke_scale(attack="lie", defense="refd", num_rounds=2)
+
+        def run(policy):
+            with build_simulation(config, policy=policy) as simulation:
+                result = simulation.run(2)
+                reports = [
+                    (r.client_id, r.balance, r.confidence, r.score)
+                    for r in simulation.server.defense.last_reports
+                ]
+            return result, reports
+
+        serial, serial_reports = run(None)
+        with DispatchPolicy("process", workers=2, use_shared_memory=False) as policy:
+            pooled, pooled_reports = run(policy)
+            counters = policy.counter_snapshot()
+        assert counters["fanout_calls"] == 0
+        assert counters["shm_rounds"] == counters["shard_rounds"] == 0
+        assert serial_reports == pooled_reports
+        assert _records_signature(serial) == _records_signature(pooled)
+        np.testing.assert_array_equal(serial.final_params, pooled.final_params)
 
     def test_process_krum_distance_fanout_matches_serial(self):
         """Krum rounds on a process pool are bit-identical to serial; the
@@ -491,9 +519,9 @@ class TestSimulationWiring:
             clients_per_round=3,
             malicious_fraction=0.0,
             training_config=LocalTrainingConfig(local_epochs=1, batch_size=16, learning_rate=0.1),
-            policy="thread:2",
+            policy="process:2",
         )
-        assert simulation.dispatch.backend == "thread"
+        assert simulation.dispatch.backend == "process"
         result = simulation.run(1)
         simulation.close()
         assert len(result.records) == 1

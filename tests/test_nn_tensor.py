@@ -103,33 +103,6 @@ class TestBackwardBasics:
             assert not y.requires_grad
         assert is_grad_enabled()
 
-    def test_no_grad_is_thread_local(self):
-        # Pooled inference threads (REFD fan-out over a thread pool)
-        # enter no_grad concurrently with the main thread; the switch must
-        # not leak across threads — a process-global flag with save/restore
-        # could leave gradient recording permanently disabled after a race.
-        import threading
-
-        entered = threading.Event()
-        release = threading.Event()
-        worker_state = {}
-
-        def worker():
-            with no_grad():
-                worker_state["inside"] = is_grad_enabled()
-                entered.set()
-                release.wait(timeout=5)
-            worker_state["after"] = is_grad_enabled()
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        assert entered.wait(timeout=5)
-        assert is_grad_enabled()  # main thread unaffected while worker is inside
-        release.set()
-        thread.join(timeout=5)
-        assert worker_state == {"inside": False, "after": True}
-        assert is_grad_enabled()
-
     def test_constant_branch_gets_no_gradient(self):
         x = Tensor(np.ones(3), requires_grad=True)
         c = Tensor(np.full(3, 2.0))
