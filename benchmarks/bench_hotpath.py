@@ -24,7 +24,9 @@ kernels skip the ``grad_x`` data gradient entirely (the legacy kernels
 always computed it).  ``conv_step_all_grads`` is a full forward+backward with
 every gradient required — the mid-layer profile.  Its data gradient adds
 each kernel tap's GEMM straight into the image, where the legacy kernels
-built a column matrix and scattered it back.
+built a column matrix and scattered it back.  ``conv_memory`` records the
+``tracemalloc`` peak of one forward+backward at the DFA-G generator's
+``refine`` geometry, legacy and current; it is information, not a gate.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import pickle
 import platform
 import sys
 import time
+import tracemalloc
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -333,6 +336,45 @@ def bench_conv_step_all_grads(repeats: int) -> Dict[str, Dict[str, float]]:
         current = _best_of(run_current, repeats)
         results[case[0]] = {"legacy_s": legacy, "current_s": current, "speedup": legacy / current}
     return results
+
+
+#: (input shape, weight shape, stride, padding) of the DFA-G generator's
+#: 16->1 ``refine`` conv at the paper's synthesis batch of 50.
+REFINE_CONV = ((50, 16, 28, 28), (1, 16, 3, 3), 1, 1)
+
+
+def bench_conv_memory() -> Dict[str, int]:
+    """tracemalloc peak of one eager conv forward+backward, refine geometry.
+
+    The input needs no gradient and the weight does, as in the generator's
+    synthesis steps.  Bytes, not time, and information only: no threshold
+    reads it.  ``column_matrix_bytes`` is the size of the whole-batch
+    ``(50, 144, 784)`` float32 column matrix.
+    """
+    x_shape, w_shape, stride, padding = REFINE_CONV
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal(x_shape).astype(np.float32))
+    w = Tensor(rng.standard_normal(w_shape).astype(np.float32), requires_grad=True)
+
+    def peak(conv) -> int:
+        w.zero_grad()
+        tracemalloc.start()
+        try:
+            conv(x, w, None, stride, padding).sum().backward()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n, c, _, _ = x_shape
+    out_h = F.conv_output_size(x_shape[2], w_shape[2], stride, padding)
+    out_w = F.conv_output_size(x_shape[3], w_shape[3], stride, padding)
+    return {
+        "legacy_peak_bytes": peak(_legacy_conv2d),
+        "current_peak_bytes": peak(
+            lambda x, w, b, s, p: F.conv2d(x, w, b, stride=s, padding=p)
+        ),
+        "column_matrix_bytes": n * c * w_shape[2] * w_shape[3] * out_h * out_w * 4,
+    }
 
 
 def bench_flat_params(repeats: int) -> Dict[str, float]:
@@ -913,6 +955,7 @@ def run_suite(repeats: int = 25, include_dispatch: bool = True, include_e2e: boo
     results["conv_fwd"] = bench_conv_forward(repeats)
     results["conv_bwd_params"] = bench_conv_backward_params(repeats)
     results["conv_step_all_grads"] = bench_conv_step_all_grads(repeats)
+    results["conv_memory"] = bench_conv_memory()
     results["flat_roundtrip"] = bench_flat_params(repeats)
     results["refd_scoring"] = bench_refd_scoring(max(3, repeats // 5))
     results["distance_block"] = bench_distance_block(max(3, repeats // 5))
@@ -1075,6 +1118,14 @@ def render_plan_memory(numbers) -> str:
     )
 
 
+def render_conv_memory(numbers) -> str:
+    return (
+        f"conv_memory (refine fwd+bwd, tracemalloc peak): legacy "
+        f"{numbers['legacy_peak_bytes']} bytes, current {numbers['current_peak_bytes']} "
+        f"bytes, whole-batch column matrix {numbers['column_matrix_bytes']} bytes"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default="BENCH_hotpath.json", help="JSON output path")
@@ -1096,6 +1147,7 @@ def main(argv=None) -> int:
         print(f"{metric:24s} {value:5.2f}x")
     memory = results["trace_plan_memory"]
     print(render_plan_memory(memory))
+    print(render_conv_memory(results["conv_memory"]))
 
     payload = {
         "meta": {

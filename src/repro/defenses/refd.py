@@ -159,6 +159,29 @@ def evaluate_update(payload) -> Tuple[np.ndarray, np.ndarray, int]:
     return probs.argmax(axis=1), probs.max(axis=1), probs.shape[1]
 
 
+def _distinct_updates(
+    updates: Sequence[ModelUpdate],
+) -> Tuple[List[ModelUpdate], np.ndarray]:
+    """The first update of each distinct parameter vector, and each update's row.
+
+    Sybil attacks submit byte-identical vectors (``Attack._replicate``);
+    byte-identical parameters give byte-identical predictions, so each
+    distinct vector is evaluated once and ``rows`` maps every update to
+    its vector's row in the distinct list.  The byte keys go with the
+    return, before the evaluation allocates.
+    """
+    first: Dict[bytes, int] = {}
+    distinct: List[ModelUpdate] = []
+    rows = []
+    for update in updates:
+        key = update.parameters.tobytes()
+        if key not in first:
+            first[key] = len(distinct)
+            distinct.append(update)
+        rows.append(first[key])
+    return distinct, np.asarray(rows, dtype=np.intp)
+
+
 class Refd(Defense):
     """Reference-dataset defense with D-score filtering.
 
@@ -274,12 +297,18 @@ class Refd(Defense):
         images: np.ndarray,
         context: DefenseContext,
     ) -> List[DScoreReport]:
-        """Batched D-score reports for all updates on the reference images."""
+        """Batched D-score reports for all updates on the reference images.
+
+        Each distinct parameter vector is evaluated once; the Sybil copies
+        of a vector share its predictions.
+        """
         if context.model_factory is None:
             raise ValueError("REFD requires a model factory to evaluate updates")
         if not updates:
             return []
-        predicted, max_probs, num_classes = self._evaluate_batched(updates, images, context)
+        distinct, rows = _distinct_updates(updates)
+        predicted, max_probs, num_classes = self._evaluate_batched(distinct, images, context)
+        predicted, max_probs = predicted[rows], max_probs[rows]
         counts = np.zeros((len(updates), num_classes), dtype=np.int64)
         np.add.at(counts, (np.arange(len(updates))[:, None], predicted), 1)
         balances = balance_values(counts)

@@ -259,13 +259,19 @@ class ExperimentRunner:
         through :class:`~repro.experiments.grid.GridRunner` (scenario-level
         parallelism); anything else runs the batch serially through
         :meth:`run`.  Both paths apply this runner's ``resilience``, but
-        the pooled path writes no round checkpoints: ``checkpoint_dir`` and
-        ``resume`` serve the serial path only.  Results come back in input
-        order and are merged into this runner's in-memory cache afterwards.
+        the pooled path writes no round checkpoints, so it raises
+        ``ValueError`` for a runner with ``checkpoint_dir`` or ``resume``
+        rather than drop them.  Results come back in input order and are
+        merged into this runner's in-memory cache afterwards.
         """
         policy = DispatchPolicy.coerce(policy)
         if policy.backend != "process" or policy.workers <= 1:
             return [self.run(config) for config in configs]
+        if self._checkpoint_dir is not None or self._resume:
+            raise ValueError(
+                "run_many with a process pool writes no round checkpoints; "
+                "checkpoint_dir and resume need the serial path"
+            )
         from .grid import GridRunner  # local import: grid depends on this module
 
         # Configs already run this session come from the in-memory cache;

@@ -81,14 +81,56 @@ def _im2col(
         ``cols`` has shape ``(N, C*kh*kw, out_h*out_w)``.
 
     The window extraction itself is a zero-copy stride trick; the only copy
-    is the single reshape into the contiguous column matrix that the GEMM
-    consumers need.
+    is the single reshape into the contiguous column matrix.  Pooling uses
+    it; convolutions build their columns through :class:`_ColumnBlocks`.
     """
     n, c = x.shape[0], x.shape[1]
     kh, kw = kernel
     windows, out_h, out_w = _window_view(x, kernel, stride, padding)
     cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
     return cols, out_h, out_w
+
+
+#: Bytes of one :class:`_ColumnBlocks` buffer: about an L2 cache's worth.
+_BLOCK_BYTES = 1 << 19
+
+
+class _ColumnBlocks:
+    """The ``_im2col`` columns of ``x``, built a block of samples at a time.
+
+    Iterating yields ``(start, stop, cols)`` where ``cols`` is the
+    ``(stop - start, C*kh*kw, out_h*out_w)`` column matrix of samples
+    ``start:stop``, filled into one reused buffer of ``block`` samples, so
+    no whole-batch column matrix exists.  numpy's batched matmul makes one
+    GEMM call per sample, so a per-block GEMM has the bits of the
+    whole-batch one.  A batch that fits in one block keeps its columns, so
+    a second pass (the weight gradient) reads them again; a larger batch
+    regenerates each block from the window view on every pass.
+    """
+
+    def __init__(
+        self, x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int
+    ) -> None:
+        n, c = x.shape[0], x.shape[1]
+        kh, kw = kernel
+        windows, self.out_h, self.out_w = _window_view(x, kernel, stride, padding)
+        self._windows = windows.transpose(0, 1, 4, 5, 2, 3)
+        features, length = c * kh * kw, self.out_h * self.out_w
+        per_sample_bytes = features * length * x.dtype.itemsize
+        self.block = max(1, min(n, _BLOCK_BYTES // per_sample_bytes))
+        self._buffer = np.empty((self.block, features, length), dtype=x.dtype)
+        self._n = n
+        self._kept = False
+
+    def __iter__(self):
+        for start in range(0, self._n, self.block):
+            stop = min(start + self.block, self._n)
+            cols = self._buffer[: stop - start]
+            if not self._kept:
+                windows = self._windows[start:stop]
+                np.copyto(cols.reshape(windows.shape), windows)
+            yield start, stop, cols
+        self._kept = self.block == self._n
 
 
 def _col2im(
@@ -239,26 +281,38 @@ def conv2d(
         raise ValueError(
             f"conv2d expected {in_channels} input channels, got {x_data.shape[1]}"
         )
-    cols, out_h, out_w = _im2col(x_data, (kh, kw), stride, padding)
-    w_mat = w_data.reshape(out_channels, -1)
-    out = np.matmul(w_mat, cols)  # batched GEMM: (O, F) @ (N, F, L) -> (N, O, L)
-    out = out.reshape(x_data.shape[0], out_channels, out_h, out_w)
-    if bias is not None:
-        out = out + bias.data.reshape(1, out_channels, 1, 1)
-
     n, c, h, w = x_data.shape
+    blocks = _ColumnBlocks(x_data, (kh, kw), stride, padding)
+    out_h, out_w = blocks.out_h, blocks.out_w
+    w_mat = w_data.reshape(out_channels, -1)
+    out = np.empty((n, out_channels, out_h * out_w), dtype=np.result_type(w_data, x_data))
+    for start, stop, cols in blocks:
+        # batched GEMM: (O, F) @ (B, F, L) -> (B, O, L)
+        np.matmul(w_mat, cols, out=out[start:stop])
+    out = out.reshape(n, out_channels, out_h, out_w)
+    if bias is not None:
+        b = bias.data.reshape(1, out_channels, 1, 1)
+        if np.result_type(out, b) == out.dtype:
+            np.add(out, b, out=out)
+        else:
+            out = out + b
+
     needs_grad_x = x.requires_grad
     needs_grad_w = weight.requires_grad
     # Only the weight gradient reads the columns; a frozen weight (the DFA
     # synthesis path) lets them go with the forward.
-    saved_cols = cols if needs_grad_w else None
+    saved_blocks = blocks if needs_grad_w else None
 
     def backward(grad: np.ndarray):
         grad_w = None
         if needs_grad_w:
             grad_mat = grad.reshape(n, out_channels, -1)
-            grad_w = np.matmul(grad_mat, saved_cols.transpose(0, 2, 1)).sum(axis=0)
-            grad_w = grad_w.reshape(w_data.shape)
+            stack = np.empty(
+                (n, out_channels, w_mat.shape[1]), dtype=np.result_type(grad_mat, x_data)
+            )
+            for start, stop, cols in saved_blocks:
+                np.matmul(grad_mat[start:stop], cols.transpose(0, 2, 1), out=stack[start:stop])
+            grad_w = stack.sum(axis=0).reshape(w_data.shape)
         grad_x = None
         if needs_grad_x:
             grad_x = np.zeros(
@@ -320,15 +374,21 @@ def conv_transpose2d(
     needs_grad_w = weight.requires_grad
 
     def backward(grad: np.ndarray):
-        grad_cols, _, _ = _im2col(grad, (kh, kw), stride, padding)
-        grad_x = None
+        grad_x = grad_w = None
         if needs_grad_x:
-            grad_x = np.matmul(w_mat, grad_cols)
-            grad_x = grad_x.reshape(x_data.shape)
-        grad_w = None
+            grad_x = np.empty((n, in_channels, h * w), dtype=np.result_type(w_mat, grad))
         if needs_grad_w:
-            grad_w = np.matmul(x_mat, grad_cols.transpose(0, 2, 1)).sum(axis=0)
-            grad_w = grad_w.reshape(w_data.shape)
+            # per-sample products, summed over the batch below
+            grad_w = np.empty((n, in_channels, w_mat.shape[1]), dtype=np.result_type(x_mat, grad))
+        for start, stop, grad_cols in _ColumnBlocks(grad, (kh, kw), stride, padding):
+            if needs_grad_x:
+                np.matmul(w_mat, grad_cols, out=grad_x[start:stop])
+            if needs_grad_w:
+                np.matmul(x_mat[start:stop], grad_cols.transpose(0, 2, 1), out=grad_w[start:stop])
+        if needs_grad_x:
+            grad_x = grad_x.reshape(x_data.shape)
+        if needs_grad_w:
+            grad_w = grad_w.sum(axis=0).reshape(w_data.shape)
         if bias is not None:
             grad_b = grad.sum(axis=(0, 2, 3)) if bias.requires_grad else None
             return (grad_x, grad_w, grad_b)

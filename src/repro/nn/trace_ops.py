@@ -537,8 +537,9 @@ def _forward_conv2d(ctx):
     out = ctx.alloc_out()
     out3 = out.reshape(n, out_channels, length)
     # The column buffer is plan-owned storage, visible to the backward
-    # kernel through saved() — never a closure cell (the eager engine's
-    # cols capture is exactly what the buffer plan replaces).
+    # kernel through saved() — never a closure cell.  It holds the whole
+    # batch: regenerating cache-sized blocks in the backward, as the eager
+    # engine does, shrank the arena but slowed replayed training.
     cols = ctx.scratch("cols", (n, features, length), dtype)
     cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
     o = ctx.out

@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.defenses.adaptive_refd import AdaptiveRefd
 from repro.defenses.refd import (
     Refd,
     balance_value,
@@ -162,6 +163,36 @@ class TestBatchedScoring:
             assert single.balance == report.balance
             assert single.confidence == report.confidence
             assert single.score == report.score
+
+    @pytest.mark.parametrize("defense_cls", [Refd, AdaptiveRefd])
+    def test_identical_vectors_are_evaluated_once(
+        self, defense_cls, tiny_task, mlp_factory, monkeypatch
+    ):
+        """Sybil copies share one evaluation and get the original's report."""
+        import repro.fl.training as training
+
+        a, b = self._updates(tiny_task, mlp_factory, count=2)
+        b_copy = ModelUpdate(client_id=2, parameters=b.parameters.copy(), num_samples=5)
+        images, _ = tiny_task.test.arrays()
+        context = self._context(tiny_task, mlp_factory)
+        defense = defense_cls(num_rejected=1)
+        expected = defense.score_updates([a, b], images, context)
+        calls = []
+        predict_proba = training.predict_proba
+
+        def counting_predict_proba(*args, **kwargs):
+            calls.append(None)
+            return predict_proba(*args, **kwargs)
+
+        monkeypatch.setattr(training, "predict_proba", counting_predict_proba)
+        reports = defense.score_updates([a, b, b_copy], images, context)
+        assert len(calls) == 2
+        assert [r.client_id for r in reports] == [0, 1, 2]
+        bits = [
+            (r.balance.hex(), r.confidence.hex(), r.score.hex())
+            for r in expected + [expected[1]]
+        ]
+        assert [(r.balance.hex(), r.confidence.hex(), r.score.hex()) for r in reports] == bits
 
     def test_score_updates_empty_list(self, tiny_task, mlp_factory):
         defense = Refd(num_rejected=1)

@@ -297,6 +297,22 @@ class TestRunManyResilience:
         assert result.fault_stats["retries"] == 1
 
 
+class TestRunManyCheckpoints:
+    def test_serial_path_writes_a_round_checkpoint(self, tmp_path):
+        runner = ExperimentRunner(checkpoint_dir=tmp_path)
+        config = smoke_scale(attack="lie", defense="mkrum", num_rounds=2)
+        runner.run_many([config], policy="serial")
+        assert len(sorted(tmp_path.glob("*.ckpt.json"))) == 1
+
+    @pytest.mark.parametrize("option", ["checkpoint_dir", "resume"])
+    def test_pooled_path_refuses_checkpoint_options(self, tmp_path, option):
+        value = tmp_path if option == "checkpoint_dir" else True
+        runner = ExperimentRunner(**{option: value})
+        config = smoke_scale(attack="lie", defense="mkrum", num_rounds=2)
+        with pytest.raises(ValueError, match="checkpoint_dir and resume"):
+            runner.run_many([config], policy="process:2")
+
+
 class TestPoolRebuildBetweenRounds:
     @pytest.mark.slow
     def test_plain_map_survives_a_worker_killed_between_rounds(self):

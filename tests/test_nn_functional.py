@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 from helpers import numerical_gradient
 
@@ -187,6 +187,130 @@ class TestTapKernelBitwise:
         expected_bits = np.ascontiguousarray(expected).view(uint)
         assert np.array_equal(np.ascontiguousarray(cropped).view(uint), expected_bits)
         assert np.array_equal(clipped.view(uint), expected_bits)
+
+
+def _assert_same_bits(actual, expected):
+    uint = np.uint32 if expected.dtype == np.float32 else np.uint64
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.array_equal(
+        np.ascontiguousarray(actual).view(uint), np.ascontiguousarray(expected).view(uint)
+    )
+
+
+class TestColumnBlocksBitwise:
+    """Block-built columns give the bits of the whole-batch column matrix.
+
+    The reference runs each GEMM once over the whole-batch ``_im2col``
+    matrix; the convolutions build the same columns three samples at a
+    time (``_BLOCK_BYTES`` is shrunk to fit), so the batch sizes below
+    cover one sample, a part block, one block, one block plus a sample and
+    a ragged tail.
+    """
+
+    BLOCK = 3
+
+    def _shrink_blocks(self, monkeypatch, per_sample_bytes):
+        monkeypatch.setattr(F, "_BLOCK_BYTES", self.BLOCK * per_sample_bytes)
+
+    @pytest.mark.parametrize("grad_w", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 4])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
+    def test_conv2d_matches_whole_batch(
+        self, n, kernel, stride, padding, dtype, grad_w, rng, monkeypatch
+    ):
+        c, o, h, w = 3, 4, 7, 8
+        x_data = rng.standard_normal((n, c, h, w)).astype(dtype)
+        w_data = rng.standard_normal((o, c, kernel, kernel)).astype(dtype)
+        b_data = rng.standard_normal(o).astype(dtype)
+        cols, out_h, out_w = F._im2col(x_data, (kernel, kernel), stride, padding)
+        self._shrink_blocks(monkeypatch, cols[0].nbytes)
+        assert F._ColumnBlocks(x_data, (kernel, kernel), stride, padding).block == min(
+            n, self.BLOCK
+        )
+        w_mat = w_data.reshape(o, -1)
+        expected_out = np.matmul(w_mat, cols).reshape(n, o, out_h, out_w)
+        expected_out = expected_out + b_data.reshape(1, o, 1, 1)
+        grad = rng.standard_normal((n, o, out_h, out_w)).astype(dtype)
+        grad_mat = grad.reshape(n, o, -1)
+        expected_w = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0)
+        expected_x = np.zeros((n, c, h, w), dtype=dtype)
+        F._add_tap_products(expected_x, w_data, grad, stride, padding)
+
+        with no_grad():
+            frozen = F.conv2d(Tensor(x_data), Tensor(w_data, requires_grad=True),
+                              Tensor(b_data), stride=stride, padding=padding)
+        _assert_same_bits(frozen.data, expected_out)
+
+        x = Tensor(x_data, requires_grad=True)
+        weight = Tensor(w_data, requires_grad=grad_w)
+        bias = Tensor(b_data, requires_grad=True)
+        out = F.conv2d(x, weight, bias, stride=stride, padding=padding)
+        _assert_same_bits(out.data, expected_out)
+        out.backward(grad)
+        _assert_same_bits(x.grad, expected_x)
+        _assert_same_bits(bias.grad, grad.sum(axis=(0, 2, 3)))
+        if grad_w:
+            _assert_same_bits(weight.grad, expected_w.reshape(w_data.shape))
+        else:
+            assert weight.grad is None
+
+    @pytest.mark.parametrize("grad_w", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 4])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
+    def test_conv_transpose2d_backward_matches_whole_batch(
+        self, n, kernel, stride, padding, dtype, grad_w, rng, monkeypatch
+    ):
+        i, o, h, w = 4, 3, 5, 6
+        x_data = rng.standard_normal((n, i, h, w)).astype(dtype)
+        w_data = rng.standard_normal((i, o, kernel, kernel)).astype(dtype)
+        x = Tensor(x_data, requires_grad=True)
+        weight = Tensor(w_data, requires_grad=grad_w)
+        out = F.conv_transpose2d(x, weight, stride=stride, padding=padding)
+        grad = rng.standard_normal(out.shape).astype(dtype)
+        grad_cols, _, _ = F._im2col(grad, (kernel, kernel), stride, padding)
+        self._shrink_blocks(monkeypatch, grad_cols[0].nbytes)
+        w_mat = w_data.reshape(i, -1)
+        expected_x = np.matmul(w_mat, grad_cols).reshape(x_data.shape)
+        expected_w = np.matmul(x_data.reshape(n, i, -1), grad_cols.transpose(0, 2, 1)).sum(axis=0)
+
+        out.backward(grad)
+        _assert_same_bits(x.grad, expected_x)
+        if grad_w:
+            _assert_same_bits(weight.grad, expected_w.reshape(w_data.shape))
+        else:
+            assert weight.grad is None
+
+    def test_default_block_is_one_refine_sample(self):
+        # The generator's 16->1 refine conv: one (144, 784) float32 sample
+        # (441 KiB) fills a block; a small FashionCNN input layer's whole
+        # batch fits in one.
+        refine = np.zeros((50, 16, 28, 28), dtype=np.float32)
+        assert F._ColumnBlocks(refine, (3, 3), 1, 1).block == 1
+        images = np.zeros((32, 1, 28, 28), dtype=np.float32)
+        assert F._ColumnBlocks(images, (3, 3), 2, 1).block == 32
+
+    def test_refine_conv_peaks_below_its_column_matrix(self, rng):
+        import tracemalloc
+
+        x = Tensor(rng.standard_normal((50, 16, 28, 28)).astype(np.float32))
+        weight = Tensor(
+            rng.standard_normal((1, 16, 3, 3)).astype(np.float32), requires_grad=True
+        )
+        column_bytes = 50 * 144 * 784 * 4
+        tracemalloc.start()
+        try:
+            F.conv2d(x, weight, padding=1).sum().backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert weight.grad is not None
+        assert peak < column_bytes
 
 
 class TestConvGradientSkipping:
