@@ -27,6 +27,9 @@ each kernel tap's GEMM straight into the image, where the legacy kernels
 built a column matrix and scattered it back.  ``conv_memory`` records the
 ``tracemalloc`` peak of one forward+backward at the DFA-G generator's
 ``refine`` geometry, legacy and current; it is information, not a gate.
+``import_floor`` records the wall time and peak resident set of a fresh
+``python -c "import repro"``, the floor every worker process and CLI run
+pays; also information, not a gate.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import json
 import os
 import pickle
 import platform
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -44,6 +48,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+import repro
 from repro.defenses import Refd
 from repro.experiments import benchmark_scale, build_simulation
 from repro.fl.dispatch_policy import DispatchPolicy
@@ -946,6 +951,44 @@ def bench_trace_plan_memory() -> Dict[str, object]:
     }
 
 
+#: The child reports the peak resident set of its own address space
+#: (``VmHWM``, KiB).  Its ``ru_maxrss`` would not do: Linux carries the
+#: parent's high-water mark over ``exec``, so a child of this benchmark
+#: process reads this process's size instead of the import's.
+_IMPORT_FLOOR_SCRIPT = (
+    "import repro\n"
+    "print(next(line.split()[1] for line in open('/proc/self/status')"
+    " if line.startswith('VmHWM:')))"
+)
+
+
+def bench_import_floor(runs: int = 5) -> Dict[str, object]:
+    """Wall time and peak resident set of a fresh interpreter importing ``repro``.
+
+    Medians over ``runs`` sequential interpreters; the wall time covers
+    interpreter start-up.  Linux only (``/proc``).  Information only: no
+    threshold reads it.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    wall_s: List[float] = []
+    peak_kib: List[int] = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_FLOOR_SCRIPT],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        wall_s.append(time.perf_counter() - start)
+        peak_kib.append(int(proc.stdout))
+    return {
+        "runs": runs,
+        "wall_s": float(np.median(wall_s)),
+        "peak_rss_mb": float(np.median(peak_kib)) / 1024,
+        "wall_s_runs": wall_s,
+        "peak_rss_kib_runs": peak_kib,
+    }
+
+
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
@@ -974,6 +1017,7 @@ def run_suite(repeats: int = 25, include_dispatch: bool = True, include_e2e: boo
     results["trace_replay"] = bench_trace_replay(repeats)
     results["trace_record_overhead"] = bench_trace_record_overhead(repeats)
     results["trace_plan_memory"] = bench_trace_plan_memory()
+    results["import_floor"] = bench_import_floor()
     return results
 
 
@@ -1126,6 +1170,13 @@ def render_conv_memory(numbers) -> str:
     )
 
 
+def render_import_floor(numbers) -> str:
+    return (
+        f"import_floor (fresh `import repro`, median of {numbers['runs']}): "
+        f"{numbers['wall_s']:.2f} s, peak RSS {numbers['peak_rss_mb']:.1f} MB"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default="BENCH_hotpath.json", help="JSON output path")
@@ -1148,6 +1199,7 @@ def main(argv=None) -> int:
     memory = results["trace_plan_memory"]
     print(render_plan_memory(memory))
     print(render_conv_memory(results["conv_memory"]))
+    print(render_import_floor(results["import_floor"]))
 
     payload = {
         "meta": {

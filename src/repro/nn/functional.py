@@ -103,9 +103,11 @@ class _ColumnBlocks:
     ``start:stop``, filled into one reused buffer of ``block`` samples, so
     no whole-batch column matrix exists.  numpy's batched matmul makes one
     GEMM call per sample, so a per-block GEMM has the bits of the
-    whole-batch one.  A batch that fits in one block keeps its columns, so
-    a second pass (the weight gradient) reads them again; a larger batch
-    regenerates each block from the window view on every pass.
+    whole-batch one.  The block left in the buffer by one pass is yielded
+    first, without a copy, by the next (the weight gradient), so a batch
+    that fits in one block builds its columns once and a larger batch
+    rebuilds every block but one.  Each block's GEMM writes only its own
+    rows, so the order of the blocks changes no bits.
     """
 
     def __init__(
@@ -120,17 +122,23 @@ class _ColumnBlocks:
         self.block = max(1, min(n, _BLOCK_BYTES // per_sample_bytes))
         self._buffer = np.empty((self.block, features, length), dtype=x.dtype)
         self._n = n
-        self._kept = False
+        # (start, stop) of the samples whose columns the buffer holds.
+        self._resident: Optional[Tuple[int, int]] = None
 
     def __iter__(self):
+        resident = self._resident
+        if resident is not None:
+            start, stop = resident
+            yield start, stop, self._buffer[: stop - start]
         for start in range(0, self._n, self.block):
             stop = min(start + self.block, self._n)
+            if (start, stop) == resident:
+                continue
             cols = self._buffer[: stop - start]
-            if not self._kept:
-                windows = self._windows[start:stop]
-                np.copyto(cols.reshape(windows.shape), windows)
+            windows = self._windows[start:stop]
+            np.copyto(cols.reshape(windows.shape), windows)
+            self._resident = (start, stop)
             yield start, stop, cols
-        self._kept = self.block == self._n
 
 
 def _col2im(

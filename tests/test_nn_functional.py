@@ -286,6 +286,23 @@ class TestColumnBlocksBitwise:
         else:
             assert weight.grad is None
 
+    def test_second_pass_starts_from_the_resident_block(self, rng, monkeypatch):
+        x_data = rng.standard_normal((2 * self.BLOCK, 3, 7, 8))
+        cols, _, _ = F._im2col(x_data, (3, 3), 1, 1)
+        self._shrink_blocks(monkeypatch, cols[0].nbytes)
+        blocks = F._ColumnBlocks(x_data, (3, 3), 1, 1)
+        first = [(start, stop) for start, stop, _ in blocks]
+        copies = []
+        copyto = np.copyto
+        monkeypatch.setattr(np, "copyto", lambda dst, src: copies.append(copyto(dst, src)))
+        second = []
+        for start, stop, block_cols in blocks:
+            second.append((start, stop))
+            _assert_same_bits(block_cols, cols[start:stop])
+        assert first == [(0, 3), (3, 6)]
+        assert second == [(3, 6), (0, 3)]
+        assert len(copies) == 1
+
     def test_default_block_is_one_refine_sample(self):
         # The generator's 16->1 refine conv: one (144, 784) float32 sample
         # (441 KiB) fills a block; a small FashionCNN input layer's whole
