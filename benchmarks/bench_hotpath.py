@@ -27,6 +27,9 @@ each kernel tap's GEMM straight into the image, where the legacy kernels
 built a column matrix and scattered it back.  ``conv_memory`` records the
 ``tracemalloc`` peak of one forward+backward at the DFA-G generator's
 ``refine`` geometry, legacy and current; it is information, not a gate.
+``synthesis_memory`` records the ``tracemalloc`` peak above its start of one
+DFA-G ``synthesize`` at ``fmnist-dfag-bulyan`` geometry and of one REFD
+``score_updates`` at ``cifar-dfar-refd`` geometry; information, not a gate.
 ``import_floor`` records the wall time and peak resident set of a fresh
 ``python -c "import repro"``, the floor every worker process and CLI run
 pays; also information, not a gate.
@@ -49,8 +52,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 import repro
+from repro.attacks import DfaG, DfaHyperParameters
 from repro.defenses import Refd
-from repro.experiments import benchmark_scale, build_simulation
+from repro.experiments import benchmark_scale, build_simulation, paper_scale
 from repro.fl.dispatch_policy import DispatchPolicy
 from repro.fl.faults import ResilienceConfig
 from repro.fl.executor import (
@@ -60,7 +64,12 @@ from repro.fl.executor import (
 )
 from repro.fl.training import predict_proba
 from repro.models import ClassifierFactory
-from repro.fl.types import DefenseContext, ModelUpdate
+from repro.fl.types import (
+    AttackRoundContext,
+    DefenseContext,
+    LocalTrainingConfig,
+    ModelUpdate,
+)
 from repro.models import CifarCNN, SmallCNN
 from repro.nn import functional as F
 from repro.nn import trace as nn_trace
@@ -303,20 +312,25 @@ def bench_conv_backward_params(repeats: int) -> Dict[str, Dict[str, float]]:
     for case in CONV_CASES:
         x, w, b, stride, padding = _conv_tensors(case, requires_grad_x=False)
 
-        legacy_out = _legacy_conv2d(x, w, b, stride, padding)
-        current_out = F.conv2d(x, w, b, stride=stride, padding=padding)
-        grad = np.ones_like(legacy_out.data)
+        grad = np.ones_like(_legacy_conv2d(x, w, b, stride, padding).data)
 
-        def run_legacy():
+        def backward_s(forward) -> float:
             w.grad = b.grad = None
-            legacy_out.backward(grad)
+            out = forward()
+            start = time.perf_counter()
+            out.backward(grad)
+            return time.perf_counter() - start
 
-        def run_current():
-            w.grad = b.grad = None
-            current_out.backward(grad)
-
-        legacy = _best_of(run_legacy, repeats)
-        current = _best_of(run_current, repeats)
+        # A backward releases its graph, so each repeat times the backward
+        # of a fresh forward.
+        legacy = min(
+            backward_s(lambda: _legacy_conv2d(x, w, b, stride, padding))
+            for _ in range(repeats)
+        )
+        current = min(
+            backward_s(lambda: F.conv2d(x, w, b, stride=stride, padding=padding))
+            for _ in range(repeats)
+        )
         results[case[0]] = {"legacy_s": legacy, "current_s": current, "speedup": legacy / current}
     return results
 
@@ -379,6 +393,85 @@ def bench_conv_memory() -> Dict[str, int]:
             lambda x, w, b, s, p: F.conv2d(x, w, b, stride=s, padding=p)
         ),
         "column_matrix_bytes": n * c * w_shape[2] * w_shape[3] * out_h * out_w * 4,
+    }
+
+
+def _peak_above_start(fn) -> int:
+    """tracemalloc peak of ``fn()`` above the allocation it started from."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def bench_synthesis_memory() -> Dict[str, int]:
+    """tracemalloc peaks of one DFA-G synthesis and one REFD scoring.
+
+    DFA-G ``synthesize`` runs at the ``fmnist-dfag-bulyan`` geometry (the
+    paper-scale Fashion-MNIST FashionCNN, 50 synthetic images, 5 generator
+    epochs); its generator is built first, as in every round after the
+    first.  REFD ``score_updates`` runs serially at the ``cifar-dfar-refd``
+    geometry (10 updates of the 6-conv CIFAR CNN on 200 reference images).
+    Bytes above each call's starting allocation; information only, no
+    threshold reads them.
+    """
+    config = paper_scale("fashion-mnist", attack="dfa-g", defense="bulyan")
+    factory = ClassifierFactory("fashion-cnn", 1, 28, 10, seed=0)
+    attack_context = AttackRoundContext(
+        round_number=0,
+        global_params=get_flat_params(factory()),
+        previous_global_params=None,
+        model_factory=factory,
+        num_classes=10,
+        image_shape=(1, 28, 28),
+        selected_malicious_ids=[0, 1],
+        training_config=LocalTrainingConfig(
+            local_epochs=config.local_epochs,
+            batch_size=config.batch_size,
+            learning_rate=config.learning_rate,
+        ),
+        benign_num_samples=60,
+        rng=np.random.default_rng(0),
+    )
+    attack = DfaG(
+        DfaHyperParameters(
+            num_synthetic=config.num_synthetic,
+            synthesis_epochs=config.synthesis_epochs,
+            synthesis_lr=config.synthesis_lr,
+        )
+    )
+    attack.target_label = 0
+    attack._ensure_generator(attack_context)
+
+    cifar = ClassifierFactory("cifar-cnn", 3, 32, 10, seed=0)
+    base = get_flat_params(cifar())
+    rng = np.random.default_rng(0)
+    updates = [
+        ModelUpdate(
+            client_id=i,
+            parameters=base + 0.01 * rng.standard_normal(base.shape).astype(np.float32),
+            num_samples=50,
+        )
+        for i in range(10)
+    ]
+    images = rng.standard_normal((200, 3, 32, 32)).astype(np.float32)
+    defense_context = DefenseContext(
+        round_number=0,
+        global_params=base,
+        expected_num_malicious=2,
+        rng=np.random.default_rng(0),
+        model_factory=cifar,
+    )
+    return {
+        "dfag_synthesize_peak_bytes": _peak_above_start(
+            lambda: attack.synthesize(attack_context)
+        ),
+        "refd_score_updates_peak_bytes": _peak_above_start(
+            lambda: Refd(num_rejected=2).score_updates(updates, images, defense_context)
+        ),
     }
 
 
@@ -999,6 +1092,7 @@ def run_suite(repeats: int = 25, include_dispatch: bool = True, include_e2e: boo
     results["conv_bwd_params"] = bench_conv_backward_params(repeats)
     results["conv_step_all_grads"] = bench_conv_step_all_grads(repeats)
     results["conv_memory"] = bench_conv_memory()
+    results["synthesis_memory"] = bench_synthesis_memory()
     results["flat_roundtrip"] = bench_flat_params(repeats)
     results["refd_scoring"] = bench_refd_scoring(max(3, repeats // 5))
     results["distance_block"] = bench_distance_block(max(3, repeats // 5))
@@ -1170,6 +1264,14 @@ def render_conv_memory(numbers) -> str:
     )
 
 
+def render_synthesis_memory(numbers) -> str:
+    return (
+        f"synthesis_memory (tracemalloc peak above start): DFA-G synthesize "
+        f"{numbers['dfag_synthesize_peak_bytes']} bytes, REFD score_updates "
+        f"{numbers['refd_score_updates_peak_bytes']} bytes"
+    )
+
+
 def render_import_floor(numbers) -> str:
     return (
         f"import_floor (fresh `import repro`, median of {numbers['runs']}): "
@@ -1199,6 +1301,7 @@ def main(argv=None) -> int:
     memory = results["trace_plan_memory"]
     print(render_plan_memory(memory))
     print(render_conv_memory(results["conv_memory"]))
+    print(render_synthesis_memory(results["synthesis_memory"]))
     print(render_import_floor(results["import_floor"]))
 
     payload = {

@@ -23,7 +23,7 @@ from ..models.generator import TCNNGenerator
 from ..nn import functional as F
 from ..nn.optim import Adam
 from ..nn.serialization import set_flat_params
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from .base import Attack
 from .dfa_common import DfaHyperParameters, train_adversarial_classifier
 
@@ -109,8 +109,10 @@ class DfaG(Attack):
                 optimizer.step()
                 epoch_losses.append(float(cross_entropy.item()))
         self.synthesis_loss_history.append(epoch_losses)
-        images = generator(noise)
-        return images.data.astype(np.float32).copy()
+        # Nothing backpropagates through the returned images.
+        with no_grad():
+            images = generator(noise)
+        return images.data.astype(np.float32)
 
     def craft_updates(self, context: AttackRoundContext) -> List[ModelUpdate]:
         if self.target_label is None:

@@ -22,7 +22,7 @@ from ..models.generator import FilterNet
 from ..nn import functional as F
 from ..nn.optim import Adam
 from ..nn.serialization import set_flat_params
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from .base import Attack
 from .dfa_common import DfaHyperParameters, train_adversarial_classifier
 
@@ -94,8 +94,10 @@ class DfaR(Attack):
                     loss.backward()
                     optimizer.step()
                     epoch_losses[epoch] += float(loss.item()) / self.num_filter_groups
-            synthetic = filter_net(dummy)
-            images.append(synthetic.data.copy())
+            # Nothing backpropagates through the returned images.
+            with no_grad():
+                synthetic = filter_net(dummy)
+            images.append(synthetic.data)
         self.synthesis_loss_history.append(list(epoch_losses))
         stacked = np.concatenate(images, axis=0)[: self.hyper.num_synthetic]
         return stacked.astype(np.float32)

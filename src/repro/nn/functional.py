@@ -36,6 +36,20 @@ __all__ = [
 # ----------------------------------------------------------------------
 # im2col / col2im helpers
 # ----------------------------------------------------------------------
+def _output_size(
+    shape: Tuple[int, ...], kernel: Tuple[int, int], stride: int, padding: int
+) -> Tuple[int, int]:
+    """``(out_h, out_w)`` of a convolution over an ``(N, C, H, W)`` input."""
+    out_h = (shape[2] + 2 * padding - kernel[0]) // stride + 1
+    out_w = (shape[3] + 2 * padding - kernel[1]) // stride + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(
+            f"convolution output would be empty for input {tuple(shape)}, "
+            f"kernel {kernel}, stride {stride}, padding {padding}"
+        )
+    return out_h, out_w
+
+
 def _window_view(
     x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
@@ -46,13 +60,7 @@ def _window_view(
     """
     n, c, h, w = x.shape
     kh, kw = kernel
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"convolution output would be empty for input {x.shape}, "
-            f"kernel {kernel}, stride {stride}, padding {padding}"
-        )
+    out_h, out_w = _output_size(x.shape, kernel, stride, padding)
     if padding:
         padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         padded[:, :, padding:-padding, padding:-padding] = x
@@ -101,25 +109,37 @@ class _ColumnBlocks:
     Iterating yields ``(start, stop, cols)`` where ``cols`` is the
     ``(stop - start, C*kh*kw, out_h*out_w)`` column matrix of samples
     ``start:stop``, filled into one reused buffer of ``block`` samples, so
-    no whole-batch column matrix exists.  numpy's batched matmul makes one
-    GEMM call per sample, so a per-block GEMM has the bits of the
-    whole-batch one.  The block left in the buffer by one pass is yielded
-    first, without a copy, by the next (the weight gradient), so a batch
-    that fits in one block builds its columns once and a larger batch
-    rebuilds every block but one.  Each block's GEMM writes only its own
-    rows, so the order of the blocks changes no bits.
+    no whole-batch column matrix exists.  With ``padding`` each block's
+    samples are first copied into the interior of one reused, zero-bordered
+    buffer of ``block`` padded samples, whose window view is taken once
+    here, so no whole-batch padded input exists either.  numpy's batched
+    matmul makes one GEMM call per sample, so a per-block GEMM has the
+    bits of the whole-batch one.  The block left in the buffer by one pass
+    is yielded first, without a copy, by the next (the weight gradient), so
+    a batch that fits in one block builds its columns once and a larger
+    batch rebuilds every block but one.  Each block's GEMM writes only its
+    own rows, so the order of the blocks changes no bits.
     """
 
     def __init__(
         self, x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int
     ) -> None:
-        n, c = x.shape[0], x.shape[1]
+        n, c, h, w = x.shape
         kh, kw = kernel
-        windows, self.out_h, self.out_w = _window_view(x, kernel, stride, padding)
-        self._windows = windows.transpose(0, 1, 4, 5, 2, 3)
+        self.out_h, self.out_w = _output_size(x.shape, kernel, stride, padding)
         features, length = c * kh * kw, self.out_h * self.out_w
         per_sample_bytes = features * length * x.dtype.itemsize
         self.block = max(1, min(n, _BLOCK_BYTES // per_sample_bytes))
+        self._x = x
+        self._interior: Optional[np.ndarray] = None
+        source = x
+        if padding:
+            source = np.zeros(
+                (self.block, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype
+            )
+            self._interior = source[:, :, padding:-padding, padding:-padding]
+        windows, _, _ = _window_view(source, kernel, stride, 0)
+        self._windows = windows.transpose(0, 1, 4, 5, 2, 3)
         self._buffer = np.empty((self.block, features, length), dtype=x.dtype)
         self._n = n
         # (start, stop) of the samples whose columns the buffer holds.
@@ -135,7 +155,11 @@ class _ColumnBlocks:
             if (start, stop) == resident:
                 continue
             cols = self._buffer[: stop - start]
-            windows = self._windows[start:stop]
+            if self._interior is None:
+                windows = self._windows[start:stop]
+            else:
+                np.copyto(self._interior[: stop - start], self._x[start:stop])
+                windows = self._windows[: stop - start]
             np.copyto(cols.reshape(windows.shape), windows)
             self._resident = (start, stop)
             yield start, stop, cols
@@ -272,6 +296,14 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return out
 
 
+def _add_bias(out: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``out + bias`` per channel, in place when that keeps ``out``'s dtype."""
+    b = bias.reshape(1, -1, 1, 1)
+    if np.result_type(out, b) == out.dtype:
+        return np.add(out, b, out=out)
+    return out + b
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -299,11 +331,7 @@ def conv2d(
         np.matmul(w_mat, cols, out=out[start:stop])
     out = out.reshape(n, out_channels, out_h, out_w)
     if bias is not None:
-        b = bias.data.reshape(1, out_channels, 1, 1)
-        if np.result_type(out, b) == out.dtype:
-            np.add(out, b, out=out)
-        else:
-            out = out + b
+        out = _add_bias(out, bias.data)
 
     needs_grad_x = x.requires_grad
     needs_grad_w = weight.requires_grad
@@ -323,12 +351,17 @@ def conv2d(
             grad_w = stack.sum(axis=0).reshape(w_data.shape)
         grad_x = None
         if needs_grad_x:
+            # The gradient is the interior of a padded buffer, not a
+            # contiguous array: numpy sums and multiplies in an order that
+            # follows the strides, so the consumer's bits (the bias
+            # gradient of an input filter, say) depend on this layout.
+            # Only the interior receives taps.
             grad_x = np.zeros(
                 (n, c, h + 2 * padding, w + 2 * padding), dtype=np.result_type(w_data, grad)
             )
-            _add_tap_products(grad_x, w_data, grad, stride, 0)
             if padding:
                 grad_x = grad_x[:, :, padding:-padding, padding:-padding]
+            _add_tap_products(grad_x, w_data, grad, stride, padding)
         if bias is not None:
             grad_b = grad.sum(axis=(0, 2, 3)) if bias.requires_grad else None
             return (grad_x, grad_w, grad_b)
@@ -368,15 +401,10 @@ def conv_transpose2d(
 
     w_mat = w_data.reshape(in_channels, out_channels * kh * kw)
     x_mat = x_data.reshape(n, in_channels, h * w)
-    out = np.zeros(
-        (n, out_channels, out_h + 2 * padding, out_w + 2 * padding),
-        dtype=np.result_type(w_data, x_data),
-    )
-    _add_tap_products(out, w_data, x_data, stride, 0)
-    if padding:
-        out = out[:, :, padding:-padding, padding:-padding]
+    out = np.zeros((n, out_channels, out_h, out_w), dtype=np.result_type(w_data, x_data))
+    _add_tap_products(out, w_data, x_data, stride, padding)
     if bias is not None:
-        out = out + bias.data.reshape(1, out_channels, 1, 1)
+        out = _add_bias(out, bias.data)
 
     needs_grad_x = x.requires_grad
     needs_grad_w = weight.requires_grad

@@ -72,6 +72,17 @@ class no_grad:
         _GRAD_STATE.enabled = self._previous
 
 
+_RELEASED_MESSAGE = (
+    "backward() reached a node whose graph was released by an earlier "
+    "backward(); run the forward again to build a new graph"
+)
+
+
+def _released(grad: np.ndarray):
+    """The backward closure of a node whose graph a backward pass released."""
+    raise RuntimeError(_RELEASED_MESSAGE)
+
+
 def is_grad_enabled() -> bool:
     """Return whether new operations will be recorded for autograd."""
     return _GRAD_STATE.enabled
@@ -117,7 +128,7 @@ class Tensor:
             data = data.data
         if isinstance(data, (np.ndarray, np.generic)):
             data = np.asarray(data)
-            if not np.issubdtype(data.dtype, np.floating):
+            if data.dtype.kind != "f":
                 data = data.astype(DEFAULT_DTYPE)
         else:
             data = np.asarray(data, dtype=DEFAULT_DTYPE)
@@ -244,6 +255,17 @@ class Tensor:
         grad:
             Gradient of the final objective with respect to this tensor.
             Defaults to ones, which is only valid for scalar outputs.
+
+        The pass releases the graph as it goes: once an interior node
+        (any result of an op, this tensor included) has passed its
+        gradient to its parents, it drops its backward closure and its
+        parent links, so the masks, saved inputs and column blocks the
+        closure holds are freed while the pass is still running.  Leaf
+        tensors keep their accumulated :attr:`grad`, and every tensor
+        keeps its :attr:`data`.  A graph is therefore backpropagated at
+        most once: a later ``backward()`` that reaches a released node
+        raises :class:`RuntimeError` before it changes any gradient.
+        Run the forward again to build a new graph.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -254,7 +276,7 @@ class Tensor:
         grad = np.asarray(grad, dtype=self.data.dtype)
 
         # Topological order of the graph reachable from self.
-        topo: list[Tensor] = []
+        topo: list[Optional[Tensor]] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
@@ -264,6 +286,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _released:
+                raise RuntimeError(_RELEASED_MESSAGE)
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -271,20 +295,24 @@ class Tensor:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
+        for index in range(len(topo) - 1, -1, -1):
+            node = topo[index]
+            # The list's reference goes first, so a node that nothing else
+            # holds is freed as soon as its own turn ends.
+            topo[index] = None
             node_grad = grads.pop(id(node), None)
-            if node_grad is None:
-                continue
-            if node.requires_grad and node._backward is None:
-                # Leaf tensor: accumulate.
-                if node.grad is None:
-                    node.grad = node_grad.copy()
-                else:
-                    node.grad = node.grad + node_grad
-                continue
             if node._backward is None:
+                if node_grad is not None and node.requires_grad:
+                    # Leaf tensor: accumulate.
+                    if node.grad is None:
+                        node.grad = node_grad.copy()
+                    else:
+                        node.grad = node.grad + node_grad
                 continue
-            node._collect(node_grad, grads)
+            if node_grad is not None:
+                node._collect(node_grad, grads)
+            node._backward = _released
+            node._parents = ()
 
     def _collect(self, node_grad: np.ndarray, grads: dict) -> None:
         """Invoke the backward closure and scatter gradients to parents."""

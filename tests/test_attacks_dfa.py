@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.attacks.regularization import DistanceRegularizer
 from repro.fl.types import AttackRoundContext, LocalTrainingConfig, ModelUpdate
 from repro.models import MLP, SmallCNN
 from repro.nn.serialization import get_flat_params
+from repro.nn.tensor import Tensor
 
 
 def _model_factory():
@@ -239,6 +242,38 @@ class TestDfaG:
     def test_invalid_noise_dim(self):
         with pytest.raises(ValueError):
             DfaG(noise_dim=0)
+
+    def test_returned_images_are_the_trained_generator_output(self):
+        attack = DfaG(hyper=_fast_hyper(), noise_dim=8, base_width=4, seed=3)
+        attack.target_label = 1
+        images = attack.synthesize(_context())
+        # Built without a graph, with the bits of a recorded forward.
+        expected = attack.generator(Tensor(attack._fixed_noise))
+        assert expected.requires_grad
+        np.testing.assert_array_equal(images, expected.data)
+
+    def test_synthesis_peak_memory(self):
+        # Backward frees each node's saved state once it has used it.
+        # tracemalloc readings at this geometry: 1.9 MB above the start
+        # when the graph lived until the pass ended, 1.2 MB with the
+        # release.
+        attack = DfaG(
+            hyper=_fast_hyper(num_synthetic=16, synthesis_epochs=2),
+            noise_dim=16,
+            base_width=8,
+            seed=3,
+        )
+        attack.target_label = 1
+        context = _context()
+        attack._ensure_generator(context)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            attack.synthesize(context)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_550_000
 
 
 class TestRealDataFlip:

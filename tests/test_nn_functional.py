@@ -301,7 +301,9 @@ class TestColumnBlocksBitwise:
             _assert_same_bits(block_cols, cols[start:stop])
         assert first == [(0, 3), (3, 6)]
         assert second == [(3, 6), (0, 3)]
-        assert len(copies) == 1
+        # One block rebuilt: its samples into the padded block, then its
+        # columns out of it.
+        assert len(copies) == 2
 
     def test_default_block_is_one_refine_sample(self):
         # The generator's 16->1 refine conv: one (144, 784) float32 sample
@@ -375,18 +377,57 @@ class TestConvGradientSkipping:
         assert x.grad is not None
         assert w.grad is None
 
-    def test_conv2d_repeated_backward_keeps_grads_correct(self, rng):
-        # A backward pass must not consume what a later one still needs:
-        # two backward() calls accumulate exactly 2x the single-pass
-        # gradients.
+    def test_conv2d_second_backward_raises_released_graph(self, rng):
+        # A backward pass releases the graph it has used (closures, saved
+        # column blocks), so a second pass through it raises instead of
+        # reading freed state, and leaves the gradients of the first.
         x = Tensor(rng.standard_normal((2, 2, 6, 6)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
         out = F.conv2d(x, w, padding=1)
         out.sum().backward()
         first_x, first_w = x.grad.copy(), w.grad.copy()
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, 2 * first_x, rtol=1e-7)
-        np.testing.assert_allclose(w.grad, 2 * first_w, rtol=1e-7)
+        with pytest.raises(RuntimeError, match="released"):
+            out.sum().backward()
+        np.testing.assert_array_equal(x.grad, first_x)
+        np.testing.assert_array_equal(w.grad, first_w)
+
+
+class TestConvPaddingMemory:
+    """No eager convolution allocates a whole-batch padded array."""
+
+    @staticmethod
+    def _peak(fn) -> int:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_padded_conv2d_forward_over_many_blocks(self, rng):
+        # 16 -> 1 channels over 256 samples: the columns span ~85 blocks,
+        # and the whole-batch padded input (5.3 MB) dwarfs the output
+        # (0.26 MB) and the block buffers.
+        x = Tensor(rng.standard_normal((256, 16, 16, 16)).astype(np.float32))
+        w = Tensor(rng.standard_normal((1, 16, 3, 3)).astype(np.float32))
+        assert F._ColumnBlocks(x.data, (3, 3), 1, 1).block < 8
+        padded_bytes = 256 * 16 * 18 * 18 * 4
+        assert self._peak(lambda: F.conv2d(x, w, padding=1)) < padded_bytes
+
+    def test_padded_conv_transpose2d_backward_over_many_blocks(self, rng):
+        # The weight gradient's columns come from the padded output
+        # gradient, one block at a time.
+        x = Tensor(rng.standard_normal((256, 1, 8, 8)).astype(np.float32))
+        w = Tensor(rng.standard_normal((1, 16, 4, 4)).astype(np.float32), requires_grad=True)
+        out = F.conv_transpose2d(x, w, stride=2, padding=1)
+        grad = np.ones(out.shape, dtype=np.float32)
+        padded_bytes = 256 * 16 * 18 * 18 * 4
+        assert out.shape == (256, 16, 16, 16)
+        assert self._peak(lambda: out.backward(grad)) < padded_bytes
+        assert w.grad is not None
 
 
 class TestLinear:

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.models import FashionCNN
+from repro.models.classifiers import GRUClassifier
+from repro.models.generator import FilterNet, TCNNGenerator
+from repro.nn import functional as F
 from repro.nn.tensor import DEFAULT_DTYPE, Tensor, is_grad_enabled, no_grad
 
 from helpers import numerical_gradient
@@ -321,3 +328,138 @@ class TestElementwiseFunctions:
         assert n.item() == pytest.approx(np.linalg.norm(data), rel=1e-6)
         n.backward()
         np.testing.assert_allclose(x.grad, data / np.linalg.norm(data), atol=1e-6)
+
+
+class TestGraphRelease:
+    """backward() frees what it has used; a graph is backpropagated once."""
+
+    def test_second_backward_raises_and_leaves_grads(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = x * 3.0
+        y.sum().backward()
+        with pytest.raises(RuntimeError, match="released"):
+            (y + x).sum().backward()
+        # The failed pass raised before it reached any leaf.
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_backward_twice_on_one_root_raises(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        loss = (x * 2.0).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+
+    def test_released_tensors_keep_their_data(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        y = x.relu()
+        loss = y.sum()
+        loss.backward()
+        np.testing.assert_array_equal(y.data, [1.0, 0.0])
+        assert loss.item() == 1.0
+        assert y.requires_grad
+
+    def test_saved_arrays_are_freed_during_the_pass(self):
+        # A node's closure is dropped as soon as the node has passed its
+        # gradient on: by the time its parent's closure runs, what the
+        # child saved is gone.
+        def saving(parent, saved, probe=None):
+            def backward(grad):
+                if probe is not None:
+                    probe()
+                return (grad * saved,)
+
+            return Tensor._from_op(parent.data * saved, (parent,), backward)
+
+        freed_when_parent_ran = []
+        x = Tensor(np.ones(3), requires_grad=True)
+        first = saving(x, np.full(3, 2.0), lambda: freed_when_parent_ran.append(ref() is None))
+        scale = np.full(3, 5.0)
+        ref = weakref.ref(scale)
+        second = saving(first, scale)
+        del scale
+        second.sum().backward()
+        assert freed_when_parent_ran == [True]
+        np.testing.assert_array_equal(x.grad, [10.0, 10.0, 10.0])
+        assert ref() is None
+
+
+def _digests(leaves):
+    return [
+        hashlib.blake2b(np.ascontiguousarray(leaf.grad).tobytes(), digest_size=16).hexdigest()
+        for leaf in leaves
+    ]
+
+
+class TestBackwardGoldens:
+    """Leaf gradients keep their bits through every change to the engine.
+
+    The digests were captured before backward released the graph and
+    before convolutions padded per block.  Each graph spans several column
+    blocks somewhere, and the FilterNet graph hands an input gradient
+    straight to a bias sum, whose bits follow the gradient's memory layout.
+    """
+
+    def test_generator_into_fashion_cnn(self):
+        rng = np.random.default_rng(7)
+        generator = TCNNGenerator(noise_dim=16, out_channels=1, image_size=28, base_width=8, rng=rng)
+        classifier = FashionCNN(in_channels=1, image_size=28, num_classes=10, rng=rng)
+        noise = Tensor(generator.sample_noise(20, rng), requires_grad=True)
+        targets = rng.integers(0, 10, size=20)
+        F.cross_entropy(classifier(generator(noise)), targets).backward()
+        leaves = [noise] + generator.parameters() + classifier.parameters()
+        assert _digests(leaves) == GENERATOR_FASHION_DIGESTS
+
+    def test_filter_into_fashion_cnn(self):
+        rng = np.random.default_rng(1)
+        filter_net = FilterNet(channels=1, image_size=28, kernel_size=3, rng=rng)
+        classifier = FashionCNN(in_channels=1, image_size=28, num_classes=10, rng=rng)
+        dummy = Tensor(filter_net.sample_dummy(30, rng))
+        F.soft_cross_entropy(classifier(filter_net(dummy)), np.full(10, 0.1)).backward()
+        leaves = filter_net.parameters() + classifier.parameters()
+        assert _digests(leaves) == FILTER_FASHION_DIGESTS
+
+    def test_gru_classifier(self):
+        rng = np.random.default_rng(11)
+        model = GRUClassifier(in_channels=1, image_size=8, num_classes=10, hidden=6, rng=rng)
+        x = Tensor(rng.standard_normal((5, 1, 8, 8)).astype(np.float32), requires_grad=True)
+        targets = rng.integers(0, 10, size=5)
+        F.cross_entropy(model(x), targets).backward()
+        assert _digests([x] + model.parameters()) == GRU_DIGESTS
+
+
+GENERATOR_FASHION_DIGESTS = [
+        "a35a1d6eaf1bb1ae1c9dc65f48095149",
+        "216088ebd70faed07d149973024b1210",
+        "86c165e529ed20694d1c4fe369c61d90",
+        "dc971e2de8172d4d99c73762628515cc",
+        "b65a44cdfb2394a6f62bcd7fcebecd38",
+        "21198a2a6e402e44fa05d8dbe1fba2e7",
+        "12511f6a0c6ebb945c81473320135e08",
+        "e9dfe18ba4f8084b439b8480c407adc4",
+        "2264e5d56a86d5419f600fbbf230f8d0",
+        "c98337bf2c492d26a5b9e9442a5caa5e",
+        "f99b15e828d892485324e79b32b717e6",
+        "82c8413dd301fecce6db47c2ecbe8fb3",
+        "c4fd247c4f89f46fd2734f69cea61f03",
+        "27b08af3d42f384e01680ef06ba49d20",
+        "d3cb95256abaa465a1da8e9c3f891a8c",
+    ]
+FILTER_FASHION_DIGESTS = [
+        "ce15c1486795eff84d851c5cec72ea14",
+        "73a46650c9436f17a03423097dc8efe2",
+        "ba59e065d164eef962a28defb8512c50",
+        "bd154502a3934b1529552c60f1100d5b",
+        "7c66a9445693d1bf086bc7bf46c2ea4d",
+        "392840c4adfec0d6b30f0d0c4d2188bf",
+        "ebafd96af448d1a70dafdf67dc9c27d2",
+        "914a706c7302e3f9633901d465c8dbdc",
+    ]
+GRU_DIGESTS = [
+        "2e8365cc72d0251893bcce9dd7396c89",
+        "b4f0340edbcde0c54a2ff6587e0f6063",
+        "b568622ba33f25fd858f595f37cfca44",
+        "4ab168da90e72d9e5951a706c8626201",
+        "56d7749935d6b0d394136f2a3eb1a5d3",
+        "27d6e560820e3b53ac69c201402bb3a7",
+        "dafbf38bbe76b504362865bc15c7c335",
+    ]
