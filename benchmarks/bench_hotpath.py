@@ -206,7 +206,6 @@ def _legacy_refd_score(update, images, model_factory):
     batch_size = 256
     from repro.nn.tensor import no_grad
 
-    model.eval()
     with no_grad():
         for start in range(0, images.shape[0], batch_size):
             logits = model(Tensor(images[start : start + batch_size]))

@@ -82,7 +82,6 @@ class DfaG(Attack):
     def _frozen_global_model(self, context: AttackRoundContext):
         model = context.model_factory()
         set_flat_params(model, context.global_params)
-        model.eval()
         model.requires_grad_(False)
         return model
 

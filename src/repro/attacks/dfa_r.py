@@ -61,7 +61,6 @@ class DfaR(Attack):
     def _frozen_global_model(self, context: AttackRoundContext):
         model = context.model_factory()
         set_flat_params(model, context.global_params)
-        model.eval()
         model.requires_grad_(False)
         return model
 

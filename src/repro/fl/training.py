@@ -43,7 +43,6 @@ def train_on_arrays(
     eager loop.  ``extra_loss`` models, shape changes and untraceable ops
     all fall back to eager per step, never erroring.
     """
-    model.train()
     optimizer = SGD(
         model.parameters(),
         lr=config.learning_rate,
@@ -94,7 +93,6 @@ def evaluate_model(model: Module, dataset, batch_size: int = 128) -> Tuple[float
     Accuracy and loss are accumulated as running sums — no per-batch Python
     lists are built, and the loss is weighted by batch length exactly once.
     """
-    model.eval()
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
     correct = 0
     total = 0
@@ -124,7 +122,6 @@ def predict_proba(
     first batch reveals the class count) instead of growing a Python list
     and concatenating at the end.
     """
-    model.eval()
     num_samples = images.shape[0]
     if out is not None and (out.ndim != 2 or out.shape[0] != num_samples):
         raise ValueError(

@@ -159,10 +159,9 @@ class GRUClassifier(nn.Module):
     the final hidden state feeds a dense head.  This is the sequence
     instantiation of the paper's Sec. III-C/D sketch on the same image
     datasets, and the model that exercises :mod:`repro.nn.recurrent`
-    through training, tracing and replay.  The GRU runs with
-    ``return_sequences=False``: only the last state is needed, which
-    keeps the graph (and the recorded tape) linear in the sequence
-    length.
+    through training, tracing and replay.  The GRU returns only its last
+    state, which keeps the graph (and the recorded tape) linear in the
+    sequence length.
     """
 
     def __init__(
@@ -179,9 +178,7 @@ class GRUClassifier(nn.Module):
         self.image_size = image_size
         self.num_classes = num_classes
         self.hidden = hidden
-        self.gru = GRU(
-            in_channels * image_size, hidden, rng=rng, return_sequences=False
-        )
+        self.gru = GRU(in_channels * image_size, hidden, rng=rng)
         self.head = nn.Linear(hidden, num_classes, rng=rng)
         self.trace_signature = ("gru", in_channels, image_size, num_classes, hidden)
 
@@ -191,5 +188,4 @@ class GRUClassifier(nn.Module):
         rows = x.transpose((0, 2, 1, 3)).reshape(
             batch, self.image_size, self.in_channels * self.image_size
         )
-        _, state = self.gru(rows)
-        return self.head(state)
+        return self.head(self.gru(rows))

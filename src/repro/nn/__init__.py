@@ -1,97 +1,37 @@
 """A small, self-contained neural-network library built on numpy.
 
 This package is the substrate that replaces PyTorch in the reproduction of
-"Fabricated Flips: Poisoning Federated Learning without Data" (DSN 2023).
-It provides reverse-mode autograd (:mod:`repro.nn.tensor`), convolution and
-loss primitives (:mod:`repro.nn.functional`), layer containers
-(:mod:`repro.nn.modules`), optimizers (:mod:`repro.nn.optim`) and parameter
-flattening utilities (:mod:`repro.nn.serialization`).
+"Fabricated Flips: Poisoning Federated Learning without Data" (DSN 2023),
+and it carries only what the reproduction runs: reverse-mode autograd
+(:mod:`repro.nn.tensor`), the convolution and loss primitives
+(:mod:`repro.nn.functional`), the ``Linear``/``Conv2d``/``ConvTranspose2d``
+layers (:mod:`repro.nn.modules`) and a GRU (:mod:`repro.nn.recurrent`),
+the SGD and Adam optimizers (:mod:`repro.nn.optim`), parameter flattening
+(:mod:`repro.nn.serialization`) and trace-recorded replay of training
+steps (:mod:`repro.nn.trace`).  ``__all__`` names what code outside the
+package uses; helpers such as :mod:`repro.nn.init` stay in their modules.
 """
 
 from . import functional
-from .init import (
-    calculate_fan_in_and_fan_out,
-    kaiming_uniform,
-    normal,
-    uniform,
-    xavier_uniform,
-    zeros,
-)
-from .modules import (
-    AvgPool2d,
-    BatchNorm2d,
-    Conv2d,
-    ConvTranspose2d,
-    Dropout,
-    Flatten,
-    LeakyReLU,
-    Linear,
-    MaxPool2d,
-    Module,
-    Parameter,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Softmax,
-    Tanh,
-)
-from .lr_scheduler import CosineAnnealingLR, ExponentialLR, LRScheduler, StepLR
-from .optim import SGD, Adam, Optimizer
-from .recurrent import GRU, Embedding, GRUCell
-from .serialization import (
-    FlatParams,
-    clone_state_dict,
-    get_flat_params,
-    parameter_shapes,
-    set_flat_params,
-    state_dict_to_vector,
-    vector_to_state_dict,
-)
-from .tensor import DEFAULT_DTYPE, Tensor, is_grad_enabled, no_grad
+from .modules import Conv2d, ConvTranspose2d, Linear, Module
+from .optim import SGD, Adam
+from .recurrent import GRU
+from .serialization import FlatParams, get_flat_params, set_flat_params, vector_to_state_dict
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "functional",
     "Tensor",
     "no_grad",
-    "is_grad_enabled",
-    "DEFAULT_DTYPE",
     "Module",
-    "Parameter",
-    "Sequential",
     "Linear",
     "Conv2d",
     "ConvTranspose2d",
-    "BatchNorm2d",
-    "Flatten",
-    "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softmax",
-    "Dropout",
-    "MaxPool2d",
-    "AvgPool2d",
-    "Optimizer",
     "SGD",
     "Adam",
-    "LRScheduler",
-    "StepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
-    "Embedding",
-    "GRUCell",
     "GRU",
     "FlatParams",
     "get_flat_params",
     "set_flat_params",
-    "state_dict_to_vector",
     "vector_to_state_dict",
-    "parameter_shapes",
-    "clone_state_dict",
-    "kaiming_uniform",
-    "xavier_uniform",
-    "normal",
-    "uniform",
-    "zeros",
-    "calculate_fan_in_and_fan_out",
 ]

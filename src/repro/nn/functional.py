@@ -1,40 +1,30 @@
 """Neural-network primitives built on top of :class:`repro.nn.tensor.Tensor`.
 
-This module implements the convolution, pooling and loss operations needed
-by the classifiers, the DFA-R filter layer and the DFA-G generator.  All
+This module implements the convolution and loss operations needed by the
+classifiers, the DFA-R filter layer and the DFA-G generator.  All
 functions are autograd-aware: they return tensors that participate in the
 computation graph and provide analytic backward passes.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .tensor import Tensor
 
 __all__ = [
-    "linear",
     "conv2d",
-    "conv_transpose2d",
-    "max_pool2d",
-    "avg_pool2d",
-    "pad2d",
     "softmax",
-    "log_softmax",
     "cross_entropy",
     "soft_cross_entropy",
-    "nll_loss",
-    "mse_loss",
-    "one_hot",
     "conv_output_size",
-    "conv_transpose_output_size",
 ]
 
 
 # ----------------------------------------------------------------------
-# im2col / col2im helpers
+# Column and tap helpers
 # ----------------------------------------------------------------------
 def _output_size(
     shape: Tuple[int, ...], kernel: Tuple[int, int], stride: int, padding: int
@@ -50,53 +40,16 @@ def _output_size(
     return out_h, out_w
 
 
-def _window_view(
-    x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int
-) -> Tuple[np.ndarray, int, int]:
+def _window_view(x: np.ndarray, kernel: Tuple[int, int], stride: int) -> np.ndarray:
     """Zero-copy ``(N, C, out_h, out_w, kh, kw)`` view of all kernel windows.
 
     Built on :func:`numpy.lib.stride_tricks.sliding_window_view`, so no patch
-    data is copied; only padding (when requested) materialises a new array.
+    data is copied; a padded convolution passes an already padded ``x``.
     """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    out_h, out_w = _output_size(x.shape, kernel, stride, padding)
-    if padding:
-        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        padded[:, :, padding:-padding, padding:-padding] = x
-        x = padded
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=(2, 3))
     if stride > 1:
         windows = windows[:, :, ::stride, ::stride]
-    return windows, out_h, out_w
-
-
-def _im2col(
-    x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int
-) -> Tuple[np.ndarray, int, int]:
-    """Rearrange image patches into columns.
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(N, C, H, W)``.
-    kernel:
-        ``(kh, kw)`` spatial kernel size.
-
-    Returns
-    -------
-    cols, out_h, out_w:
-        ``cols`` has shape ``(N, C*kh*kw, out_h*out_w)``.
-
-    The window extraction itself is a zero-copy stride trick; the only copy
-    is the single reshape into the contiguous column matrix.  Pooling uses
-    it; convolutions build their columns through :class:`_ColumnBlocks`.
-    """
-    n, c = x.shape[0], x.shape[1]
-    kh, kw = kernel
-    windows, out_h, out_w = _window_view(x, kernel, stride, padding)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
-    return cols, out_h, out_w
+    return windows
 
 
 #: Bytes of one :class:`_ColumnBlocks` buffer: about an L2 cache's worth.
@@ -104,7 +57,7 @@ _BLOCK_BYTES = 1 << 19
 
 
 class _ColumnBlocks:
-    """The ``_im2col`` columns of ``x``, built a block of samples at a time.
+    """The im2col columns of ``x``, built a block of samples at a time.
 
     Iterating yields ``(start, stop, cols)`` where ``cols`` is the
     ``(stop - start, C*kh*kw, out_h*out_w)`` column matrix of samples
@@ -138,7 +91,7 @@ class _ColumnBlocks:
                 (self.block, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype
             )
             self._interior = source[:, :, padding:-padding, padding:-padding]
-        windows, _, _ = _window_view(source, kernel, stride, 0)
+        windows = _window_view(source, kernel, stride)
         self._windows = windows.transpose(0, 1, 4, 5, 2, 3)
         self._buffer = np.empty((self.block, features, length), dtype=x.dtype)
         self._n = n
@@ -165,36 +118,6 @@ class _ColumnBlocks:
             yield start, stop, cols
 
 
-def _col2im(
-    cols: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel: Tuple[int, int],
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Inverse of :func:`_im2col`; overlapping patches are accumulated.
-
-    The scatter-add runs over a preallocated padded buffer with one strided
-    accumulation per kernel tap (``kh * kw`` bulk adds, no per-pixel Python).
-    Pooling uses it; convolutions add their taps with
-    :func:`_add_tap_products` and never build the column matrix.
-    """
-    n, c, h, w = input_shape
-    kh, kw = kernel
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for i in range(kh):
-        i_end = i + stride * out_h
-        for j in range(kw):
-            j_end = j + stride * out_w
-            padded[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j, :, :]
-    if padding == 0:
-        return padded
-    return padded[:, :, padding:-padding, padding:-padding]
-
-
 def _tap_range(offset: int, stride: int, padding: int, out_size: int, size: int):
     """Output slice and image slice of one kernel tap offset along one axis.
 
@@ -217,15 +140,16 @@ def _add_tap_products(
     taps: Optional[np.ndarray] = None,
     product: Optional[np.ndarray] = None,
 ) -> None:
-    """Add ``_col2im(w_mat.T @ grad)`` into ``image`` without the column matrix.
+    """Add the col2im scatter of ``w_mat.T @ grad`` into ``image``, column-free.
 
     ``weight`` is ``(K, C, kh, kw)``, ``grad`` is ``(N, K, out_h, out_w)``
     and ``image`` is ``(N, C, H, W)``, zero-filled by the caller.  For each
-    kernel tap, in the row-major order of :func:`_col2im`, the ``(N, C, L)``
-    product ``taps[i, j].T @ grad`` is added into the tap's strided window,
-    so every pixel sums the same terms in the same order as the column
-    path.  ``taps[i, j].T`` hands BLAS a transposed operand, as ``w_mat.T``
-    does, so each product has the bits of the matching column rows.  With
+    kernel tap, in row-major tap order, the ``(N, C, L)`` product
+    ``taps[i, j].T @ grad`` is added into the tap's strided window, so
+    every pixel sums the same terms in the same order as a col2im
+    scatter-add of the whole column matrix, one bulk add per tap.
+    ``taps[i, j].T`` hands BLAS a transposed operand, as ``w_mat.T`` does,
+    so each product has the bits of the matching column rows.  With
     ``padding`` the image is the unpadded one and the border terms are
     dropped; a caller that wants the padded image passes it with
     ``padding=0``.  ``taps`` (``(kh, kw, K, C)``) and ``product``
@@ -435,63 +359,6 @@ def conv_transpose2d(
 
 
 # ----------------------------------------------------------------------
-# Pooling
-# ----------------------------------------------------------------------
-def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
-    """Max pooling over non-overlapping (or strided) windows."""
-    stride = stride or kernel
-    x_data = x.data
-    n, c, h, w = x_data.shape
-    cols, out_h, out_w = _im2col(x_data, (kernel, kernel), stride, 0)
-    cols = cols.reshape(n, c, kernel * kernel, out_h * out_w)
-    argmax = cols.argmax(axis=2)
-    out = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).squeeze(2)
-    out = out.reshape(n, c, out_h, out_w)
-
-    def backward(grad: np.ndarray):
-        grad_flat = grad.reshape(n, c, 1, out_h * out_w)
-        grad_cols = np.zeros_like(cols)
-        np.put_along_axis(grad_cols, argmax[:, :, None, :], grad_flat, axis=2)
-        grad_cols = grad_cols.reshape(n, c * kernel * kernel, out_h * out_w)
-        grad_x = _col2im(grad_cols, x_data.shape, (kernel, kernel), stride, 0)
-        return (grad_x,)
-
-    return Tensor._from_op(out, (x,), backward)
-
-
-def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
-    """Average pooling over windows."""
-    stride = stride or kernel
-    x_data = x.data
-    n, c, h, w = x_data.shape
-    cols, out_h, out_w = _im2col(x_data, (kernel, kernel), stride, 0)
-    cols = cols.reshape(n, c, kernel * kernel, out_h * out_w)
-    out = cols.mean(axis=2).reshape(n, c, out_h, out_w)
-
-    def backward(grad: np.ndarray):
-        grad_flat = grad.reshape(n, c, 1, out_h * out_w) / (kernel * kernel)
-        grad_cols = np.broadcast_to(grad_flat, (n, c, kernel * kernel, out_h * out_w))
-        grad_cols = grad_cols.reshape(n, c * kernel * kernel, out_h * out_w)
-        grad_x = _col2im(np.ascontiguousarray(grad_cols), x_data.shape, (kernel, kernel), stride, 0)
-        return (grad_x,)
-
-    return Tensor._from_op(out, (x,), backward)
-
-
-def pad2d(x: Tensor, padding: int) -> Tensor:
-    """Zero-pad the two trailing spatial dimensions."""
-    x_data = x.data
-    out = np.pad(x_data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-    def backward(grad: np.ndarray):
-        if padding == 0:
-            return (grad,)
-        return (grad[:, :, padding:-padding, padding:-padding],)
-
-    return Tensor._from_op(out, (x,), backward)
-
-
-# ----------------------------------------------------------------------
 # Softmax and losses
 # ----------------------------------------------------------------------
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -506,36 +373,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (probs * (grad - dot),)
 
     return Tensor._from_op(probs, (x,), backward)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    x_data = x.data
-    shifted = x_data - x_data.max(axis=axis, keepdims=True)
-    log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - log_sum
-    probs = np.exp(out)
-
-    def backward(grad: np.ndarray):
-        return (grad - probs * grad.sum(axis=axis, keepdims=True),)
-
-    return Tensor._from_op(out, (x,), backward)
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Return a one-hot ``(N, num_classes)`` float matrix for integer labels."""
-    labels = np.asarray(labels, dtype=np.int64)
-    encoded = np.zeros((labels.shape[0], num_classes), dtype=np.float32)
-    encoded[np.arange(labels.shape[0]), labels] = 1.0
-    return encoded
-
-
-def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Negative log-likelihood of integer ``targets`` given log-probabilities."""
-    targets = np.asarray(targets, dtype=np.int64)
-    n = log_probs.shape[0]
-    picked = log_probs[np.arange(n), targets]
-    return -picked.mean()
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -596,10 +433,3 @@ def soft_cross_entropy(logits: Tensor, target_probs: np.ndarray) -> Tensor:
         return (grad_logits,)
 
     return Tensor._from_op(np.asarray(loss, dtype=logits_data.dtype), (logits,), backward)
-
-
-def mse_loss(prediction: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
-    """Mean squared error between ``prediction`` and ``target``."""
-    target = Tensor.as_tensor(target)
-    diff = prediction - target
-    return (diff * diff).mean()

@@ -10,7 +10,6 @@ import numpy as np
 __all__ = [
     "calculate_fan_in_and_fan_out",
     "kaiming_uniform",
-    "xavier_uniform",
     "normal",
     "uniform",
     "zeros",
@@ -39,13 +38,6 @@ def kaiming_uniform(
     """He-uniform initialization appropriate for ReLU networks."""
     fan_in, _ = calculate_fan_in_and_fan_out(shape)
     bound = gain * math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot-uniform initialization for tanh/sigmoid networks."""
-    fan_in, fan_out = calculate_fan_in_and_fan_out(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 

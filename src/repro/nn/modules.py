@@ -1,42 +1,25 @@
-"""Layer and container abstractions over the autograd engine.
+"""Layer abstractions over the autograd engine.
 
 The design mirrors a small subset of ``torch.nn``: a :class:`Module` base
-class with parameter discovery, ``state_dict`` round-tripping and
-train/eval modes, plus the concrete layers needed to build the paper's
-classifiers (convolutional networks), the DFA-R filter layer and the
-DFA-G transpose-convolutional generator.
+class with parameter discovery, plus the three layers the reproduction
+builds on: :class:`Linear` and :class:`Conv2d` for the paper's classifiers
+and the DFA-R filter layer, and :class:`ConvTranspose2d` for the DFA-G
+generator.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from . import functional as F
 from . import init
-from .tensor import Tensor, trace_fallback
+from .tensor import Tensor
 
-__all__ = [
-    "Parameter",
-    "Module",
-    "Sequential",
-    "Linear",
-    "Conv2d",
-    "ConvTranspose2d",
-    "BatchNorm2d",
-    "Flatten",
-    "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softmax",
-    "Dropout",
-    "MaxPool2d",
-    "AvgPool2d",
-]
+__all__ = ["Parameter", "Module", "Linear", "Conv2d", "ConvTranspose2d"]
 
 
 class Parameter(Tensor):
@@ -51,16 +34,16 @@ class Module:
 
     Subclasses define parameters and sub-modules as attributes in their
     ``__init__`` and implement :meth:`forward`.  Parameter and module
-    discovery is attribute-order based, which keeps ``state_dict`` keys
-    stable across identically-constructed modules — a property the FL
-    aggregation layer relies on.
+    discovery is attribute-order based, which keeps parameter names and
+    the flat-vector layout stable across identically-constructed modules
+    — a property the FL aggregation layer relies on.  No layer behaves
+    differently in training and inference, so there is no train/eval
+    mode.
     """
 
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
-        self._buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self.training = True
 
     # ------------------------------------------------------------------
     # Registration
@@ -70,11 +53,6 @@ class Module:
             self.__dict__.setdefault("_parameters", OrderedDict())[name] = value
         elif isinstance(value, Module):
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
-        object.__setattr__(self, name, value)
-
-    def register_buffer(self, name: str, value: np.ndarray) -> None:
-        """Register a non-learnable array that is part of the state dict."""
-        self._buffers[name] = value
         object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
@@ -100,13 +78,6 @@ class Module:
         """Return all learnable parameters of this module tree."""
         return [param for _, param in self.named_parameters()]
 
-    def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
-        """Yield ``(name, buffer)`` pairs (e.g. batch-norm running statistics)."""
-        for name in self._buffers:
-            yield prefix + name, self._buffers[name]
-        for mod_name, module in self._modules.items():
-            yield from module.named_buffers(prefix + mod_name + ".")
-
     def num_parameters(self) -> int:
         """Total number of scalar learnable parameters."""
         return sum(param.size for param in self.parameters())
@@ -122,87 +93,9 @@ class Module:
             param.requires_grad = flag
         return self
 
-    # ------------------------------------------------------------------
-    # Train / eval modes
-    # ------------------------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        """Set the module (and all sub-modules) to training mode."""
-        self.training = mode
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        """Set the module (and all sub-modules) to evaluation mode."""
-        return self.train(False)
-
-    # ------------------------------------------------------------------
-    # State dict
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Return a copy of all parameters and buffers keyed by name."""
-        state: Dict[str, np.ndarray] = OrderedDict()
-        for name, param in self.named_parameters():
-            state[name] = param.data.copy()
-        for name, buffer in self.named_buffers():
-            state[name] = np.array(buffer, copy=True)
-        return state
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Copy values from ``state`` into this module's parameters/buffers."""
-        param_map = dict(self.named_parameters())
-        buffer_owners = self._buffer_owners()
-        missing = []
-        for name, param in param_map.items():
-            if name not in state:
-                missing.append(name)
-                continue
-            value = np.asarray(state[name], dtype=param.data.dtype)
-            if value.shape != param.data.shape:
-                raise ValueError(
-                    f"shape mismatch for parameter '{name}': "
-                    f"{value.shape} vs {param.data.shape}"
-                )
-            param.data = value.copy()
-        for name, (owner, local_name) in buffer_owners.items():
-            if name in state:
-                owner._buffers[local_name] = np.array(state[name], copy=True)
-                object.__setattr__(owner, local_name, owner._buffers[local_name])
-        if missing:
-            raise KeyError(f"missing parameters in state dict: {missing}")
-
-    def _buffer_owners(self, prefix: str = "") -> Dict[str, Tuple["Module", str]]:
-        owners: Dict[str, Tuple[Module, str]] = {}
-        for name in self._buffers:
-            owners[prefix + name] = (self, name)
-        for mod_name, module in self._modules.items():
-            owners.update(module._buffer_owners(prefix + mod_name + "."))
-        return owners
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         child_repr = ", ".join(self._modules.keys())
         return f"{type(self).__name__}({child_repr})"
-
-
-class Sequential(Module):
-    """Container that applies modules in order."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self.layers = list(layers)
-        for index, layer in enumerate(layers):
-            setattr(self, f"layer{index}", layer)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self.layers)
-
-    def __len__(self) -> int:
-        return len(self.layers)
 
 
 class Linear(Module):
@@ -294,131 +187,3 @@ class ConvTranspose2d(Module):
         return F.conv_transpose2d(
             x, self.weight, self.bias, stride=self.stride, padding=self.padding
         )
-
-
-class BatchNorm2d(Module):
-    """Batch normalization over the channel dimension of ``(N, C, H, W)`` input."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
-        self.weight = Parameter(np.ones(num_features, dtype=np.float32))
-        self.bias = Parameter(np.zeros(num_features, dtype=np.float32))
-        self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
-        self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
-
-    def forward(self, x: Tensor) -> Tensor:
-        # Batch statistics and the running-buffer update are data-dependent
-        # state mutation a static tape cannot capture.
-        trace_fallback("BatchNorm2d mutates running statistics per step")
-        if self.training:
-            mean = x.data.mean(axis=(0, 2, 3))
-            var = x.data.var(axis=(0, 2, 3))
-            self._buffers["running_mean"] = (
-                (1 - self.momentum) * self._buffers["running_mean"] + self.momentum * mean
-            )
-            self._buffers["running_var"] = (
-                (1 - self.momentum) * self._buffers["running_var"] + self.momentum * var
-            )
-        else:
-            mean = self._buffers["running_mean"]
-            var = self._buffers["running_var"]
-        mean_t = Tensor(mean.reshape(1, -1, 1, 1))
-        std_t = Tensor(np.sqrt(var + self.eps).reshape(1, -1, 1, 1))
-        normalized = (x - mean_t) / std_t
-        weight = self.weight.reshape(1, self.num_features, 1, 1)
-        bias = self.bias.reshape(1, self.num_features, 1, 1)
-        return normalized * weight + bias
-
-
-class Flatten(Module):
-    """Flatten all non-batch dimensions."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.flatten_batch()
-
-
-class ReLU(Module):
-    """Rectified linear unit activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class LeakyReLU(Module):
-    """Leaky rectified linear unit activation."""
-
-    def __init__(self, negative_slope: float = 0.2) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation (generator output)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Softmax(Module):
-    """Softmax over the last dimension."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.softmax(x, axis=-1)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in evaluation mode."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self._rng = rng or np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        # A fresh RNG mask per step would be baked into the tape as a
-        # constant; dropout models must train eagerly.
-        trace_fallback("Dropout draws a fresh RNG mask per step")
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(x.data.dtype) / keep
-        return x * Tensor(mask)
-
-
-class MaxPool2d(Module):
-    """Max-pooling layer."""
-
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2d(Module):
-    """Average-pooling layer."""
-
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)

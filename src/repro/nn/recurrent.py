@@ -1,68 +1,24 @@
-"""Embedding and gated-recurrent layers.
+"""Gated-recurrent layers.
 
 Sec. III-C and III-D of the paper sketch how DFA extends beyond images: the
 DFA-R filter layer becomes a sequence-to-sequence model and the DFA-G
-generator becomes a recurrent network such as a GRU that emits synthetic
-text.  These modules provide the corresponding building blocks on top of the
-autograd engine (the backward pass through time falls out of the graph
-automatically), so that a text instantiation of the attacks can be built with
-the same APIs as the image one.
+generator becomes a recurrent network such as a GRU.  These modules provide
+the recurrent building block on top of the autograd engine (the backward
+pass through time falls out of the graph automatically); the
+``GRUClassifier`` in :mod:`repro.models` reads images as row sequences
+with it.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
-from . import init
-from .modules import Linear, Module, Parameter
-from .tensor import Tensor, trace_fallback
+from .modules import Linear, Module
+from .tensor import Tensor
 
-__all__ = ["Embedding", "GRUCell", "GRU"]
-
-
-class Embedding(Module):
-    """Lookup table mapping integer token ids to dense vectors.
-
-    The forward pass also accepts *soft* token distributions of shape
-    ``(..., num_embeddings)``, in which case it returns the expected
-    embedding — this is what a differentiable text generator needs in order
-    to feed its output into a frozen classifier.
-    """
-
-    def __init__(
-        self,
-        num_embeddings: int,
-        embedding_dim: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        if num_embeddings < 1 or embedding_dim < 1:
-            raise ValueError("num_embeddings and embedding_dim must be positive")
-        rng = rng or np.random.default_rng()
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.weight = Parameter(init.normal((num_embeddings, embedding_dim), rng, std=0.1))
-
-    def forward(self, tokens: Union[np.ndarray, Tensor]) -> Tensor:
-        if isinstance(tokens, Tensor):
-            # Soft tokens: (..., vocab) distribution times the embedding matrix.
-            if tokens.shape[-1] != self.num_embeddings:
-                raise ValueError(
-                    f"soft tokens must have {self.num_embeddings} entries in the last dimension"
-                )
-            flat = tokens.reshape(-1, self.num_embeddings)
-            embedded = flat @ self.weight
-            return embedded.reshape(*tokens.shape[:-1], self.embedding_dim)
-        indices = np.asarray(tokens, dtype=np.int64)
-        if indices.min() < 0 or indices.max() >= self.num_embeddings:
-            raise ValueError("token index out of range")
-        # The gather depends on the concrete token values of this batch;
-        # a static tape would bake them in.
-        trace_fallback("Embedding integer lookup is data-dependent")
-        return self.weight[indices]
+__all__ = ["GRUCell", "GRU"]
 
 
 class GRUCell(Module):
@@ -101,12 +57,9 @@ class GRUCell(Module):
 class GRU(Module):
     """Unidirectional single-layer GRU over ``(batch, time, features)`` input.
 
-    With ``return_sequences=False`` only the final hidden state is built
-    (the per-step output assembly — a quadratic chain of time-axis
-    concatenations — is skipped entirely and the first return value is
-    ``None``).  Sequence classifiers that read only the last state should
-    use this mode; it also keeps the recorded trace linear in the number
-    of time steps.
+    The forward pass returns the final hidden state only: no per-step
+    outputs are assembled, which keeps the graph (and the recorded trace)
+    linear in the number of time steps.
     """
 
     def __init__(
@@ -114,41 +67,16 @@ class GRU(Module):
         input_size: int,
         hidden_size: int,
         rng: Optional[np.random.Generator] = None,
-        return_sequences: bool = True,
     ) -> None:
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.return_sequences = return_sequences
         self.cell = GRUCell(input_size, hidden_size, rng=rng)
 
-    def forward(
-        self, sequence: Tensor, hidden: Optional[Tensor] = None
-    ) -> Tuple[Optional[Tensor], Tensor]:
+    def forward(self, sequence: Tensor, hidden: Optional[Tensor] = None) -> Tensor:
         if sequence.ndim != 3:
             raise ValueError("GRU expects input of shape (batch, time, features)")
-        batch, time_steps, _ = sequence.shape
-        outputs: List[Tensor] = []
         state = hidden
-        for step in range(time_steps):
+        for step in range(sequence.shape[1]):
             state = self.cell(sequence[:, step, :], state)
-            if self.return_sequences:
-                outputs.append(state.reshape(batch, 1, self.hidden_size))
-        if not self.return_sequences:
-            return None, state
-        full = outputs[0]
-        for chunk in outputs[1:]:
-            full = _concat_time(full, chunk)
-        return full, state
-
-
-def _concat_time(left: Tensor, right: Tensor) -> Tensor:
-    """Concatenate two ``(batch, t, h)`` tensors along the time axis (autograd-aware)."""
-    left_t = left.shape[1]
-    right_t = right.shape[1]
-    data = np.concatenate([left.data, right.data], axis=1)
-
-    def backward(grad: np.ndarray):
-        return (grad[:, :left_t, :], grad[:, left_t : left_t + right_t, :])
-
-    return Tensor._from_op(data, (left, right), backward, op=("concat_time", {}))
+        return state

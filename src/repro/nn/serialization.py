@@ -27,23 +27,7 @@ from numpy.typing import DTypeLike
 
 from .modules import Module
 
-__all__ = [
-    "FlatParams",
-    "get_flat_params",
-    "set_flat_params",
-    "state_dict_to_vector",
-    "vector_to_state_dict",
-    "parameter_shapes",
-    "clone_state_dict",
-]
-
-
-def parameter_shapes(module: Module) -> "OrderedDict[str, Tuple[int, ...]]":
-    """Return the ordered mapping of parameter names to shapes."""
-    shapes: "OrderedDict[str, Tuple[int, ...]]" = OrderedDict()
-    for name, param in module.named_parameters():
-        shapes[name] = param.data.shape
-    return shapes
+__all__ = ["FlatParams", "get_flat_params", "set_flat_params", "vector_to_state_dict"]
 
 
 class FlatParams:
@@ -191,35 +175,6 @@ def set_flat_params(module: Module, vector: np.ndarray) -> None:
         offset += count
 
 
-def state_dict_to_vector(
-    state: Dict[str, np.ndarray], reference: Module, dtype: Optional[DTypeLike] = None
-) -> np.ndarray:
-    """Flatten a state dict using the parameter ordering of ``reference``.
-
-    Buffers (e.g. batch-norm running statistics) are excluded, matching the
-    paper's treatment of model updates as weight vectors.  The result keeps
-    the reference module's parameter dtype unless ``dtype`` overrides it.
-    """
-    params = list(reference.named_parameters())
-    if dtype is None:
-        dtype = np.result_type(*(p.data.dtype for _, p in params)) if params else np.float32
-    total = sum(p.data.size for _, p in params)
-    vector = np.empty(total, dtype=dtype)
-    offset = 0
-    for name, param in params:
-        if name not in state:
-            raise KeyError(f"state dict is missing parameter '{name}'")
-        value = np.asarray(state[name])
-        if value.shape != param.data.shape:
-            raise ValueError(
-                f"parameter '{name}' has shape {value.shape}, expected {param.data.shape}"
-            )
-        count = param.data.size
-        vector[offset : offset + count] = value.reshape(-1)
-        offset += count
-    return vector
-
-
 def vector_to_state_dict(vector: np.ndarray, reference: Module) -> Dict[str, np.ndarray]:
     """Unflatten a vector into a state dict shaped like ``reference``'s parameters."""
     vector = np.asarray(vector)
@@ -238,8 +193,3 @@ def vector_to_state_dict(vector: np.ndarray, reference: Module) -> Dict[str, np.
     if offset != vector.size:
         raise ValueError("vector is too long for the reference module")
     return state
-
-
-def clone_state_dict(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Return a deep copy of a state dict."""
-    return OrderedDict((name, np.array(value, copy=True)) for name, value in state.items())

@@ -6,10 +6,11 @@ back-propagating through a *frozen* global classifier into a trainable
 filter layer or generator network; a full autograd engine makes that
 optimization identical in structure to the original PyTorch code.
 
-The engine is intentionally small but complete: broadcasting-aware
-element-wise arithmetic, matrix multiplication, reductions, shape
-manipulation, basic indexing and the non-linearities used by the models
-in :mod:`repro.models`.  Convolution and loss primitives live in
+The engine carries only what the reproduction differentiates through:
+broadcasting-aware ``+``, ``-``, ``*``, negation and scalar powers,
+matrix multiplication, ``sum``, shape manipulation, basic indexing and
+the ``relu``/``tanh``/``sigmoid`` non-linearities of the models in
+:mod:`repro.models`.  Convolution and loss primitives live in
 :mod:`repro.nn.functional` and register their own backward closures via
 :meth:`Tensor._from_op`.
 """
@@ -21,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "DEFAULT_DTYPE", "no_grad", "is_grad_enabled", "trace_fallback"]
+__all__ = ["Tensor", "DEFAULT_DTYPE", "no_grad", "is_grad_enabled"]
 
 #: Default floating point type for tensors created from Python data.
 DEFAULT_DTYPE = np.float32
@@ -39,19 +40,6 @@ _GRAD_STATE = SimpleNamespace(enabled=True)
 #: ``op=None`` otherwise, which poisons the recording and pins that step
 #: signature to eager execution.
 _TRACE_STATE = SimpleNamespace(recorder=None)
-
-
-def trace_fallback(reason: str) -> None:
-    """Mark the active trace recording (if any) as not replayable.
-
-    Called by ops whose effects cannot be captured in a static tape:
-    fresh RNG draws (Dropout masks), in-place buffer mutation
-    (BatchNorm running stats) or data-dependent indexing (integer
-    embedding lookups).  A no-op when nothing is recording.
-    """
-    recorder = _TRACE_STATE.recorder
-    if recorder is not None:
-        recorder.fail(reason)
 
 
 class no_grad:
@@ -376,29 +364,13 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = Tensor.as_tensor(other)
-        data = self.data / other.data
-        self_data, other_data = self.data, other.data
-
-        def backward(grad: np.ndarray):
-            return (
-                _unbroadcast(grad / other_data, self.shape),
-                _unbroadcast(-grad * self_data / (other_data ** 2), other.shape),
-            )
-
-        return Tensor._from_op(data, (self, other), backward)
-
-    def __rtruediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return Tensor.as_tensor(other).__truediv__(self)
-
     def __neg__(self) -> "Tensor":
         data = -self.data
 
         def backward(grad: np.ndarray):
             return (-grad,)
 
-        return Tensor._from_op(data, (self,), backward, op=("neg", {}))
+        return Tensor._from_op(data, (self,), backward)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -430,7 +402,7 @@ class Tensor:
         return Tensor._from_op(data, (self, other), backward, op=("matmul", {}))
 
     # ------------------------------------------------------------------
-    # Reductions
+    # Reduction
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Sum of elements, optionally along ``axis``."""
@@ -444,50 +416,6 @@ class Tensor:
             if not keepdims:
                 g = np.expand_dims(g, axis=axis)
             return (np.broadcast_to(g, input_shape).copy(),)
-
-        return Tensor._from_op(
-            data, (self,), backward, op=("sum", {"axis": axis, "keepdims": keepdims})
-        )
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Arithmetic mean of elements, optionally along ``axis``."""
-        data = self.data.mean(axis=axis, keepdims=keepdims)
-        input_shape = self.shape
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = 1
-            for ax in axes:
-                count *= input_shape[ax]
-
-        def backward(grad: np.ndarray):
-            if axis is None:
-                return (np.broadcast_to(grad, input_shape) / count,)
-            g = grad
-            if not keepdims:
-                g = np.expand_dims(g, axis=axis)
-            return (np.broadcast_to(g, input_shape) / count,)
-
-        return Tensor._from_op(
-            data, (self,), backward, op=("mean", {"axis": axis, "keepdims": keepdims})
-        )
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Maximum of elements; gradient flows to the (first) maxima."""
-        data = self.data.max(axis=axis, keepdims=keepdims)
-        source = self.data
-
-        def backward(grad: np.ndarray):
-            if axis is None:
-                mask = (source == source.max()).astype(source.dtype)
-                mask /= mask.sum()
-                return (mask * grad,)
-            expanded = data if keepdims else np.expand_dims(data, axis=axis)
-            mask = (source == expanded).astype(source.dtype)
-            mask /= mask.sum(axis=axis, keepdims=True)
-            g = grad if keepdims else np.expand_dims(grad, axis=axis)
-            return (mask * g,)
 
         return Tensor._from_op(data, (self,), backward)
 
@@ -539,44 +467,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Element-wise non-linearities
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        """Element-wise exponential."""
-        data = np.exp(self.data)
-
-        def backward(grad: np.ndarray):
-            return (grad * data,)
-
-        return Tensor._from_op(data, (self,), backward, op=("exp", {}))
-
-    def log(self) -> "Tensor":
-        """Element-wise natural logarithm."""
-        data = np.log(self.data)
-        source = self.data
-
-        def backward(grad: np.ndarray):
-            return (grad / source,)
-
-        return Tensor._from_op(data, (self,), backward, op=("log", {}))
-
-    def sqrt(self) -> "Tensor":
-        """Element-wise square root."""
-        data = np.sqrt(self.data)
-
-        def backward(grad: np.ndarray):
-            return (grad * 0.5 / data,)
-
-        return Tensor._from_op(data, (self,), backward)
-
-    def abs(self) -> "Tensor":
-        """Element-wise absolute value."""
-        data = np.abs(self.data)
-        sign = np.sign(self.data)
-
-        def backward(grad: np.ndarray):
-            return (grad * sign,)
-
-        return Tensor._from_op(data, (self,), backward)
-
     def relu(self) -> "Tensor":
         """Rectified linear unit."""
         mask = self.data > 0
@@ -586,21 +476,6 @@ class Tensor:
             return (grad * mask,)
 
         return Tensor._from_op(data, (self,), backward, op=("relu", {}))
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        """Leaky rectified linear unit."""
-        mask = self.data > 0
-        data = np.where(mask, self.data, negative_slope * self.data)
-
-        def backward(grad: np.ndarray):
-            return (np.where(mask, grad, negative_slope * grad),)
-
-        return Tensor._from_op(
-            data,
-            (self,),
-            backward,
-            op=("leaky_relu", {"negative_slope": negative_slope}),
-        )
 
     def tanh(self) -> "Tensor":
         """Hyperbolic tangent."""
@@ -619,20 +494,3 @@ class Tensor:
             return (grad * data * (1.0 - data),)
 
         return Tensor._from_op(data, (self,), backward, op=("sigmoid", {}))
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        """Clamp values into ``[low, high]``; gradient is zero outside."""
-        data = np.clip(self.data, low, high)
-        mask = (self.data >= low) & (self.data <= high)
-
-        def backward(grad: np.ndarray):
-            return (grad * mask,)
-
-        return Tensor._from_op(data, (self,), backward)
-
-    # ------------------------------------------------------------------
-    # Norms (used by the distance-based regularization of DFA)
-    # ------------------------------------------------------------------
-    def norm(self) -> "Tensor":
-        """Euclidean (L2) norm of the flattened tensor."""
-        return (self * self).sum() ** 0.5

@@ -18,9 +18,11 @@ Lifecycle
    compiled program.  Kernels perform exactly the numpy expressions the
    eager closures perform, in the same order, so replay is bit-identical
    to eager under a fixed seed (covered by the trace test suite).
-3. **Fallback** — untraceable ops (Dropout in train mode, BatchNorm,
-   integer embedding lookups, any op without a descriptor) poison the
-   recording and pin that signature to eager execution permanently.
+3. **Fallback** — an op without a descriptor (``**``, ``sum``,
+   negation, ``softmax``, the transposed convolution, ...) poisons the
+   recording and pins that signature to eager execution permanently.
+   Kernels exist only for the ops the shipped classifiers' training
+   steps record, so nothing else is replayable.
 
 Memory
 ------

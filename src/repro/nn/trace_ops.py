@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functional import _add_tap_products
+from .functional import _add_tap_products, _window_view
 from .tensor import _unbroadcast
 from .trace import TraceUnsupported, register_trace_op
 
@@ -138,30 +138,6 @@ def _vjp_mul(ctx):
     return run
 
 
-def _forward_neg(ctx):
-    (a,) = ctx.parents
-    out = ctx.alloc_out()
-    o = ctx.out
-
-    def run(vals):
-        np.negative(vals[a], out=out)
-        vals[o] = out
-
-    return run
-
-
-def _vjp_neg(ctx):
-    g = ctx.grad_in()
-    sink = ctx.sink(0)
-
-    def run(vals):
-        if sink is not None:
-            np.negative(g, out=sink.out)
-            sink.commit()
-
-    return run
-
-
 def _forward_matmul(ctx):
     a, b = ctx.parents
     if len(ctx.shape(a)) != 2 or len(ctx.shape(b)) != 2:
@@ -189,85 +165,6 @@ def _vjp_matmul(ctx):
         if sink1 is not None:
             np.matmul(vals[a].T, g, out=sink1.out)
             sink1.commit()
-
-    return run
-
-
-# ----------------------------------------------------------------------
-# Reductions
-# ----------------------------------------------------------------------
-def _forward_sum(ctx):
-    (a,) = ctx.parents
-    axis = ctx.kwargs["axis"]
-    keepdims = ctx.kwargs["keepdims"]
-    out = ctx.alloc_out()
-    o = ctx.out
-
-    def run(vals):
-        np.sum(vals[a], axis=axis, keepdims=keepdims, out=out)
-        vals[o] = out
-
-    return run
-
-
-def _vjp_sum(ctx):
-    g = ctx.grad_in()
-    axis = ctx.kwargs["axis"]
-    keepdims = ctx.kwargs["keepdims"]
-    input_shape = ctx.shape(ctx.parents[0])
-    sink = ctx.sink(0)
-    # g is a stable plan buffer, so the expand/broadcast views can be
-    # taken once at compile time.
-    expanded = g
-    if axis is not None and not keepdims:
-        expanded = np.expand_dims(g, axis)
-    broadcast = np.broadcast_to(expanded, input_shape)
-
-    def run(vals):
-        if sink is not None:
-            sink.write(broadcast)
-
-    return run
-
-
-def _forward_mean(ctx):
-    (a,) = ctx.parents
-    axis = ctx.kwargs["axis"]
-    keepdims = ctx.kwargs["keepdims"]
-    out = ctx.alloc_out()
-    o = ctx.out
-
-    def run(vals):
-        np.mean(vals[a], axis=axis, keepdims=keepdims, out=out)
-        vals[o] = out
-
-    return run
-
-
-def _vjp_mean(ctx):
-    g = ctx.grad_in()
-    axis = ctx.kwargs["axis"]
-    keepdims = ctx.kwargs["keepdims"]
-    input_shape = ctx.shape(ctx.parents[0])
-    sink = ctx.sink(0)
-    if axis is None:
-        count = 1
-        for dim in input_shape:
-            count *= dim
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= input_shape[ax]
-    expanded = g
-    if axis is not None and not keepdims:
-        expanded = np.expand_dims(g, axis)
-    broadcast = np.broadcast_to(expanded, input_shape)
-
-    def run(vals):
-        if sink is not None:
-            np.divide(broadcast, count, out=sink.out)
-            sink.commit()
 
     return run
 
@@ -383,32 +280,6 @@ def _vjp_relu(ctx):
     return run
 
 
-def _forward_leaky_relu(ctx):
-    (a,) = ctx.parents
-    slope = ctx.kwargs["negative_slope"]
-    mask = ctx.scratch("mask", ctx.out_shape, "bool")
-    o = ctx.out
-
-    def run(vals):
-        np.greater(vals[a], 0, out=mask)
-        vals[o] = np.where(mask, vals[a], np.multiply(vals[a], slope))
-
-    return run
-
-
-def _vjp_leaky_relu(ctx):
-    g = ctx.grad_in()
-    slope = ctx.kwargs["negative_slope"]
-    mask = ctx.saved("mask")
-    sink = ctx.sink(0)
-
-    def run(vals):
-        if sink is not None:
-            sink.write(np.where(mask, g, np.multiply(g, slope)))
-
-    return run
-
-
 def _forward_tanh(ctx):
     (a,) = ctx.parents
     out = ctx.alloc_out()
@@ -469,56 +340,6 @@ def _vjp_sigmoid(ctx):
     return run
 
 
-def _forward_exp(ctx):
-    (a,) = ctx.parents
-    out = ctx.alloc_out()
-    o = ctx.out
-
-    def run(vals):
-        np.exp(vals[a], out=out)
-        vals[o] = out
-
-    return run
-
-
-def _vjp_exp(ctx):
-    g = ctx.grad_in()
-    out = ctx.saved_output()
-    sink = ctx.sink(0)
-
-    def run(vals):
-        if sink is not None:
-            np.multiply(g, out, out=sink.out)
-            sink.commit()
-
-    return run
-
-
-def _forward_log(ctx):
-    (a,) = ctx.parents
-    out = ctx.alloc_out()
-    o = ctx.out
-
-    def run(vals):
-        np.log(vals[a], out=out)
-        vals[o] = out
-
-    return run
-
-
-def _vjp_log(ctx):
-    g = ctx.grad_in()
-    (a,) = ctx.parents
-    sink = ctx.sink(0)
-
-    def run(vals):
-        if sink is not None:
-            np.divide(g, vals[a], out=sink.out)
-            sink.commit()
-
-    return run
-
-
 # ----------------------------------------------------------------------
 # Convolution (mirroring functional.conv2d: im2col GEMM forward, tap-by-tap
 # data gradient)
@@ -559,10 +380,7 @@ def _forward_conv2d(ctx):
             padded[:, :, padding:-padding, -padding:],
         )
         interior = padded[:, :, padding:-padding, padding:-padding]
-        windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-        if stride > 1:
-            windows = windows[:, :, ::stride, ::stride]
-        windows_t = windows.transpose(0, 1, 4, 5, 2, 3)
+        windows_t = _window_view(padded, (kh, kw), stride).transpose(0, 1, 4, 5, 2, 3)
 
         def run(vals):
             for border in borders:
@@ -578,9 +396,7 @@ def _forward_conv2d(ctx):
     else:
 
         def run(vals):
-            windows = np.lib.stride_tricks.sliding_window_view(vals[x_slot], (kh, kw), axis=(2, 3))
-            if stride > 1:
-                windows = windows[:, :, ::stride, ::stride]
+            windows = _window_view(vals[x_slot], (kh, kw), stride)
             np.copyto(cols6, windows.transpose(0, 1, 4, 5, 2, 3))
             w_mat = vals[w_slot].reshape(out_channels, features)
             np.matmul(w_mat, cols, out=out3)
@@ -689,55 +505,15 @@ def _vjp_cross_entropy(ctx):
     return run
 
 
-# ----------------------------------------------------------------------
-# Time-axis concatenation (GRU output assembly)
-# ----------------------------------------------------------------------
-def _forward_concat_time(ctx):
-    a, b = ctx.parents
-    out = ctx.alloc_out()
-    o = ctx.out
-
-    def run(vals):
-        np.concatenate([vals[a], vals[b]], axis=1, out=out)
-        vals[o] = out
-
-    return run
-
-
-def _vjp_concat_time(ctx):
-    g = ctx.grad_in()
-    left_t = ctx.shape(ctx.parents[0])[1]
-    right_t = ctx.shape(ctx.parents[1])[1]
-    sink0 = ctx.sink(0)
-    sink1 = ctx.sink(1)
-    left_view = g[:, :left_t, :]
-    right_view = g[:, left_t : left_t + right_t, :]
-
-    def run(vals):
-        if sink0 is not None:
-            sink0.write(left_view)
-        if sink1 is not None:
-            sink1.write(right_view)
-
-    return run
-
-
 register_trace_op("add", _forward_add, _vjp_add)
 register_trace_op("sub", _forward_sub, _vjp_sub)
 register_trace_op("mul", _forward_mul, _vjp_mul)
-register_trace_op("neg", _forward_neg, _vjp_neg)
 register_trace_op("matmul", _forward_matmul, _vjp_matmul)
-register_trace_op("sum", _forward_sum, _vjp_sum)
-register_trace_op("mean", _forward_mean, _vjp_mean)
 register_trace_op("reshape", _forward_reshape, _vjp_reshape)
 register_trace_op("transpose", _forward_transpose, _vjp_transpose)
 register_trace_op("getitem", _forward_getitem, _vjp_getitem)
 register_trace_op("relu", _forward_relu, _vjp_relu)
-register_trace_op("leaky_relu", _forward_leaky_relu, _vjp_leaky_relu)
 register_trace_op("tanh", _forward_tanh, _vjp_tanh)
 register_trace_op("sigmoid", _forward_sigmoid, _vjp_sigmoid)
-register_trace_op("exp", _forward_exp, _vjp_exp)
-register_trace_op("log", _forward_log, _vjp_log)
 register_trace_op("conv2d", _forward_conv2d, _vjp_conv2d)
 register_trace_op("cross_entropy", _forward_cross_entropy, _vjp_cross_entropy)
-register_trace_op("concat_time", _forward_concat_time, _vjp_concat_time)

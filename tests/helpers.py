@@ -11,7 +11,22 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["numerical_gradient"]
+from repro.nn.modules import Linear, Module
+
+__all__ = ["numerical_gradient", "TwoLayerNet"]
+
+
+class TwoLayerNet(Module):
+    """``Linear -> relu -> Linear``, each layer seeded on its own."""
+
+    def __init__(self, sizes, seeds=(0, 1)) -> None:
+        super().__init__()
+        inputs, hidden, outputs = sizes
+        self.fc1 = Linear(inputs, hidden, rng=np.random.default_rng(seeds[0]))
+        self.fc2 = Linear(hidden, outputs, rng=np.random.default_rng(seeds[1]))
+
+    def forward(self, x):
+        return self.fc2(self.fc1(x).relu())
 
 
 def numerical_gradient(func, array: np.ndarray, eps: float = 1e-5) -> np.ndarray:

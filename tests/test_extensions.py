@@ -1,8 +1,8 @@
 """Tests for the extension features beyond the paper's core evaluation.
 
-Covers the learning-rate schedulers, the norm-clipping defense, the
-adaptive-α REFD variant, the hybrid synthetic+real DFA attack (both listed as
-future work in the paper's conclusion), result serialization and the CLI.
+Covers the norm-clipping defense, the adaptive-α REFD variant, the hybrid
+synthetic+real DFA attack (both listed as future work in the paper's
+conclusion), result serialization and the CLI.
 """
 
 from __future__ import annotations
@@ -25,53 +25,8 @@ from repro.experiments import (
 )
 from repro.fl.types import AttackRoundContext, DefenseContext, LocalTrainingConfig, ModelUpdate
 from repro.models import MLP, SmallCNN
-from repro.nn.lr_scheduler import CosineAnnealingLR, ExponentialLR, StepLR
-from repro.nn.modules import Parameter
-from repro.nn.optim import SGD
 from repro.nn.serialization import get_flat_params
 from repro import cli
-
-
-# ----------------------------------------------------------------------
-# Learning-rate schedulers
-# ----------------------------------------------------------------------
-class TestLrSchedulers:
-    def _optimizer(self, lr: float = 1.0) -> SGD:
-        return SGD([Parameter(np.zeros(3))], lr=lr)
-
-    def test_step_lr_decays_in_steps(self):
-        optimizer = self._optimizer()
-        scheduler = StepLR(optimizer, step_size=2, gamma=0.5)
-        lrs = [scheduler.step() for _ in range(4)]
-        assert lrs == pytest.approx([1.0, 0.5, 0.5, 0.25])
-
-    def test_step_lr_validation(self):
-        with pytest.raises(ValueError):
-            StepLR(self._optimizer(), step_size=0)
-        with pytest.raises(ValueError):
-            StepLR(self._optimizer(), step_size=1, gamma=0.0)
-
-    def test_exponential_lr(self):
-        scheduler = ExponentialLR(self._optimizer(), gamma=0.9)
-        scheduler.step()
-        scheduler.step()
-        assert scheduler.current_lr == pytest.approx(0.81)
-
-    def test_cosine_annealing_reaches_eta_min(self):
-        optimizer = self._optimizer(lr=0.4)
-        scheduler = CosineAnnealingLR(optimizer, t_max=10, eta_min=0.02)
-        for _ in range(10):
-            scheduler.step()
-        assert optimizer.lr == pytest.approx(0.02, abs=1e-9)
-
-    def test_cosine_annealing_monotone_decay(self):
-        scheduler = CosineAnnealingLR(self._optimizer(), t_max=8)
-        values = [scheduler.step() for _ in range(8)]
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_cosine_validation(self):
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(self._optimizer(), t_max=0)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for convolution, pooling and loss primitives (values and gradients)."""
+"""Tests for convolution and loss primitives (values and gradients)."""
 
 from __future__ import annotations
 
@@ -31,6 +31,43 @@ class TestShapeArithmetic:
             up = F.conv_transpose_output_size(size, 4, 2, 1)
             down = F.conv_output_size(up, 4, 2, 1)
             assert down == size
+
+
+def _im2col(x, kernel, stride, padding):
+    """Whole-batch ``(N, C*kh*kw, out_h*out_w)`` column matrix of ``x``.
+
+    The reference the block-built columns and the tap kernel are pinned
+    against: one stride-trick window view, one copy into the columns.
+    """
+    n, c = x.shape[0], x.shape[1]
+    kh, kw = kernel
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = F._window_view(padded, kernel, stride)
+    out_h, out_w = windows.shape[2], windows.shape[3]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
+    return cols, out_h, out_w
+
+
+def _col2im(cols, input_shape, kernel, stride, padding):
+    """Scatter-add of a column matrix back into an image, one bulk add per tap.
+
+    Taps accumulate in row-major order into a zero-filled padded buffer,
+    the order the tap kernel must reproduce bit for bit.
+    """
+    n, c, h, w = input_shape
+    kh, kw = kernel
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for i in range(kh):
+        i_end = i + stride * out_h
+        for j in range(kw):
+            j_end = j + stride * out_w
+            padded[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j, :, :]
+    if padding == 0:
+        return padded
+    return padded[:, :, padding:-padding, padding:-padding]
 
 
 def _naive_im2col(x, kernel, stride, padding):
@@ -91,12 +128,16 @@ GEOMETRIES = [
 
 
 class TestIm2colGoldenValues:
-    """The stride-trick im2col/col2im must match the naive nested-loop kernels."""
+    """The im2col/col2im references match the naive nested-loop kernels.
+
+    ``F._window_view``, which the convolutions build their columns from,
+    is the stride trick under test in ``_im2col``.
+    """
 
     @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
     def test_im2col_matches_naive(self, kernel, stride, padding, rng):
         x = rng.standard_normal((2, 3, 9, 8))
-        cols, out_h, out_w = F._im2col(x, kernel, stride, padding)
+        cols, out_h, out_w = _im2col(x, kernel, stride, padding)
         naive_cols, naive_h, naive_w = _naive_im2col(x, kernel, stride, padding)
         assert (out_h, out_w) == (naive_h, naive_w)
         np.testing.assert_array_equal(cols, naive_cols)
@@ -104,11 +145,11 @@ class TestIm2colGoldenValues:
     @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
     def test_col2im_matches_naive(self, kernel, stride, padding, rng):
         input_shape = (2, 3, 9, 8)
-        _, out_h, out_w = F._im2col(np.zeros(input_shape), kernel, stride, padding)
+        _, out_h, out_w = _im2col(np.zeros(input_shape), kernel, stride, padding)
         kh, kw = kernel
         cols = rng.standard_normal((2, 3 * kh * kw, out_h * out_w))
         np.testing.assert_allclose(
-            F._col2im(cols, input_shape, kernel, stride, padding),
+            _col2im(cols, input_shape, kernel, stride, padding),
             _naive_col2im(cols, input_shape, kernel, stride, padding),
             atol=1e-12,
         )
@@ -119,21 +160,21 @@ class TestIm2colGoldenValues:
         # convolution backward pass.
         input_shape = (2, 2, 9, 8)
         x = rng.standard_normal(input_shape)
-        cols, out_h, out_w = F._im2col(x, kernel, stride, padding)
+        cols, out_h, out_w = _im2col(x, kernel, stride, padding)
         g = rng.standard_normal(cols.shape)
-        lhs = float((F._col2im(g, input_shape, kernel, stride, padding) * x).sum())
+        lhs = float((_col2im(g, input_shape, kernel, stride, padding) * x).sum())
         rhs = float((g * cols).sum())
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_im2col_preserves_dtype(self, rng):
         x = rng.standard_normal((1, 1, 6, 6)).astype(np.float32)
-        cols, _, _ = F._im2col(x, (3, 3), 1, 1)
+        cols, _, _ = _im2col(x, (3, 3), 1, 1)
         assert cols.dtype == np.float32
 
-    def test_window_view_is_zero_copy_without_padding(self, rng):
+    def test_window_view_is_zero_copy(self, rng):
         x = rng.standard_normal((1, 2, 6, 6))
-        windows, out_h, out_w = F._window_view(x, (3, 3), 1, 0)
-        assert (out_h, out_w) == (4, 4)
+        windows = F._window_view(x, (3, 3), 1)
+        assert windows.shape == (1, 2, 4, 4, 3, 3)
         assert windows.base is not None  # a view, not a copy
         x[0, 0, 0, 0] = 123.0
         assert windows[0, 0, 0, 0, 0, 0] == 123.0
@@ -169,7 +210,7 @@ class TestTapKernelBitwise:
         grad = rng.standard_normal((n, contracted, out_h, out_w)).astype(dtype)
         grad.reshape(-1)[::5] = -0.0
         w_mat = weight.reshape(contracted, -1)
-        expected = F._col2im(
+        expected = _col2im(
             np.matmul(w_mat.T, grad.reshape(n, contracted, -1)),
             (n, channels, h, w),
             (kernel, kernel),
@@ -225,7 +266,7 @@ class TestColumnBlocksBitwise:
         x_data = rng.standard_normal((n, c, h, w)).astype(dtype)
         w_data = rng.standard_normal((o, c, kernel, kernel)).astype(dtype)
         b_data = rng.standard_normal(o).astype(dtype)
-        cols, out_h, out_w = F._im2col(x_data, (kernel, kernel), stride, padding)
+        cols, out_h, out_w = _im2col(x_data, (kernel, kernel), stride, padding)
         self._shrink_blocks(monkeypatch, cols[0].nbytes)
         assert F._ColumnBlocks(x_data, (kernel, kernel), stride, padding).block == min(
             n, self.BLOCK
@@ -273,7 +314,7 @@ class TestColumnBlocksBitwise:
         weight = Tensor(w_data, requires_grad=grad_w)
         out = F.conv_transpose2d(x, weight, stride=stride, padding=padding)
         grad = rng.standard_normal(out.shape).astype(dtype)
-        grad_cols, _, _ = F._im2col(grad, (kernel, kernel), stride, padding)
+        grad_cols, _, _ = _im2col(grad, (kernel, kernel), stride, padding)
         self._shrink_blocks(monkeypatch, grad_cols[0].nbytes)
         w_mat = w_data.reshape(i, -1)
         expected_x = np.matmul(w_mat, grad_cols).reshape(x_data.shape)
@@ -288,7 +329,7 @@ class TestColumnBlocksBitwise:
 
     def test_second_pass_starts_from_the_resident_block(self, rng, monkeypatch):
         x_data = rng.standard_normal((2 * self.BLOCK, 3, 7, 8))
-        cols, _, _ = F._im2col(x_data, (3, 3), 1, 1)
+        cols, _, _ = _im2col(x_data, (3, 3), 1, 1)
         self._shrink_blocks(monkeypatch, cols[0].nbytes)
         blocks = F._ColumnBlocks(x_data, (3, 3), 1, 1)
         first = [(start, stop) for start, stop, _ in blocks]
@@ -543,43 +584,6 @@ class TestConvTranspose2d:
         np.testing.assert_allclose(numerical_gradient(value, b.data), b.grad, atol=1e-5)
 
 
-class TestPooling:
-    def test_max_pool_values(self):
-        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = F.max_pool2d(Tensor(x), 2).data
-        np.testing.assert_allclose(out[0, 0], [[5.0, 7.0], [13.0, 15.0]])
-
-    def test_avg_pool_values(self):
-        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = F.avg_pool2d(Tensor(x), 2).data
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_max_pool_gradient(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
-        (F.max_pool2d(x, 2) ** 2).sum().backward()
-
-        def value():
-            return float((F.max_pool2d(Tensor(x.data), 2).data ** 2).sum())
-
-        np.testing.assert_allclose(numerical_gradient(value, x.data), x.grad, atol=1e-5)
-
-    def test_avg_pool_gradient(self, rng):
-        x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
-        (F.avg_pool2d(x, 2) ** 2).sum().backward()
-
-        def value():
-            return float((F.avg_pool2d(Tensor(x.data), 2).data ** 2).sum())
-
-        np.testing.assert_allclose(numerical_gradient(value, x.data), x.grad, atol=1e-5)
-
-    def test_pad2d_shape_and_gradient(self, rng):
-        x = Tensor(rng.standard_normal((1, 1, 3, 3)), requires_grad=True)
-        y = F.pad2d(x, 2)
-        assert y.shape == (1, 1, 7, 7)
-        y.sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones((1, 1, 3, 3)))
-
-
 class TestSoftmaxAndLosses:
     def test_softmax_rows_sum_to_one(self, rng):
         probs = F.softmax(Tensor(rng.standard_normal((6, 10)))).data
@@ -591,12 +595,6 @@ class TestSoftmaxAndLosses:
         probs = F.softmax(logits).data
         np.testing.assert_allclose(probs, np.full((1, 3), 1 / 3), atol=1e-6)
 
-    def test_log_softmax_matches_log_of_softmax(self, rng):
-        x = Tensor(rng.standard_normal((4, 7)))
-        np.testing.assert_allclose(
-            F.log_softmax(x).data, np.log(F.softmax(x).data), atol=1e-6
-        )
-
     def test_softmax_gradient(self, rng):
         x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
         (F.softmax(x) ** 2).sum().backward()
@@ -605,10 +603,6 @@ class TestSoftmaxAndLosses:
             return float((F.softmax(Tensor(x.data)).data ** 2).sum())
 
         np.testing.assert_allclose(numerical_gradient(value, x.data), x.grad, atol=1e-6)
-
-    def test_one_hot(self):
-        encoded = F.one_hot(np.array([0, 2, 1]), 3)
-        np.testing.assert_allclose(encoded, np.eye(3)[[0, 2, 1]])
 
     def test_cross_entropy_matches_manual(self, rng):
         logits_data = rng.standard_normal((5, 4))
@@ -636,13 +630,6 @@ class TestSoftmaxAndLosses:
         with pytest.raises(ValueError):
             F.cross_entropy(logits, np.array([0, 1, 7]))
 
-    def test_nll_loss_equals_cross_entropy(self, rng):
-        logits_data = rng.standard_normal((6, 4))
-        targets = rng.integers(0, 4, size=6)
-        ce = F.cross_entropy(Tensor(logits_data), targets).item()
-        nll = F.nll_loss(F.log_softmax(Tensor(logits_data)), targets).item()
-        assert ce == pytest.approx(nll, rel=1e-5)
-
     def test_soft_cross_entropy_uniform_target_gradient(self, rng):
         logits = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
         uniform = np.full(6, 1.0 / 6.0)
@@ -663,13 +650,5 @@ class TestSoftmaxAndLosses:
         logits_data = rng.standard_normal((5, 3))
         targets = np.array([0, 2, 1, 1, 0])
         hard = F.cross_entropy(Tensor(logits_data), targets).item()
-        soft = F.soft_cross_entropy(Tensor(logits_data), F.one_hot(targets, 3)).item()
+        soft = F.soft_cross_entropy(Tensor(logits_data), np.eye(3)[targets]).item()
         assert hard == pytest.approx(soft, rel=1e-6)
-
-    def test_mse_loss_value_and_gradient(self, rng):
-        pred = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        target = rng.standard_normal((4, 3))
-        loss = F.mse_loss(pred, target)
-        assert loss.item() == pytest.approx(((pred.data - target) ** 2).mean(), rel=1e-6)
-        loss.backward()
-        np.testing.assert_allclose(pred.grad, 2 * (pred.data - target) / pred.data.size, atol=1e-7)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import TwoLayerNet
 
-from repro import nn
 from repro.nn import functional as F
 from repro.nn.modules import Parameter
 from repro.nn.optim import SGD, Adam
@@ -204,11 +204,7 @@ class TestAdam:
         assert abs(param.data[0]) < 5.0
 
     def test_adam_trains_classifier_better_than_initial(self, rng):
-        model = nn.Sequential(
-            nn.Linear(4, 16, rng=np.random.default_rng(2)),
-            nn.ReLU(),
-            nn.Linear(16, 3, rng=np.random.default_rng(3)),
-        )
+        model = TwoLayerNet((4, 16, 3), seeds=(2, 3))
         inputs = rng.standard_normal((90, 4)).astype(np.float32)
         labels = rng.integers(0, 3, size=90)
         # Make labels learnable: correlate with the argmax of the first 3 features.

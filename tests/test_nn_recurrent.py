@@ -1,4 +1,4 @@
-"""Tests for the Embedding / GRU building blocks of the text extension."""
+"""Tests for the GRU building blocks of the sequence extension."""
 
 from __future__ import annotations
 
@@ -7,57 +7,10 @@ import pytest
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn.recurrent import GRU, Embedding, GRUCell
+from repro.nn.recurrent import GRU, GRUCell
 from repro.nn.tensor import Tensor
 
 from helpers import numerical_gradient
-
-
-class TestEmbedding:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Embedding(0, 4)
-
-    def test_hard_lookup_shape_and_values(self):
-        embedding = Embedding(6, 3, rng=np.random.default_rng(0))
-        tokens = np.array([[0, 5], [2, 2]])
-        out = embedding(tokens)
-        assert out.shape == (2, 2, 3)
-        np.testing.assert_allclose(out.data[0, 1], embedding.weight.data[5])
-
-    def test_out_of_range_token_rejected(self):
-        embedding = Embedding(4, 3)
-        with pytest.raises(ValueError):
-            embedding(np.array([[4]]))
-
-    def test_hard_lookup_gradient_accumulates_per_token(self):
-        embedding = Embedding(5, 2, rng=np.random.default_rng(0))
-        tokens = np.array([[1, 1, 3]])
-        embedding(tokens).sum().backward()
-        grad = embedding.weight.grad
-        np.testing.assert_allclose(grad[1], [2.0, 2.0])
-        np.testing.assert_allclose(grad[3], [1.0, 1.0])
-        np.testing.assert_allclose(grad[0], [0.0, 0.0])
-
-    def test_soft_lookup_matches_expected_embedding(self):
-        embedding = Embedding(4, 3, rng=np.random.default_rng(0))
-        soft = np.zeros((2, 1, 4), dtype=np.float64)
-        soft[:, 0, 2] = 0.5
-        soft[:, 0, 3] = 0.5
-        out = embedding(Tensor(soft))
-        expected = 0.5 * (embedding.weight.data[2] + embedding.weight.data[3])
-        np.testing.assert_allclose(out.data[0, 0], expected, atol=1e-6)
-
-    def test_soft_lookup_wrong_vocab_rejected(self):
-        embedding = Embedding(4, 3)
-        with pytest.raises(ValueError):
-            embedding(Tensor(np.zeros((2, 5))))
-
-    def test_soft_lookup_is_differentiable_wrt_distribution(self):
-        embedding = Embedding(4, 3, rng=np.random.default_rng(0))
-        soft = Tensor(np.random.default_rng(1).random((2, 4)), requires_grad=True)
-        embedding(soft).sum().backward()
-        assert soft.grad is not None and soft.grad.shape == (2, 4)
 
 
 class TestGRUCell:
@@ -106,16 +59,17 @@ class TestGRU:
     def test_output_shapes(self, rng):
         gru = GRU(3, 5, rng=np.random.default_rng(0))
         sequence = Tensor(rng.standard_normal((2, 6, 3)).astype(np.float32))
-        outputs, final = gru(sequence)
-        assert outputs.shape == (2, 6, 5)
+        final = gru(sequence)
         assert final.shape == (2, 5)
-        np.testing.assert_allclose(outputs.data[:, -1, :], final.data, atol=1e-6)
+        state = None
+        for step in range(6):
+            state = gru.cell(Tensor(sequence.data[:, step, :]), state)
+        np.testing.assert_array_equal(final.data, state.data)
 
     def test_backward_through_time_reaches_parameters(self, rng):
         gru = GRU(3, 4, rng=np.random.default_rng(0))
         sequence = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
-        outputs, _ = gru(sequence)
-        (outputs ** 2).sum().backward()
+        (gru(sequence) ** 2).sum().backward()
         assert sequence.grad is not None
         assert all(p.grad is not None for p in gru.parameters())
 
@@ -123,19 +77,16 @@ class TestGRU:
         # Classify whether the first or the second half of the sequence has
         # the larger mean — requires integrating information over time.
         vocab, length, hidden = 10, 8, 16
-        embedding = Embedding(vocab, 8, rng=np.random.default_rng(0))
-        gru = GRU(8, hidden, rng=np.random.default_rng(1))
+        gru = GRU(vocab, hidden, rng=np.random.default_rng(1))
         head = nn.Linear(hidden, 2, rng=np.random.default_rng(2))
-        parameters = embedding.parameters() + gru.parameters() + head.parameters()
-        optimizer = nn.Adam(parameters, lr=0.01)
+        optimizer = nn.Adam(gru.parameters() + head.parameters(), lr=0.01)
 
         tokens = rng.integers(0, vocab, size=(120, length))
         labels = (tokens[:, : length // 2].mean(axis=1) > tokens[:, length // 2 :].mean(axis=1)).astype(int)
 
         def forward(batch_tokens):
-            embedded = embedding(batch_tokens)
-            _, final = gru(embedded)
-            return head(final)
+            one_hot = np.eye(vocab, dtype=np.float32)[batch_tokens]
+            return head(gru(Tensor(one_hot)))
 
         first_loss = None
         for _ in range(60):

@@ -130,11 +130,9 @@ class TestArithmetic:
         assert np.allclose((x - 1.0).data, [0.0, 1.0])
         assert np.allclose((5.0 - x).data, [4.0, 3.0])
 
-    def test_mul_div_neg_pow_values(self):
+    def test_mul_neg_pow_values(self):
         x = Tensor(np.array([2.0, 4.0]))
         assert np.allclose((x * 3.0).data, [6.0, 12.0])
-        assert np.allclose((x / 2.0).data, [1.0, 2.0])
-        assert np.allclose((8.0 / x).data, [4.0, 2.0])
         assert np.allclose((-x).data, [-2.0, -4.0])
         assert np.allclose((x ** 2).data, [4.0, 16.0])
 
@@ -154,7 +152,6 @@ class TestArithmetic:
             lambda a, b: a + b,
             lambda a, b: a - b,
             lambda a, b: a * b,
-            lambda a, b: a / b,
         ],
     )
     def test_binary_op_gradients(self, op, rng):
@@ -214,28 +211,6 @@ class TestReductions:
         s.sum().backward()
         np.testing.assert_allclose(x.grad, np.ones((2, 3)))
 
-    def test_mean_axis_gradient(self, rng):
-        x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        (x.mean(axis=0) ** 2).sum().backward()
-
-        def value():
-            return float((Tensor(x.data).data.mean(axis=0) ** 2).sum())
-
-        np.testing.assert_allclose(numerical_gradient(value, x.data), x.grad, atol=1e-6)
-
-    def test_mean_all_value(self):
-        x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert x.mean().item() == pytest.approx(2.5)
-
-    def test_max_all_gradient_flows_to_maximum(self):
-        x = Tensor(np.array([1.0, 5.0, 3.0]), requires_grad=True)
-        x.max().backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
-
-    def test_max_axis_value(self):
-        x = Tensor(np.array([[1.0, 2.0], [4.0, 3.0]]))
-        np.testing.assert_allclose(x.max(axis=1).data, [2.0, 4.0])
-
 
 class TestShapeOps:
     def test_reshape_roundtrip_gradient(self, rng):
@@ -280,12 +255,9 @@ class TestElementwiseFunctions:
     @pytest.mark.parametrize(
         "fn",
         [
-            lambda x: x.exp(),
             lambda x: x.tanh(),
             lambda x: x.sigmoid(),
             lambda x: x.relu(),
-            lambda x: x.leaky_relu(0.1),
-            lambda x: x.abs(),
         ],
     )
     def test_unary_gradients(self, fn, rng):
@@ -297,16 +269,6 @@ class TestElementwiseFunctions:
 
         np.testing.assert_allclose(numerical_gradient(value, x.data), x.grad, atol=1e-5)
 
-    def test_log_and_sqrt_gradients(self, rng):
-        x = Tensor(rng.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
-        (x.log() + x.sqrt()).sum().backward()
-
-        def value():
-            data = Tensor(x.data)
-            return float((data.log() + data.sqrt()).data.sum())
-
-        np.testing.assert_allclose(numerical_gradient(value, x.data), x.grad, atol=1e-6)
-
     def test_relu_zeroes_negative(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]))
         np.testing.assert_allclose(x.relu().data, [0.0, 0.0, 2.0])
@@ -315,19 +277,6 @@ class TestElementwiseFunctions:
         x = Tensor(rng.standard_normal(100) * 10)
         s = x.sigmoid().data
         assert np.all((s > 0) & (s < 1))
-
-    def test_clip_gradient_mask(self):
-        x = Tensor(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
-        x.clip(-1.0, 1.0).sum().backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
-
-    def test_norm_matches_numpy(self, rng):
-        data = rng.standard_normal((4, 5))
-        x = Tensor(data.copy(), requires_grad=True)
-        n = x.norm()
-        assert n.item() == pytest.approx(np.linalg.norm(data), rel=1e-6)
-        n.backward()
-        np.testing.assert_allclose(x.grad, data / np.linalg.norm(data), atol=1e-6)
 
 
 class TestGraphRelease:

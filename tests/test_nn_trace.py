@@ -30,6 +30,7 @@ from repro.models.classifiers import (
 from repro.models.factory import CLASSIFIER_REGISTRY, ClassifierFactory, build_classifier
 from repro.nn import functional as F
 from repro.nn import trace
+from repro.nn.modules import Parameter
 from repro.nn.serialization import get_flat_params
 from repro.nn.tensor import Tensor
 
@@ -43,9 +44,6 @@ def _fresh_trace_cache():
 
 
 ARCHITECTURES = ("mlp", "small-cnn", "fashion-cnn", "cifar-cnn", "gru")
-#: The bitwise eager-vs-replay cases: every architecture plus a model that
-#: reaches the registered ops none of them records.
-BITWISE_CASES = ARCHITECTURES + ("op-coverage",)
 
 
 def _counts():
@@ -54,30 +52,8 @@ def _counts():
     return {key: counters[key] for key in ("records", "replays", "fallbacks")}
 
 
-class _OpCoverage(nn.Module):
-    """Float32 model whose tape reaches the ops the architectures never
-    record: ``concat_time``, ``mean``, ``leaky_relu``, ``exp``, ``log``,
-    ``neg`` and ``sum``."""
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        super().__init__()
-        self.gru = nn.GRU(12, 6, rng=rng, return_sequences=True)
-        self.head = nn.Linear(6, 10, rng=rng)
-        self.trace_signature = ("test-op-coverage",)
-
-    def forward(self, x):
-        # (N, 1, 12, 12) images read as 12-step row sequences.
-        sequence, _ = self.gru(x.reshape(x.shape[0], 12, 12))
-        h = sequence.mean(axis=1).leaky_relu(0.1)
-        h = (h.exp() + 1.0).log()
-        h = h + (-h).sum(axis=1, keepdims=True) * 0.1
-        return self.head(h)
-
-
 def _build_model(name: str, seed: int) -> nn.Module:
     rng = np.random.default_rng(seed)
-    if name == "op-coverage":
-        return _OpCoverage(rng)
     if name == "mlp":
         return MLP(in_channels=1, image_size=12, num_classes=10, hidden=16, rng=rng)
     if name == "small-cnn":
@@ -108,19 +84,19 @@ def _train(name: str, mode: str, seed: int):
     return losses, get_flat_params(model).copy()
 
 
-def _replayed_ops():
-    """Names of the ops whose kernels the cached tapes run on replay."""
+def _recorded_ops():
+    """Names of the ops on every tape in the trace cache."""
     return {
-        entry.nodes[index].op
+        node.op
         for entry in trace._TRACES.values()
         if isinstance(entry, trace.Trace)
-        for index in entry.forward_indices
+        for node in entry.nodes
     }
 
 
 class TestEagerReplayBitIdentity:
     @pytest.mark.parametrize("seed", (0, 1, 2))
-    @pytest.mark.parametrize("name", BITWISE_CASES)
+    @pytest.mark.parametrize("name", ARCHITECTURES)
     def test_replay_matches_eager_bitwise(self, name, seed):
         eager_losses, eager_params = _train(name, "eager", seed)
         replay_losses, replay_params = _train(name, "replay", seed)
@@ -131,12 +107,14 @@ class TestEagerReplayBitIdentity:
         assert replay_losses == eager_losses
         assert np.array_equal(eager_params, replay_params)
 
-    def test_bitwise_cases_reach_every_registered_op(self):
-        reached = set()
-        for name in BITWISE_CASES:
+    def test_registry_is_exactly_what_the_architectures_record(self):
+        """A kernel exists only for an op some shipped classifier records,
+        and the bitwise cases above replay every one of them."""
+        recorded = set()
+        for name in ARCHITECTURES:
             _train(name, "replay", 0)
-            reached |= _replayed_ops()
-        assert reached == set(trace.registered_trace_ops())
+            recorded |= _recorded_ops()
+        assert recorded == set(trace.registered_trace_ops())
 
     def test_record_step_is_an_eager_step(self):
         """The first (recording) step already returns the exact eager loss."""
@@ -277,6 +255,27 @@ class TestAutoModeResolution:
             LocalTrainingConfig(trace="magic")
 
 
+class _Untraced(nn.Module):
+    """A linear classifier whose logits pass through one op that carries no
+    trace descriptor."""
+
+    OPS = ("pow", "neg", "sum")
+
+    def __init__(self, op: str) -> None:
+        super().__init__()
+        self.fc = nn.Linear(4, 3, rng=np.random.default_rng(0))
+        self.op = op
+        self.trace_signature = ("test-untraced", op)
+
+    def forward(self, x):
+        logits = self.fc(x)
+        if self.op == "pow":
+            return logits ** 2
+        if self.op == "neg":
+            return -logits
+        return logits + logits.sum(axis=1, keepdims=True) * 0.5
+
+
 class TestFallbacks:
     def test_shape_change_records_a_new_signature(self):
         model = _build_model("mlp", 0)
@@ -308,16 +307,7 @@ class TestFallbacks:
         assert _counts() == {"records": 40, "replays": 40, "fallbacks": 0}
 
     def test_untraced_op_poisons_the_signature(self):
-        class Divides(nn.Module):
-            def __init__(self):
-                super().__init__()
-                self.fc = nn.Linear(4, 3, rng=np.random.default_rng(0))
-                self.trace_signature = ("test-divides",)
-
-            def forward(self, x):
-                return self.fc(x) / 2.0  # __truediv__ has no trace descriptor
-
-        model = Divides()
+        model = _Untraced("pow")
         session = trace.session_for(model)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(5, 4)).astype(np.float32)
@@ -328,29 +318,33 @@ class TestFallbacks:
         assert "descriptor" in session.fallback_reason(x, y)
         assert trace.trace_counters()["fallbacks"] == 1
 
-    def test_dropout_training_mode_falls_back(self):
-        class WithDropout(nn.Module):
-            def __init__(self):
-                super().__init__()
-                self.fc = nn.Linear(4, 3, rng=np.random.default_rng(0))
-                self.drop = nn.Dropout(0.5, rng=np.random.default_rng(1))
-                self.trace_signature = ("test-dropout",)
+    @pytest.mark.parametrize("op", _Untraced.OPS)
+    def test_untraced_op_trains_with_the_eager_bits(self, op):
+        """An op without a descriptor pins its signature to eager, counts a
+        fallback, and training ends on the eager engine's exact bits."""
 
-            def forward(self, x):
-                return self.drop(self.fc(x))
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(20, 4)).astype(np.float32)
+        y = rng.integers(0, 3, size=20)
 
-        model = WithDropout()
-        model.train()
-        session = trace.session_for(model)
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(5, 4)).astype(np.float32)
-        y = rng.integers(0, 3, size=5)
-        assert session.step(x, y) is not None
-        assert session.step(x, y) is None
-        assert "Dropout" in session.fallback_reason(x, y)
+        def train(mode):
+            trace.reset_trace_cache()
+            model = _Untraced(op)
+            config = LocalTrainingConfig(local_epochs=2, batch_size=8, trace=mode)
+            losses = train_on_arrays(model, x, y, config, np.random.default_rng(3))
+            return model, losses
+
+        eager_model, eager_losses = train("eager")
+        assert _counts() == {"records": 0, "replays": 0, "fallbacks": 0}
+        model, losses = train("replay")
+        # Batches of 8, 8 and 4: each signature records once, then falls back.
+        assert _counts() == {"records": 0, "replays": 0, "fallbacks": 2}
+        assert "descriptor" in trace.session_for(model).fallback_reason(x[:8], y[:8])
+        assert losses == eager_losses
+        assert np.array_equal(get_flat_params(model), get_flat_params(eager_model))
 
     def test_models_without_signature_stay_eager(self):
-        model = nn.Sequential(nn.Linear(4, 3, rng=np.random.default_rng(0)))
+        model = nn.Linear(4, 3, rng=np.random.default_rng(0))
         assert trace.session_for(model) is None
 
     def test_extra_loss_disables_the_session(self):
@@ -567,15 +561,15 @@ class _OpsSoup(nn.Module):
     def __init__(self) -> None:
         super().__init__()
         rng = np.random.default_rng(12)
-        self.w = nn.Parameter(rng.normal(size=(5, 7)) * 0.4)
-        self.b = nn.Parameter(rng.normal(size=(7,)) * 0.1)
-        self.v = nn.Parameter(rng.normal(size=(7, 4)) * 0.4)
+        self.w = Parameter(rng.normal(size=(5, 7)) * 0.4)
+        self.b = Parameter(rng.normal(size=(7,)) * 0.1)
+        self.v = Parameter(rng.normal(size=(7, 4)) * 0.4)
         self.trace_signature = ("test-ops-soup",)
 
     def forward(self, x):
         h = (x @ self.w + self.b).tanh()
         h = h * h.sigmoid()
-        h = ((h - 0.25).exp() + 1.0).log()
+        h = (h - 0.25) * (h + 1.0)
         h = h.reshape(h.shape[0], 7)
         return h @ self.v
 

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import TwoLayerNet
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro import nn
 from repro.data.dataset import ArrayDataset
 from repro.data.partition import DirichletPartitioner, IidPartitioner
 from repro.defenses import Bulyan, Median, MultiKrum, TrimmedMean, d_score
@@ -71,7 +71,7 @@ def test_addition_gradient_is_identity_for_both_operands(a, b):
 def test_cross_entropy_nonnegative_and_consistent_with_soft_targets(logits, label):
     targets = np.full(3, label, dtype=np.int64)
     hard = F.cross_entropy(Tensor(logits), targets).item()
-    soft = F.soft_cross_entropy(Tensor(logits), F.one_hot(targets, 4)).item()
+    soft = F.soft_cross_entropy(Tensor(logits), np.eye(4)[targets]).item()
     assert hard >= 0.0
     assert hard == pytest.approx(soft, rel=1e-5, abs=1e-6)
 
@@ -79,17 +79,10 @@ def test_cross_entropy_nonnegative_and_consistent_with_soft_targets(logits, labe
 @_SETTINGS
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=1000))
 def test_flat_parameter_roundtrip(hidden_scale, seed):
-    model = nn.Sequential(
-        nn.Linear(5, 4 * hidden_scale, rng=np.random.default_rng(seed)),
-        nn.ReLU(),
-        nn.Linear(4 * hidden_scale, 3, rng=np.random.default_rng(seed + 1)),
-    )
+    sizes = (5, 4 * hidden_scale, 3)
+    model = TwoLayerNet(sizes, seeds=(seed, seed + 1))
     vector = get_flat_params(model)
-    clone = nn.Sequential(
-        nn.Linear(5, 4 * hidden_scale, rng=np.random.default_rng(seed + 2)),
-        nn.ReLU(),
-        nn.Linear(4 * hidden_scale, 3, rng=np.random.default_rng(seed + 3)),
-    )
+    clone = TwoLayerNet(sizes, seeds=(seed + 2, seed + 3))
     set_flat_params(clone, vector)
     np.testing.assert_allclose(get_flat_params(clone), vector)
 
