@@ -49,6 +49,31 @@ class TestOptimizerValidation:
         SGD([param], lr=0.1).step()
         np.testing.assert_allclose(param.data, np.ones(2))
 
+    def test_zero_grad_in_place_keeps_the_arrays(self):
+        param = _single_param(np.ones(2))
+        grad = np.ones(2)
+        param.grad = grad
+        SGD([param], lr=0.1).zero_grad(set_to_none=False)
+        assert param.grad is grad
+        np.testing.assert_array_equal(grad, [0.0, 0.0])
+
+    @pytest.mark.parametrize("optimizer", [SGD, Adam], ids=["sgd", "adam"])
+    def test_lr_change_applies_from_the_next_step(self, optimizer):
+        """``lr`` is plain state read on every step, so a caller may anneal it."""
+        halved, reference = _single_param(np.array([1.0])), _single_param(np.array([1.0]))
+        opt_halved, opt_reference = optimizer([halved], lr=0.2), optimizer([reference], lr=0.2)
+        deltas = []
+        for step in range(2):
+            if step == 1:
+                opt_halved.lr = 0.1
+            before = (halved.data.copy(), reference.data.copy())
+            halved.grad, reference.grad = np.array([0.5]), np.array([0.5])
+            opt_halved.step()
+            opt_reference.step()
+            deltas.append((halved.data - before[0], reference.data - before[1]))
+        np.testing.assert_array_equal(deltas[0][0], deltas[0][1])
+        np.testing.assert_allclose(deltas[1][0], deltas[1][1] / 2.0, rtol=1e-12)
+
 
 class TestSgdMath:
     def test_vanilla_update_rule(self):
@@ -184,6 +209,26 @@ class TestAdam:
         Adam([param], lr=0.01).step()
         # Bias-corrected Adam moves by ~lr regardless of gradient scale.
         assert param.data[0] == pytest.approx(1.0 - 0.01, abs=1e-4)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_first_step_is_invariant_to_gradient_scale(self, scale):
+        param = _single_param(np.array([1.0, 1.0]))
+        param.grad = np.array([2.0, -3.0]) * scale
+        Adam([param], lr=0.01, eps=0.0).step()
+        np.testing.assert_allclose(param.data, [0.99, 1.01], rtol=1e-12)
+
+    def test_step_count_is_shared_by_all_parameters(self):
+        """A parameter that joins late still uses the optimizer-wide step
+        count in its bias correction."""
+        early, late = _single_param(np.array([0.0])), _single_param(np.array([0.0]))
+        opt = Adam([early, late], lr=0.1, betas=(0.5, 0.5), eps=0.0)
+        early.grad = np.array([1.0])
+        opt.step()
+        late.grad = np.array([1.0])
+        opt.step()
+        # Step 2 for ``late``: m = 0.5, v = 0.5, corrections 0.75 and 0.75.
+        expected = -0.1 * (0.5 / 0.75) / np.sqrt(0.5 / 0.75)
+        np.testing.assert_allclose(late.data, [expected], rtol=1e-12)
 
     def test_adam_minimizes_quadratic_faster_than_plain_value(self):
         param = _single_param(np.array([3.0, -4.0]))

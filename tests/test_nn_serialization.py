@@ -120,6 +120,43 @@ class TestFlatParamsView:
         clone.vector[:] = 0.0
         assert not np.all(flat.vector == 0.0)
 
+    def test_layout_offsets_tile_the_buffer(self):
+        model = TwoLayerNet((6, 8, 3))
+        layout = FlatParams.layout_of(model)
+        assert list(layout) == ["fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias"]
+        offset = 0
+        for name, param in model.named_parameters():
+            assert layout[name] == (offset, param.data.shape)
+            offset += param.data.size
+        assert offset == model.num_parameters()
+
+    def test_membership_and_unknown_names(self):
+        flat = FlatParams.from_module(_make_model())
+        assert "fc2.bias" in flat
+        assert "fc3.bias" not in flat
+        with pytest.raises(KeyError):
+            flat["fc3.bias"]
+
+    def test_from_vector_wraps_without_copying(self):
+        model = _make_model()
+        vector = get_flat_params(model)
+        flat = FlatParams.from_vector(vector, model)
+        assert np.shares_memory(flat.vector, vector)
+        np.testing.assert_array_equal(flat["fc1.weight"], model.fc1.weight.data)
+
+    def test_astype_copies_only_on_a_dtype_change(self):
+        flat = FlatParams.from_module(_make_model())
+        assert flat.astype(np.float32).vector is flat.vector
+        wide = flat.astype(np.float64)
+        assert wide.dtype == np.float64 and wide.names() == flat.names()
+        np.testing.assert_array_equal(wide.vector, flat.vector)
+
+    def test_to_state_dict_returns_copies(self):
+        flat = FlatParams.from_module(_make_model())
+        state = flat.to_state_dict()
+        state["fc1.weight"][:] = 0.0
+        assert not np.all(flat["fc1.weight"] == 0.0)
+
     def test_nbytes_halved_vs_float64(self):
         model = _make_model()
         assert FlatParams.from_module(model).nbytes * 2 == (
@@ -134,6 +171,21 @@ class TestStateDictVector:
         assert list(recovered) == [name for name, _ in model.named_parameters()]
         for name, param in model.named_parameters():
             np.testing.assert_array_equal(recovered[name], param.data)
+
+    def test_state_dict_arrays_do_not_alias_the_vector(self):
+        model = _make_model()
+        vector = get_flat_params(model)
+        state = vector_to_state_dict(vector, model)
+        for array in state.values():
+            array[...] = 0.0
+        np.testing.assert_array_equal(vector, get_flat_params(model))
+
+    def test_set_flat_params_casts_to_the_parameter_dtype(self):
+        model = _make_model()
+        vector = np.linspace(-1.0, 1.0, model.num_parameters())
+        set_flat_params(model, vector)
+        assert all(param.dtype == np.float32 for param in model.parameters())
+        np.testing.assert_array_equal(get_flat_params(model), vector.astype(np.float32))
 
     def test_vector_too_short_raises(self):
         model = _make_model()

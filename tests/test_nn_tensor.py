@@ -110,6 +110,19 @@ class TestBackwardBasics:
             assert not y.requires_grad
         assert is_grad_enabled()
 
+    def test_nested_no_grad_restores_the_outer_state(self):
+        with no_grad():
+            with no_grad():
+                assert not is_grad_enabled()
+            assert not is_grad_enabled()
+        assert is_grad_enabled()
+
+    def test_no_grad_restores_state_after_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside")
+        assert is_grad_enabled()
+
     def test_constant_branch_gets_no_gradient(self):
         x = Tensor(np.ones(3), requires_grad=True)
         c = Tensor(np.full(3, 2.0))
@@ -195,6 +208,69 @@ class TestArithmetic:
         np.testing.assert_allclose(numerical_gradient(value, a.data), a.grad, atol=1e-6)
         np.testing.assert_allclose(numerical_gradient(value, b.data), b.grad, atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "a_shape,b_shape",
+        [((3, 4), (4,)), ((3, 1), (1, 4)), ((2, 3, 4), (3, 1))],
+        ids=["trailing", "outer", "leading-and-unit"],
+    )
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, b: a + b,
+            lambda a, b: a - b,
+            lambda a, b: a * b,
+        ],
+        ids=["add", "sub", "mul"],
+    )
+    def test_broadcast_gradients_reduce_to_operand_shapes(self, op, a_shape, b_shape, rng):
+        a = Tensor(rng.standard_normal(a_shape), requires_grad=True)
+        b = Tensor(rng.standard_normal(b_shape), requires_grad=True)
+        (op(a, b) ** 2).sum().backward()
+        assert a.grad.shape == a_shape and b.grad.shape == b_shape
+
+        def value():
+            return float((op(Tensor(a.data), Tensor(b.data)).data ** 2).sum())
+
+        np.testing.assert_allclose(numerical_gradient(value, a.data), a.grad, atol=1e-6)
+        np.testing.assert_allclose(numerical_gradient(value, b.data), b.grad, atol=1e-6)
+
+    @pytest.mark.parametrize("exponent", [2, 3, 0.5, -1.0])
+    def test_pow_gradients(self, exponent, rng):
+        x = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
+        (x ** exponent).sum().backward()
+        np.testing.assert_allclose(x.grad, exponent * x.data ** (exponent - 1), rtol=1e-12)
+
+        def value():
+            return float((Tensor(x.data) ** exponent).data.sum())
+
+        np.testing.assert_allclose(numerical_gradient(value, x.data), x.grad, atol=1e-6)
+
+    def test_reciprocal_is_a_negative_power(self):
+        x = Tensor(np.array([2.0, 4.0]), requires_grad=True)
+        y = 8.0 * x ** -1.0
+        np.testing.assert_allclose(y.data, [4.0, 2.0])
+        y.sum().backward()
+        np.testing.assert_allclose(x.grad, [-2.0, -0.5])
+
+    def test_reflected_operands_get_their_gradients(self, rng):
+        x = Tensor(rng.standard_normal(4), requires_grad=True)
+        (3.0 - x * 2.0 + 1.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.full(4, -2.0))
+
+    def test_batched_matmul_gradient_reduces_shared_weight(self, rng):
+        a = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        out = a @ b
+        assert out.shape == (2, 3, 5)
+        (out ** 2).sum().backward()
+        assert b.grad.shape == (4, 5)
+
+        def value():
+            return float(((Tensor(a.data) @ Tensor(b.data)).data ** 2).sum())
+
+        np.testing.assert_allclose(numerical_gradient(value, a.data), a.grad, atol=1e-6)
+        np.testing.assert_allclose(numerical_gradient(value, b.data), b.grad, atol=1e-6)
+
 
 class TestReductions:
     def test_sum_all(self):
@@ -210,6 +286,19 @@ class TestReductions:
         assert s.shape == (2, 1)
         s.sum().backward()
         np.testing.assert_allclose(x.grad, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("axis", [0, -1, (0, 2)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_sum_axis_gradient(self, axis, keepdims, rng):
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        s = x.sum(axis=axis, keepdims=keepdims)
+        np.testing.assert_allclose(s.data, x.data.sum(axis=axis, keepdims=keepdims))
+        (s ** 2).sum().backward()
+
+        def value():
+            return float((x.data.sum(axis=axis, keepdims=keepdims) ** 2).sum())
+
+        np.testing.assert_allclose(numerical_gradient(value, x.data), x.grad, atol=1e-6)
 
 
 class TestShapeOps:
@@ -250,6 +339,21 @@ class TestShapeOps:
         x[idx].sum().backward()
         np.testing.assert_allclose(x.grad, [0.0, 2.0, 1.0, 0.0])
 
+    def test_transpose_axes_gradient_matches_numerical(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        weights = rng.standard_normal((4, 2, 3))
+        (x.transpose((2, 0, 1)) * weights).sum().backward()
+        np.testing.assert_allclose(x.grad, weights.transpose((1, 2, 0)))
+
+    def test_getitem_strided_column_gradient(self, rng):
+        x = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+        y = x[:, 1::2]
+        np.testing.assert_array_equal(y.data, x.data[:, 1::2])
+        y.sum().backward()
+        expected = np.zeros((3, 6))
+        expected[:, 1::2] = 1.0
+        np.testing.assert_array_equal(x.grad, expected)
+
 
 class TestElementwiseFunctions:
     @pytest.mark.parametrize(
@@ -277,6 +381,44 @@ class TestElementwiseFunctions:
         x = Tensor(rng.standard_normal(100) * 10)
         s = x.sigmoid().data
         assert np.all((s > 0) & (s < 1))
+
+    def test_relu_gradient_is_zero_at_zero(self):
+        x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
+        x.relu().sum().backward()
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+
+    def test_tanh_and_sigmoid_values_match_numpy(self, rng):
+        data = rng.standard_normal((4, 5)) * 3.0
+        x = Tensor(data)
+        np.testing.assert_allclose(x.tanh().data, np.tanh(data), rtol=1e-12)
+        np.testing.assert_allclose(x.sigmoid().data, 1.0 / (1.0 + np.exp(-data)), rtol=1e-12)
+        np.testing.assert_allclose(x.sigmoid().data + (-x).sigmoid().data, 1.0, rtol=1e-12)
+
+
+class TestFloat32Policy:
+    """float32 operands stay float32 through the forward and the backward."""
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda x: x + 1.0,
+            lambda x: 1.0 - x,
+            lambda x: 2.0 * x,
+            lambda x: -x,
+            lambda x: x ** 2,
+            lambda x: x @ np.ones((4, 2), dtype=np.float32),
+            lambda x: x.tanh(),
+            lambda x: x.sigmoid(),
+            lambda x: x.sum(axis=0),
+        ],
+        ids=["radd", "rsub", "rmul", "neg", "pow", "matmul", "tanh", "sigmoid", "sum"],
+    )
+    def test_ops_keep_float32(self, fn, rng):
+        x = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
+        out = fn(x)
+        assert out.dtype == np.float32
+        out.sum().backward()
+        assert x.grad.dtype == np.float32
 
 
 class TestGraphRelease:
